@@ -68,7 +68,7 @@ def _read_jsonl(path):
 def _write_jsonl(records, path):
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 def _snapshot(args, path):
@@ -268,10 +268,13 @@ def cmd_rewrite(args):
     for rec in records:
         inst = _instance_from_record(rec)
         mr = datagen.model_record(inst)
-        result = run_decoder(args.decoder, model, mr["x_tokens"],
-                             mr["constraint_rows"], config, scorer=scorer,
-                             beam_size=args.beam, alpha=args.alpha,
-                             max_len=args.max_len)
+        try:
+            result = run_decoder(args.decoder, model, mr["x_tokens"],
+                                 mr["constraint_rows"], config,
+                                 scorer=scorer, beam_size=args.beam,
+                                 alpha=args.alpha, max_len=args.max_len)
+        except FloatingPointError as exc:
+            raise type(exc)("record %s: %s" % (inst.id, exc)) from exc
         trace_path = None
         if trace_dir:
             trace_path = os.path.join(trace_dir, inst.id + ".tsv")

@@ -2,10 +2,15 @@
 beam search that organizes hypotheses by constraint progress.
 
 All three drive a FlagTracker alongside the model so every generated
-token updates the mention flags the next step conditions on. Scores
-sum the log-probabilities of every chosen token (the stop token
-included once a hypothesis finishes) and are compared after dividing
-by the number of chosen tokens raised to a configurable exponent.
+token updates the mention flags the next step conditions on. Each
+search step is one batched decoder call over every live hypothesis:
+the model caches each hypothesis's past positions, so the call forwards
+only the newest token with its current flag column. Trackers are
+cloned and stepped only for hypotheses that survive pruning, because
+ranking and banking never read flags. Scores sum the log-probabilities
+of every chosen token (the stop token included once a hypothesis
+finishes) and are compared after dividing by the number of chosen
+tokens raised to a configurable exponent.
 
 The beam search expands only the argmax continuation at width 1, so it
 degenerates to the greedy loop; at any width it also scores the pure
@@ -38,6 +43,8 @@ class Hypothesis:
     tracker: FlagTracker
     pointers: list = field(default_factory=list)
     finished: bool = False
+    # row of the decoder cache that holds every position but the newest
+    row: int = 0
 
     @property
     def score(self) -> float:
@@ -68,12 +75,30 @@ class DecodeResult:
         return self.tracker.matrix()
 
 
-def _masked_logprobs(model, henc, hyp):
-    lp = model.predict_next_from_states(henc, hyp.ids, hyp.tracker.matrix())
-    lp = np.array(lp, dtype=np.float64)
-    lp[model.vocab.pad_id] = -np.inf
-    lp[model.vocab.bos_id] = -np.inf
-    return lp
+class _Decoder:
+    """One input's decoder cache, advanced by one batched call per step."""
+
+    def __init__(self, model, x_tokens):
+        self.model = model
+        self.root = model.begin_decode(model.encode(list(x_tokens)))
+        self.cache = self.root
+
+    def restart(self):
+        """Drop every cached position; the next step starts a new search."""
+        self.cache = self.root
+
+    def logprobs(self, hyps):
+        """(len(hyps), vocab) next-token log-probabilities, pad and start
+        symbol masked out. Every hypothesis has the cache's length, and
+        hyp.row indexes the rows of the previous call."""
+        vocab = self.model.vocab
+        last = [h.ids[-1] if h.ids else vocab.bos_id for h in hyps]
+        columns = np.stack([h.tracker.m.current for h in hyps])
+        lp, self.cache = self.model.decode_step(
+            self.cache, [h.row for h in hyps], last, columns)
+        lp[:, vocab.pad_id] = -np.inf
+        lp[:, vocab.bos_id] = -np.inf
+        return lp
 
 
 def _result_from(model, hyp, alpha, unsatisfiable=False, warnings=()):
@@ -103,14 +128,12 @@ def _clamp_budget(model, max_len):
     return max(1, min(max_len, cfg.max_len - 1))
 
 
-def _greedy_hyp(model, henc, x_tokens, constraint_rows, config, scorer,
-                max_len):
+def _greedy_hyp(model, decoder, tracker, max_len):
     """Run the argmax loop. Returns the raw hypothesis; finished means
     the stop token was the argmax within budget (its logp is counted)."""
-    hyp = Hypothesis([], [], _new_tracker(x_tokens, constraint_rows,
-                                          config, scorer))
+    hyp = Hypothesis([], [], tracker)
     for _ in range(max_len):
-        lp = _masked_logprobs(model, henc, hyp)
+        lp = decoder.logprobs([hyp])[0]
         nxt = int(np.argmax(lp))
         hyp.logps.append(float(lp[nxt]))
         if nxt == model.vocab.eos_id:
@@ -121,11 +144,18 @@ def _greedy_hyp(model, henc, x_tokens, constraint_rows, config, scorer,
     return hyp
 
 
-def _close(model, henc, hyp):
-    """Finished copy of a live hypothesis with the stop logp appended."""
-    lp = _masked_logprobs(model, henc, hyp)
-    return Hypothesis(list(hyp.ids), hyp.logps + [float(lp[model.vocab.eos_id])],
-                      hyp.tracker, list(hyp.pointers), True)
+def _closed(model, decoder, hyps, alpha):
+    """(finished copy, normalized score) of each live hypothesis, its stop
+    logp appended, from one batched call."""
+    if not hyps:
+        return []
+    stop = decoder.logprobs(hyps)[:, model.vocab.eos_id]
+    out = []
+    for hyp, lp in zip(hyps, stop):
+        fin = Hypothesis(list(hyp.ids), hyp.logps + [float(lp)], hyp.tracker,
+                         list(hyp.pointers), True)
+        out.append((fin, fin.normalized(alpha)))
+    return out
 
 
 def greedy_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
@@ -134,9 +164,9 @@ def greedy_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
     """Pick the argmax token every step (ties: smallest id); stop at the
     end token or after max_len tokens."""
     max_len = _clamp_budget(model, max_len)
-    henc = model.encode(list(x_tokens))
-    hyp = _greedy_hyp(model, henc, x_tokens, constraint_rows, config,
-                      scorer, max_len)
+    hyp = _greedy_hyp(model, _Decoder(model, x_tokens),
+                      _new_tracker(x_tokens, constraint_rows, config, scorer),
+                      max_len)
     return _result_from(model, hyp, alpha)
 
 
@@ -145,11 +175,20 @@ def _rank_key(item):
     return (-sc, tuple(hyp.ids))
 
 
-def _extend(model, hyp, nxt, lp_val):
-    child = Hypothesis(hyp.ids + [nxt], hyp.logps + [lp_val],
-                       hyp.tracker.clone(), list(hyp.pointers))
-    child.tracker.step(model.vocab.tokens[nxt])
-    return child
+def _extend(hyp, nxt, lp_val, row):
+    """Candidate child of the hypothesis in decoder row `row`. It shares
+    its parent's tracker until _step_trackers runs on the survivors."""
+    return Hypothesis(hyp.ids + [nxt], hyp.logps + [lp_val], hyp.tracker,
+                      list(hyp.pointers), row=row)
+
+
+def _step_trackers(model, hyps):
+    """Give each surviving child its own tracker, advanced by its newest
+    token."""
+    for hyp in hyps:
+        hyp.tracker = hyp.tracker.clone()
+        hyp.tracker.step(model.vocab.tokens[hyp.ids[-1]])
+    return hyps
 
 
 def beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
@@ -166,24 +205,24 @@ def beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
         raise ValueError("beam_size must be >= 1")
     x_tokens = list(x_tokens)
     max_len = _clamp_budget(model, max_len)
-    henc = model.encode(x_tokens)
-    done = []
-    seed = _greedy_hyp(model, henc, x_tokens, constraint_rows, config,
-                       scorer, max_len)
-    if not seed.finished:
-        seed = _close(model, henc, seed)
-    done.append((seed, seed.normalized(alpha)))
+    decoder = _Decoder(model, x_tokens)
+    seed = _greedy_hyp(model, decoder,
+                       _new_tracker(x_tokens, constraint_rows, config, scorer),
+                       max_len)
+    if seed.finished:
+        done = [(seed, seed.normalized(alpha))]
+    else:
+        done = _closed(model, decoder, [seed], alpha)
     if beam_size == 1:
         # the seeded argmax trajectory is the entire width-1 search
-        done.sort(key=_rank_key)
         return _result_from(model, done[0][0], alpha)
+    decoder.restart()
     live = [Hypothesis([], [], _new_tracker(x_tokens, constraint_rows,
                                             config, scorer))]
     width = beam_size + 1  # keep slots for live paths when eos ranks high
     for _ in range(max_len):
         cands = []
-        for hyp in live:
-            lp = _masked_logprobs(model, henc, hyp)
+        for row, (hyp, lp) in enumerate(zip(live, decoder.logprobs(live))):
             k = min(width, int(np.isfinite(lp).sum()))
             top = np.argpartition(-lp, k - 1)[:k]
             for nxt in sorted(top, key=lambda i: (-lp[i], i)):
@@ -194,14 +233,13 @@ def beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
                                      hyp.tracker, finished=True)
                     done.append((fin, fin.normalized(alpha)))
                 else:
-                    cands.append(_extend(model, hyp, nxt, float(lp[nxt])))
+                    cands.append(_extend(hyp, nxt, float(lp[nxt]), row))
         ranked = sorted(((h, h.score) for h in cands), key=_rank_key)
-        live = [h for h, _ in ranked[:beam_size]]
+        live = _step_trackers(model, [h for h, _ in ranked[:beam_size]])
         if not live:
             break
-    for hyp in live:  # budget exhausted: close survivors for final ranking
-        fin = _close(model, henc, hyp)
-        done.append((fin, fin.normalized(alpha)))
+    # budget exhausted: close survivors for final ranking
+    done += _closed(model, decoder, live, alpha)
     done.sort(key=_rank_key)
     return _result_from(model, done[0][0], alpha)
 
@@ -248,7 +286,7 @@ def constrained_beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
                            scorer=scorer, beam_size=beam_size, alpha=alpha,
                            max_len=max_len)
     max_len = _clamp_budget(model, max_len)
-    henc = model.encode(x_tokens)
+    decoder = _Decoder(model, x_tokens)
     ctoks = _constraint_tokens(x_tokens, constraint_rows)
     lens = [len(t) for t in ctoks]
     full = sum(lens)
@@ -259,48 +297,46 @@ def constrained_beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
     done = []
     for _ in range(max_len):
         cands = []
-        for bank_hyps in banks.values():
-            for hyp in bank_hyps:
-                lp = _masked_logprobs(model, henc, hyp)
-                k = min(beam_size, int(np.isfinite(lp).sum()))
-                top = np.argpartition(-lp, k - 1)[:k]
-                wanted = {int(i) for i in top}
-                for ci, toks in enumerate(ctoks):
-                    p = hyp.pointers[ci]
-                    if p < lens[ci]:
-                        tid = model.vocab.index.get(toks[p])
-                        if tid is not None:
-                            wanted.add(tid)
-                wanted.add(model.vocab.eos_id)
-                at_full = _bank_of(hyp, lens) >= full
-                for nxt in sorted(wanted):
-                    if not np.isfinite(lp[nxt]):
-                        continue
-                    if nxt == model.vocab.eos_id:
-                        if at_full:
-                            fin = Hypothesis(list(hyp.ids),
-                                             hyp.logps + [float(lp[nxt])],
-                                             hyp.tracker,
-                                             list(hyp.pointers), True)
-                            done.append((fin, fin.normalized(alpha)))
-                        continue
-                    child = _extend(model, hyp, nxt, float(lp[nxt]))
-                    _advance_pointers(child, ctoks, model.vocab.tokens[nxt])
-                    cands.append(child)
+        live = [hyp for hyps in banks.values() for hyp in hyps]
+        for row, (hyp, lp) in enumerate(zip(live, decoder.logprobs(live))):
+            k = min(beam_size, int(np.isfinite(lp).sum()))
+            top = np.argpartition(-lp, k - 1)[:k]
+            wanted = {int(i) for i in top}
+            for ci, toks in enumerate(ctoks):
+                p = hyp.pointers[ci]
+                if p < lens[ci]:
+                    tid = model.vocab.index.get(toks[p])
+                    if tid is not None:
+                        wanted.add(tid)
+            wanted.add(model.vocab.eos_id)
+            at_full = _bank_of(hyp, lens) >= full
+            for nxt in sorted(wanted):
+                if not np.isfinite(lp[nxt]):
+                    continue
+                if nxt == model.vocab.eos_id:
+                    if at_full:
+                        fin = Hypothesis(list(hyp.ids),
+                                         hyp.logps + [float(lp[nxt])],
+                                         hyp.tracker, list(hyp.pointers),
+                                         True)
+                        done.append((fin, fin.normalized(alpha)))
+                    continue
+                child = _extend(hyp, nxt, float(lp[nxt]), row)
+                _advance_pointers(child, ctoks, model.vocab.tokens[nxt])
+                cands.append(child)
         banks = {}
         for child in cands:
             banks.setdefault(_bank_of(child, lens), []).append(child)
         for b in banks:
             ranked = sorted(((h, h.score) for h in banks[b]), key=_rank_key)
-            banks[b] = [h for h, _ in ranked[:beam_size]]
+            banks[b] = _step_trackers(model,
+                                      [h for h, _ in ranked[:beam_size]])
         if not banks:
             break
     # force-close any fully covered survivor so it can still be returned
-    for hyps in banks.values():
-        for hyp in hyps:
-            if _bank_of(hyp, lens) >= full:
-                fin = _close(model, henc, hyp)
-                done.append((fin, fin.normalized(alpha)))
+    done += _closed(model, decoder,
+                    [hyp for hyps in banks.values() for hyp in hyps
+                     if _bank_of(hyp, lens) >= full], alpha)
     if done:
         done.sort(key=_rank_key)
         return _result_from(model, done[0][0], alpha)

@@ -113,13 +113,15 @@ def rouge_l(hypothesis, reference, beta=1.2):
 
 
 def corpus_rouge_l(hypotheses, references, beta=1.2):
-    """Mean per-pair ROUGE-L F over the corpus."""
+    """Mean per-pair ROUGE-L F over the corpus. An empty hypothesis (a
+    decoder may stop at once) shares nothing with its reference and
+    scores 0."""
     if len(hypotheses) != len(references):
         raise EmptyCorpus("got %d hypotheses for %d references"
                           % (len(hypotheses), len(references)))
     if not hypotheses:
         raise EmptyCorpus("nothing to score")
-    return sum(rouge_l(h, r, beta)
+    return sum(rouge_l(h, r, beta) if len(h) else 0.0
                for h, r in zip(hypotheses, references)) / len(hypotheses)
 
 

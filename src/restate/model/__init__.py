@@ -2,16 +2,17 @@
 
 from .nn import ShapeMismatch
 from .training import (Adam, NonFiniteLoss, TrainingConfig, TrainingExample,
-                       assemble_batch, build_model, example_from_record, train)
+                       assemble_batch, example_from_record, train)
 from .transformer import (CheckpointVersionMismatch, LengthOverflow,
-                          ModelConfig, Seq2SeqModel, build_flag_matrix_batch,
-                          cross_attention_flagged)
+                          ModelConfig, NonFiniteLogProbs, Seq2SeqModel,
+                          build_flag_matrix_batch, cross_attention_flagged)
 
 __all__ = [
     "Adam",
     "CheckpointVersionMismatch",
     "LengthOverflow",
     "ModelConfig",
+    "NonFiniteLogProbs",
     "NonFiniteLoss",
     "Seq2SeqModel",
     "ShapeMismatch",
@@ -19,7 +20,6 @@ __all__ = [
     "TrainingExample",
     "assemble_batch",
     "build_flag_matrix_batch",
-    "build_model",
     "cross_attention_flagged",
     "example_from_record",
     "train",

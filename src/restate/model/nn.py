@@ -24,10 +24,6 @@ class ShapeMismatch(ValueError):
     """Raised when attention inputs disagree on their shared dimensions."""
 
 
-def linear(x, w):
-    return x @ w
-
-
 def linear_bwd(x, w, dy):
     dx = dy @ w.T
     dw = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])

@@ -15,7 +15,7 @@ import numpy as np
 from .. import flags as flags_mod
 from ..vocab import Vocabulary
 from . import nn
-from .transformer import ModelConfig, Seq2SeqModel, build_flag_matrix_batch
+from .transformer import Seq2SeqModel, build_flag_matrix_batch
 
 
 class NonFiniteLoss(FloatingPointError):
@@ -177,9 +177,3 @@ def train(model: Seq2SeqModel, examples, config: TrainingConfig,
                 log("epoch %d step %d mean_loss %.6f"
                     % (epoch, step, epoch_loss / max(nb, 1)))
     return rows
-
-
-def build_model(train_token_lists, model_config: ModelConfig) -> Seq2SeqModel:
-    """Vocabulary from the training token streams, then a fresh model."""
-    vocab = Vocabulary.build(train_token_lists)
-    return Seq2SeqModel(model_config, vocab)

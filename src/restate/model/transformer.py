@@ -7,6 +7,12 @@ tables are shared across layers and split across heads in contiguous
 slices. Row 0 (the "not part of any constraint" flag) is pinned to
 zero so unflagged positions get exactly standard attention and an
 all-zero flag matrix reduces the model to its vanilla twin.
+
+Teacher forcing and inference share one decoder-layer function.
+Inference is incremental: begin_decode computes every layer's
+cross-attention keys and values once per input, and decode_step
+forwards only the newest position of each hypothesis, reusing the
+self-attention keys and values cached for its earlier positions.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ class CheckpointVersionMismatch(ValueError):
     """Raised when loading a checkpoint written by an unknown format."""
 
 
+class NonFiniteLogProbs(FloatingPointError):
+    """Raised when a decoding step yields NaN log-probabilities."""
+
+
 CHECKPOINT_VERSION = 1
 
 
@@ -45,6 +55,22 @@ class ModelConfig:
     def __post_init__(self):
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
+
+
+@dataclass(frozen=True)
+class DecoderCache:
+    """Decoder state of one input during incremental decoding.
+
+    cross holds every layer's cross-attention (k, v), (1, H, Ls, Dh),
+    computed once per input; self_kv every layer's self-attention
+    (k, v) of the cached rows, (B, H, length, Dh), or None while no
+    position is cached. A flag column is frozen once its token is
+    emitted, so the cached positions never need recomputing.
+    """
+
+    cross: tuple
+    self_kv: tuple | None
+    length: int
 
 
 def build_flag_matrix_batch(ms, lenc, ldec):
@@ -200,6 +226,60 @@ class Seq2SeqModel:
         grads["pos_enc"][:src.shape[1]] += dx.sum(axis=0)
 
     # ------------------------------------------------------------ decoder
+    def _cross_kv(self, i, henc):
+        """Cross-attention (k, v) of decoder layer i, (B, H, Ls, Dh)."""
+        p = self.params
+        pre = "dec%d" % i
+        heads = self.config.heads
+        return (nn.split_heads(henc @ p[pre + ".cross.wk"], heads),
+                nn.split_heads(henc @ p[pre + ".cross.wv"], heads))
+
+    def _decoder_layer(self, i, y, self_mask, cross_kv, cross_mask, onehot,
+                       past=None):
+        """Decoder layer i over queries y: (B, Lq, dim).
+
+        past: self-attention (k, v) of the positions before the queries,
+        (B, H, Lp, Dh), or None when y holds the whole prefix. Returns
+        the layer output, its backward cache and the self-attention
+        (k, v) of every position up to the last query.
+        """
+        cfg = self.config
+        p = self.params
+        pre = "dec%d" % i
+        h1, cln1 = nn.layer_norm(y, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
+        q = nn.split_heads(h1 @ p[pre + ".self.wq"], cfg.heads)
+        k = nn.split_heads(h1 @ p[pre + ".self.wk"], cfg.heads)
+        v = nn.split_heads(h1 @ p[pre + ".self.wv"], cfg.heads)
+        if past is not None:
+            k = np.concatenate([past[0], k], axis=2)
+            v = np.concatenate([past[1], v], axis=2)
+        sctx, cself = nn.attention(q, k, v, self_mask)
+        smo = nn.merge_heads(sctx)
+        y2 = y + smo @ p[pre + ".self.wo"]
+        h2, cln2 = nn.layer_norm(y2, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
+        qc = nn.split_heads(h2 @ p[pre + ".cross.wq"], cfg.heads)
+        kc, vc = cross_kv
+        if onehot is None:
+            cctx, ccross = nn.attention(qc, kc, vc, cross_mask)
+        else:
+            cctx, ccross = nn.flagged_attention(qc, kc, vc, onehot,
+                                                self._ek3(), self._ev3(),
+                                                cross_mask)
+        cmo = nn.merge_heads(cctx)
+        y3 = y2 + cmo @ p[pre + ".cross.wo"]
+        h3, cln3 = nn.layer_norm(y3, p[pre + ".ln3.g"], p[pre + ".ln3.b"])
+        z1 = h3 @ p[pre + ".ff.w1"] + p[pre + ".ff.b1"]
+        r = nn.relu(z1)
+        y4 = y3 + r @ p[pre + ".ff.w2"] + p[pre + ".ff.b2"]
+        cache = (y, h1, cln1, cself, smo, y2, h2, cln2,
+                 ccross, cmo, y3, h3, cln3, z1, r)
+        return y4, cache, (k, v)
+
+    def _output_logits(self, y):
+        p = self.params
+        hdec, clnf = nn.layer_norm(y, p["dec.lnf.g"], p["dec.lnf.b"])
+        return hdec @ p["out.w"] + p["out.b"], hdec, clnf
+
     def _decode_ids(self, tgt_in, tgt_real, henc, src_real, onehot):
         """tgt_in: (B, Lt) ids. onehot: (B, Lt, Ls, 3) or None for the
         vanilla cross-attention path."""
@@ -211,38 +291,13 @@ class Seq2SeqModel:
         y = p["tok_emb"][tgt_in] + p["pos_dec"][:lt]
         self_mask = nn.causal_mask(lt) + nn.padding_mask(tgt_real)
         cross_mask = nn.padding_mask(src_real)
-        ek3 = self._ek3()
-        ev3 = self._ev3()
         layer_caches = []
         for i in range(cfg.dec_layers):
-            pre = "dec%d" % i
-            h1, cln1 = nn.layer_norm(y, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
-            q = nn.split_heads(h1 @ p[pre + ".self.wq"], cfg.heads)
-            k = nn.split_heads(h1 @ p[pre + ".self.wk"], cfg.heads)
-            v = nn.split_heads(h1 @ p[pre + ".self.wv"], cfg.heads)
-            sctx, cself = nn.attention(q, k, v, self_mask)
-            smo = nn.merge_heads(sctx)
-            y2 = y + smo @ p[pre + ".self.wo"]
-            h2, cln2 = nn.layer_norm(y2, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
-            qc = nn.split_heads(h2 @ p[pre + ".cross.wq"], cfg.heads)
-            kc = nn.split_heads(henc @ p[pre + ".cross.wk"], cfg.heads)
-            vc = nn.split_heads(henc @ p[pre + ".cross.wv"], cfg.heads)
-            if onehot is None:
-                cctx, ccross = nn.attention(qc, kc, vc, cross_mask)
-            else:
-                cctx, ccross = nn.flagged_attention(qc, kc, vc, onehot,
-                                                    ek3, ev3, cross_mask)
-            cmo = nn.merge_heads(cctx)
-            y3 = y2 + cmo @ p[pre + ".cross.wo"]
-            h3, cln3 = nn.layer_norm(y3, p[pre + ".ln3.g"], p[pre + ".ln3.b"])
-            z1 = h3 @ p[pre + ".ff.w1"] + p[pre + ".ff.b1"]
-            r = nn.relu(z1)
-            y4 = y3 + r @ p[pre + ".ff.w2"] + p[pre + ".ff.b2"]
-            layer_caches.append((y, h1, cln1, cself, smo, y2, h2, cln2,
-                                 ccross, cmo, y3, h3, cln3, z1, r))
-            y = y4
-        hdec, clnf = nn.layer_norm(y, p["dec.lnf.g"], p["dec.lnf.b"])
-        logits = hdec @ p["out.w"] + p["out.b"]
+            y, lcache, _ = self._decoder_layer(i, y, self_mask,
+                                               self._cross_kv(i, henc),
+                                               cross_mask, onehot)
+            layer_caches.append(lcache)
+        logits, hdec, clnf = self._output_logits(y)
         cache = (tgt_in, layer_caches, clnf, hdec, onehot is not None)
         return logits, cache
 
@@ -404,7 +459,8 @@ class Seq2SeqModel:
     def predict_next_from_states(self, henc, prefix_ids, m) -> np.ndarray:
         """Like predict_next but reusing precomputed encoder states.
 
-        henc: (Ls, dim) from encode(); one decode shares it across steps.
+        henc: (Ls, dim) from encode(). Runs the whole prefix, so it is
+        the uncached reference for decode_step.
         """
         henc = np.asarray(henc)[None]
         tgt_in = np.asarray([[self.vocab.bos_id] + list(prefix_ids)])
@@ -421,6 +477,53 @@ class Seq2SeqModel:
             onehot = nn.flag_onehot(m[None])
         logits, _ = self._decode_ids(tgt_in, tgt_real, henc, src_real, onehot)
         return nn.log_softmax(logits[0, -1])
+
+    def begin_decode(self, henc) -> DecoderCache:
+        """Empty decoder cache for one input; henc: (Ls, dim) from encode()."""
+        henc = np.asarray(henc)[None]
+        return DecoderCache(tuple(self._cross_kv(i, henc)
+                                  for i in range(self.config.dec_layers)),
+                            None, 0)
+
+    def decode_step(self, cache: DecoderCache, parents, last_ids, columns):
+        """Next-token log-probabilities of B prefixes, forwarding only each
+        prefix's newest position.
+
+        Row r extends row parents[r] of cache (ignored while it is empty)
+        by the decoder input last_ids[r] (the start symbol first) under
+        its current flag column columns[r], shape (Ls,). Returns (B, vocab)
+        log-probabilities and the cache extended by these rows, in the
+        given order. Agrees with predict_next_from_states on the full
+        prefix and flag matrix up to rounding.
+        """
+        cfg = self.config
+        p = self.params
+        t = cache.length
+        if t >= cfg.max_len:
+            raise LengthOverflow("target length %d > max_len %d"
+                                 % (t + 1, cfg.max_len))
+        ids = np.asarray(last_ids)
+        columns = np.asarray(columns)
+        ls = cache.cross[0][0].shape[2]
+        if columns.shape != (ids.shape[0], ls):
+            raise ShapeMismatch("flag columns %s do not match (B=%d, Ls=%d)"
+                                % (columns.shape, ids.shape[0], ls))
+        y = p["tok_emb"][ids][:, None] + p["pos_dec"][t]
+        onehot = nn.flag_onehot(columns[:, :, None])
+        self_kv = []
+        for i in range(cfg.dec_layers):
+            past = None
+            if cache.self_kv is not None:
+                k, v = cache.self_kv[i]
+                past = (k[parents], v[parents])
+            y, _, kv = self._decoder_layer(i, y, None, cache.cross[i], None,
+                                           onehot, past)
+            self_kv.append(kv)
+        lp = nn.log_softmax(self._output_logits(y)[0][:, 0])
+        if np.isnan(lp).any():
+            raise NonFiniteLogProbs("decoder log-probabilities are NaN"
+                                    " (non-finite model weights?)")
+        return lp, DecoderCache(cache.cross, tuple(self_kv), t + 1)
 
     # -------------------------------------------------------- persistence
     def save(self, path):

@@ -10,11 +10,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from restate import datagen
 from restate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from restate.flags import SatisfierConfig, replay_flags, trace
+from restate.model import Seq2SeqModel
 from restate.similarity import HashedNgramEmbedder, SpanSimilarity
 
 
@@ -272,6 +274,24 @@ class TestRewrite:
         assert all(r["decoder"] == "cbs" for r in rows)
 
 
+    @pytest.mark.parametrize("decoder", ["greedy", "beam", "cbs"])
+    def test_nan_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys,
+                                             decoder):
+        model = Seq2SeqModel.load(str(workdir / "model.npz"))
+        model.params["out.w"][:] = np.nan
+        ckpt = tmp_path / "nan.npz"
+        model.save(str(ckpt))
+        gold = read_jsonl(workdir / "corpus" / "test.jsonl")
+        rc = main(["rewrite", "--input",
+                   str(workdir / "corpus" / "test.jsonl"),
+                   "--checkpoint", str(ckpt), "--out",
+                   str(tmp_path / "out.jsonl"), "--decoder", decoder])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert gold[0]["id"] in err and "NaN" in err
+
+
 class TestEvaluate:
     def test_report_fields(self, scored):
         rep = json.loads((scored / "report.json").read_text())
@@ -300,6 +320,20 @@ class TestEvaluate:
                    "--gold", str(workdir / "corpus" / "test.jsonl"),
                    "--out", str(tmp_path / "r.json")])
         assert rc == EXIT_USAGE
+        capsys.readouterr()
+
+    def test_empty_output_is_scored(self, workdir, scored, tmp_path,
+                                    capsys):
+        rows = read_jsonl(scored / "decoded.jsonl")
+        rows[0]["output_tokens"] = []  # beam may stop before any token
+        outputs = tmp_path / "empty.jsonl"
+        with open(outputs, "w") as fh:
+            for r in rows:
+                fh.write(json.dumps(r) + "\n")
+        rc = main(["evaluate", "--outputs", str(outputs),
+                   "--gold", str(workdir / "corpus" / "test.jsonl"),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_OK
         capsys.readouterr()
 
 

@@ -86,6 +86,19 @@ class StubLM:
             lp[tid] = math.log(p)
         return lp
 
+    # the decoder interface: the cache is each row's decoded prefix
+    def begin_decode(self, henc):
+        return None
+
+    def decode_step(self, cache, parents, last_ids, columns):
+        if cache is None:
+            rows = [() for _ in last_ids]
+        else:
+            rows = [cache[p] + (i,) for p, i in zip(parents, last_ids)]
+        lp = np.stack([self.predict_next_from_states(None, r, None)
+                       for r in rows])
+        return lp, rows
+
 
 def stub_adversarial():
     # greedy grabs "b" (0.36) but the best finished sequence is "a" +
@@ -264,6 +277,40 @@ class TestFlagConsistency:
     def test_matrix_has_one_column_per_emitted_token(self, copy_model):
         res = greedy_decode(copy_model, SENTENCES[2], [(0,)], LEX)
         assert res.flag_matrix.shape == (3, len(res.tokens) + 1)
+
+
+class TestBatchedSteps:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Rows of every decoder call, recorded by a counting wrapper."""
+        rows = []
+        real = Seq2SeqModel.decode_step
+
+        def counting(self, cache, parents, last_ids, columns):
+            rows.append(len(last_ids))
+            return real(self, cache, parents, last_ids, columns)
+
+        monkeypatch.setattr(Seq2SeqModel, "decode_step", counting)
+        return rows
+
+    def test_beam_makes_one_call_per_search_step(self, copy_model, calls):
+        max_len = 10
+        g = greedy_decode(copy_model, SENTENCES[0], [], OFF, max_len=max_len)
+        assert g.finished and len(calls) == len(g.tokens) + 1
+        calls.clear()
+        beam_decode(copy_model, SENTENCES[0], [], OFF, beam_size=4,
+                    max_len=max_len)
+        # greedy seed (tokens + stop), max_len beam steps, one closing call
+        assert len(calls) <= len(g.tokens) + max_len + 2
+        assert max(calls) <= 4
+
+    def test_cbs_makes_one_call_per_search_step(self, copy_model, calls):
+        max_len = 10
+        constrained_beam_decode(copy_model, ["the", "cat", "brazil"],
+                                [(2,), (0,)], LEX, beam_size=2,
+                                max_len=max_len)
+        # every bank shares one call per step, plus one closing call
+        assert len(calls) <= max_len + 1
 
 
 class TestPlumbing:

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from restate.model import (Adam, CheckpointVersionMismatch, LengthOverflow,
                            ModelConfig, NonFiniteLoss, Seq2SeqModel,
@@ -395,6 +396,65 @@ class TestModelBehavior:
     def test_dim_heads_divisibility_enforced(self):
         with pytest.raises(ValueError):
             ModelConfig(dim=10, heads=4)
+
+
+# ------------------------------------------------------ incremental decoding
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cached_step_matches_full_prefix(data):
+    """Each row of a batched cached step equals the uncached prediction on
+    that row's whole prefix and flag matrix, whatever rows the parents
+    pick, in any order and with repeats."""
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    model = tiny_model(seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, value in model.params.items():  # far from the near-uniform init
+        model.params[name] = value + rng.normal(0.0, 0.5, value.shape)
+    model.params["flag.ek"][0] = 0.0
+    model.params["flag.ev"][0] = 0.0
+    words = model.vocab.tokens[5:]
+    ls = data.draw(st.integers(1, 6), label="source length")
+    src = data.draw(st.lists(st.sampled_from(words), min_size=ls,
+                             max_size=ls), label="source")
+    henc = model.encode(src)
+    flag_column = st.lists(st.integers(0, 2), min_size=ls, max_size=ls)
+    cache = model.begin_decode(henc)
+    rows = [([], [])]  # (prefix ids, flag columns) per row of the last call
+    for t in range(data.draw(st.integers(1, 6), label="steps")):
+        parents = data.draw(st.lists(st.integers(0, len(rows) - 1),
+                                     min_size=1, max_size=4), label="parents")
+        new = []
+        for parent in parents:
+            prefix, history = rows[parent]
+            if t:
+                prefix = prefix + [data.draw(
+                    st.integers(0, len(model.vocab) - 1), label="token")]
+            column = np.array(data.draw(flag_column, label="column"))
+            new.append((prefix, history + [column]))
+        last = [prefix[-1] if prefix else model.vocab.bos_id
+                for prefix, _ in new]
+        lp, cache = model.decode_step(cache, parents, last,
+                                      np.stack([h[-1] for _, h in new]))
+        assert lp.shape == (len(new), len(model.vocab))
+        for row, (prefix, history) in enumerate(new):
+            ref = model.predict_next_from_states(henc, prefix,
+                                                 np.stack(history, axis=1))
+            np.testing.assert_allclose(lp[row], ref, rtol=0.0, atol=1e-9)
+        rows = new
+
+
+def test_cached_step_checks_columns_and_length():
+    model = tiny_model()
+    cache = model.begin_decode(model.encode(["the", "cat"]))
+    with pytest.raises(ShapeMismatch):
+        model.decode_step(cache, [0], [model.vocab.bos_id],
+                          np.zeros((1, 3), dtype=int))
+    bos = [model.vocab.bos_id]
+    for _ in range(model.config.max_len):
+        _, cache = model.decode_step(cache, [0], bos, np.zeros((1, 2), int))
+    with pytest.raises(LengthOverflow):
+        model.decode_step(cache, [0], bos, np.zeros((1, 2), int))
 
 
 # -------------------------------------------------------------- persistence
