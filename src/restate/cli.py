@@ -25,7 +25,7 @@ from .decode import run_decoder
 from .evaluation import IdMismatch, build_report, text_table
 from .flags import SatisfierConfig, replay_flags
 from .flags import trace as flag_trace
-from .model import (CheckpointVersionMismatch, ModelConfig, NonFiniteLoss,
+from .model import (CheckpointMismatch, ModelConfig, NonFiniteLoss,
                     Seq2SeqModel, TrainingConfig, TrainingExample,
                     example_from_record, train)
 from .similarity import HashedNgramEmbedder, SpanSimilarity
@@ -275,6 +275,9 @@ def cmd_rewrite(args):
                                  alpha=args.alpha, max_len=args.max_len)
         except FloatingPointError as exc:
             raise type(exc)("record %s: %s" % (inst.id, exc)) from exc
+        for warning in result.warnings:
+            print("warning: record %s: %s" % (inst.id, warning),
+                  file=sys.stderr)
         trace_path = None
         if trace_dir:
             trace_path = os.path.join(trace_dir, inst.id + ".tsv")
@@ -445,13 +448,14 @@ def main(argv=None):
         return 0 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
-    except (datagen.InvalidMix, MissingParse, IdMismatch, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, CheckpointVersionMismatch, NonFiniteLoss,
+    # before the ValueError clause: a bad checkpoint is a ValueError too
+    except (OSError, CheckpointMismatch, NonFiniteLoss,
             FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME
+    except (datagen.InvalidMix, MissingParse, IdMismatch, ValueError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,29 +1,34 @@
-"""Decoding strategies: greedy, length-normalized beam, and a banked
-beam search that organizes hypotheses by constraint progress.
+"""Decoding strategies: greedy search, and one banked beam search that
+serves both plain and constrained beam decoding.
 
-All three drive a FlagTracker alongside the model so every generated
-token updates the mention flags the next step conditions on. Each
-search step is one batched decoder call over every live hypothesis:
-the model caches each hypothesis's past positions, so the call forwards
-only the newest token with its current flag column. Trackers are
-cloned and stepped only for hypotheses that survive pruning, because
-ranking and banking never read flags. Scores sum the log-probabilities
-of every chosen token (the stop token included once a hypothesis
-finishes) and are compared after dividing by the number of chosen
-tokens raised to a configurable exponent.
+Both drive a FlagTracker alongside the model so every generated token
+updates the mention flags the next step conditions on. Each search step
+is one batched decoder call over every live hypothesis: the model
+caches each hypothesis's past positions, so the call forwards only the
+newest token with its current flag column. Trackers are cloned and
+stepped only for hypotheses that survive pruning, because ranking and
+banking never read flags. Scores sum the log-probabilities of every
+chosen token (the stop token included once a hypothesis finishes) and
+are compared after dividing by the number of chosen tokens raised to a
+configurable exponent.
 
-The beam search expands only the argmax continuation at width 1, so it
-degenerates to the greedy loop; at any width it also scores the pure
-argmax trajectory as a baseline candidate, which makes the greedy
-result a floor for the returned normalized score.
-
-The banked search buckets hypotheses by verbatim constraint progress:
-a finished constraint counts its full token length, an in-progress one
-the length of the contiguous prefix matched so far. Only hypotheses in
-the full-coverage bank may stop, so every finished result contains all
+The banked search follows grid beam search (Hokamp & Liu 2017) with the
+per-bank beams of dynamic beam allocation (Post & Vilar 2018). It is
+given the token lists every finished result must contain, and banks
+each hypothesis by its verbatim progress: per list, the length of the
+longest prefix that ends the output, a completed list counting its
+full length. Each bank keeps its own top beam_size, the stop token and
+every unfinished list's next token are always candidates, and only the
+full-coverage bank may stop, so every finished result contains all
 constraint tokens in order; when nothing covers everything within the
 budget the best partial comes back flagged unsatisfiable instead of
 failing.
+
+Plain beam search is the one-bank case: with no lists every hypothesis
+sits in bank 0, which is full coverage, so any may stop, and nothing is
+forced. It seeds its finished pool with the argmax trajectory, which
+makes the greedy result a floor for the returned normalized score, and
+at width 1 that trajectory is the whole search.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ class Hypothesis:
     ids: list
     logps: list
     tracker: FlagTracker
+    # per constraint, the length of its longest prefix that ends ids
     pointers: list = field(default_factory=list)
     finished: bool = False
     # row of the decoder cache that holds every position but the newest
@@ -51,8 +57,9 @@ class Hypothesis:
         return float(sum(self.logps))
 
     @property
-    def satisfied_count(self) -> int:
-        return int(sum(bool(s) for s in self.tracker.m.satisfied))
+    def bank(self) -> int:
+        """Constraint tokens matched verbatim, summed over constraints."""
+        return sum(self.pointers)
 
     def normalized(self, alpha: float) -> float:
         return self.score / max(1, len(self.logps)) ** alpha
@@ -144,20 +151,6 @@ def _greedy_hyp(model, decoder, tracker, max_len):
     return hyp
 
 
-def _closed(model, decoder, hyps, alpha):
-    """(finished copy, normalized score) of each live hypothesis, its stop
-    logp appended, from one batched call."""
-    if not hyps:
-        return []
-    stop = decoder.logprobs(hyps)[:, model.vocab.eos_id]
-    out = []
-    for hyp, lp in zip(hyps, stop):
-        fin = Hypothesis(list(hyp.ids), hyp.logps + [float(lp)], hyp.tracker,
-                         list(hyp.pointers), True)
-        out.append((fin, fin.normalized(alpha)))
-    return out
-
-
 def greedy_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
                   config: SatisfierConfig, scorer=None, max_len: int = 48,
                   alpha: float = 0.7) -> DecodeResult:
@@ -170,16 +163,33 @@ def greedy_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
     return _result_from(model, hyp, alpha)
 
 
-def _rank_key(item):
-    hyp, sc = item
-    return (-sc, tuple(hyp.ids))
+def _finished(hyp, stop_logp):
+    """Finished copy of a live hypothesis, its stop token's logp counted."""
+    return Hypothesis(hyp.ids, hyp.logps + [stop_logp], hyp.tracker,
+                      hyp.pointers, finished=True)
 
 
-def _extend(hyp, nxt, lp_val, row):
-    """Candidate child of the hypothesis in decoder row `row`. It shares
-    its parent's tracker until _step_trackers runs on the survivors."""
-    return Hypothesis(hyp.ids + [nxt], hyp.logps + [lp_val], hyp.tracker,
-                      list(hyp.pointers), row=row)
+def _closed(model, decoder, hyps):
+    """Finished copies of live hypotheses, from one batched call."""
+    if not hyps:
+        return []
+    stop = decoder.logprobs(hyps)[:, model.vocab.eos_id]
+    return [_finished(hyp, float(lp)) for hyp, lp in zip(hyps, stop)]
+
+
+def _advance(pointers, targets, token_id):
+    """Pointers after emitting token_id. Each is the length of the
+    longest prefix of its target that ends the output; a longer one
+    must extend the old prefix by this token, so only target[:p] +
+    [token_id] is searched. A complete target stays complete."""
+    out = []
+    for p, target in zip(pointers, targets):
+        if p < len(target):
+            seen = target[:p] + [token_id]
+            p = next(q for q in range(len(seen), -1, -1)
+                     if seen[len(seen) - q:] == target[:q])
+        out.append(p)
+    return out
 
 
 def _step_trackers(model, hyps):
@@ -191,76 +201,86 @@ def _step_trackers(model, hyps):
     return hyps
 
 
+def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
+            alpha, max_len, targets):
+    """The banked beam search of the module docstring. targets holds
+    the token-id lists every finished result must contain; with none it
+    is plain beam search."""
+    if beam_size < 1:
+        raise ValueError("beam_size must be >= 1")
+    max_len = _clamp_budget(model, max_len)
+    decoder = _Decoder(model, x_tokens)
+    eos = model.vocab.eos_id
+    full = sum(len(t) for t in targets)
+    done = []
+    if not targets:
+        seed = _greedy_hyp(model, decoder, _new_tracker(
+            x_tokens, constraint_rows, config, scorer), max_len)
+        done = [seed] if seed.finished else _closed(model, decoder, [seed])
+        if beam_size == 1:
+            # the seeded argmax trajectory is the entire width-1 search
+            return _result_from(model, done[0], alpha)
+        decoder.restart()
+    # an unforced stop token takes a top-k slot, so it gets one more
+    width = beam_size if targets else beam_size + 1
+    live = [Hypothesis([], [], _new_tracker(x_tokens, constraint_rows,
+                                            config, scorer),
+                       [0] * len(targets))]
+    for _ in range(max_len):
+        banks = {}
+        for row, (hyp, lp) in enumerate(zip(live, decoder.logprobs(live))):
+            k = min(width, int(np.isfinite(lp).sum()))
+            wanted = set(np.argpartition(-lp, k - 1)[:k].tolist())
+            if targets:
+                wanted.add(eos)
+                wanted.update(t[p] for t, p in zip(targets, hyp.pointers)
+                              if p < len(t) and lp[t[p]] > -np.inf)
+            may_stop = hyp.bank >= full
+            for nxt in sorted(wanted):
+                if nxt == eos:
+                    if may_stop:
+                        done.append(_finished(hyp, float(lp[nxt])))
+                    continue
+                child = Hypothesis(hyp.ids + [nxt],
+                                   hyp.logps + [float(lp[nxt])], hyp.tracker,
+                                   _advance(hyp.pointers, targets, nxt),
+                                   row=row)
+                banks.setdefault(child.bank, []).append(child)
+        if not banks:
+            break
+        live = []
+        for hyps in banks.values():
+            hyps.sort(key=lambda h: (-h.score, tuple(h.ids)))
+            live += _step_trackers(model, hyps[:beam_size])
+    else:
+        # budget exhausted: close fully covered survivors for the ranking
+        done += _closed(model, decoder, [h for h in live if h.bank >= full])
+    if done:
+        best = min(done, key=lambda h: (-h.normalized(alpha), tuple(h.ids)))
+        return _result_from(model, best, alpha)
+    # nothing reached full coverage: surface the closest partial
+    best = min(live, key=lambda h: (-h.bank, -h.normalized(alpha),
+                                    tuple(h.ids)))
+    warn = ("constraints not satisfiable within %d steps; "
+            "returning best partial (%d/%d constraint tokens)"
+            % (max_len, best.bank, full))
+    return _result_from(model, best, alpha, unsatisfiable=True,
+                        warnings=[warn])
+
+
 def beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
                 config: SatisfierConfig, scorer=None, beam_size: int = 4,
                 alpha: float = 0.7, max_len: int = 48) -> DecodeResult:
-    """Length-normalized beam search.
+    """Length-normalized beam search: the banked search with no
+    constraint tokens.
 
     Live hypotheses are ranked by cumulative log-probability, finished
     ones by score / chosen_tokens ** alpha; ties prefer the smallest
     token id sequence. Width 1 reproduces the greedy loop exactly, and
     the greedy trajectory is always among the scored candidates.
     """
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
-    x_tokens = list(x_tokens)
-    max_len = _clamp_budget(model, max_len)
-    decoder = _Decoder(model, x_tokens)
-    seed = _greedy_hyp(model, decoder,
-                       _new_tracker(x_tokens, constraint_rows, config, scorer),
-                       max_len)
-    if seed.finished:
-        done = [(seed, seed.normalized(alpha))]
-    else:
-        done = _closed(model, decoder, [seed], alpha)
-    if beam_size == 1:
-        # the seeded argmax trajectory is the entire width-1 search
-        return _result_from(model, done[0][0], alpha)
-    decoder.restart()
-    live = [Hypothesis([], [], _new_tracker(x_tokens, constraint_rows,
-                                            config, scorer))]
-    width = beam_size + 1  # keep slots for live paths when eos ranks high
-    for _ in range(max_len):
-        cands = []
-        for row, (hyp, lp) in enumerate(zip(live, decoder.logprobs(live))):
-            k = min(width, int(np.isfinite(lp).sum()))
-            top = np.argpartition(-lp, k - 1)[:k]
-            for nxt in sorted(top, key=lambda i: (-lp[i], i)):
-                nxt = int(nxt)
-                if nxt == model.vocab.eos_id:
-                    fin = Hypothesis(list(hyp.ids),
-                                     hyp.logps + [float(lp[nxt])],
-                                     hyp.tracker, finished=True)
-                    done.append((fin, fin.normalized(alpha)))
-                else:
-                    cands.append(_extend(hyp, nxt, float(lp[nxt]), row))
-        ranked = sorted(((h, h.score) for h in cands), key=_rank_key)
-        live = _step_trackers(model, [h for h, _ in ranked[:beam_size]])
-        if not live:
-            break
-    # budget exhausted: close survivors for final ranking
-    done += _closed(model, decoder, live, alpha)
-    done.sort(key=_rank_key)
-    return _result_from(model, done[0][0], alpha)
-
-
-def _constraint_tokens(x_tokens, constraint_rows):
-    return [[x_tokens[i] for i in row] for row in constraint_rows]
-
-
-def _bank_of(hyp, lens):
-    return sum(ln if p >= ln else p for p, ln in zip(hyp.pointers, lens))
-
-
-def _advance_pointers(hyp, ctoks, token):
-    for ci, toks in enumerate(ctoks):
-        p = hyp.pointers[ci]
-        if p >= len(toks):
-            continue  # lexically complete, stays complete
-        if token == toks[p]:
-            hyp.pointers[ci] = p + 1
-        else:
-            hyp.pointers[ci] = 1 if token == toks[0] else 0
+    return _search(model, list(x_tokens), constraint_rows, config, scorer,
+                   beam_size, alpha, max_len, [])
 
 
 def constrained_beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
@@ -269,89 +289,18 @@ def constrained_beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
                             max_len: int = 48) -> DecodeResult:
     """Banked beam search keyed by verbatim constraint progress.
 
-    Bank b holds hypotheses whose matched constraint tokens sum to b;
-    each bank keeps its own top beam_size, every unfinished constraint's
-    next needed token is always a candidate, and only the full-coverage
-    bank may emit the stop token. Finished results therefore contain
-    every constraint verbatim and in token order. If the budget runs
-    out first, the closest partial is returned with unsatisfiable=True
-    and a warning.
+    Every finished result contains each constraint verbatim and in
+    token order. If the budget runs out first, the closest partial is
+    returned with unsatisfiable=True and a warning. Without constraint
+    rows this is beam_decode.
     """
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
     x_tokens = list(x_tokens)
-    constraint_rows = [tuple(r) for r in constraint_rows]
-    if not constraint_rows:
-        return beam_decode(model, x_tokens, constraint_rows, config,
-                           scorer=scorer, beam_size=beam_size, alpha=alpha,
-                           max_len=max_len)
-    max_len = _clamp_budget(model, max_len)
-    decoder = _Decoder(model, x_tokens)
-    ctoks = _constraint_tokens(x_tokens, constraint_rows)
-    lens = [len(t) for t in ctoks]
-    full = sum(lens)
-    root = Hypothesis([], [], _new_tracker(x_tokens, constraint_rows,
-                                           config, scorer),
-                      pointers=[0] * len(ctoks))
-    banks = {0: [root]}
-    done = []
-    for _ in range(max_len):
-        cands = []
-        live = [hyp for hyps in banks.values() for hyp in hyps]
-        for row, (hyp, lp) in enumerate(zip(live, decoder.logprobs(live))):
-            k = min(beam_size, int(np.isfinite(lp).sum()))
-            top = np.argpartition(-lp, k - 1)[:k]
-            wanted = {int(i) for i in top}
-            for ci, toks in enumerate(ctoks):
-                p = hyp.pointers[ci]
-                if p < lens[ci]:
-                    tid = model.vocab.index.get(toks[p])
-                    if tid is not None:
-                        wanted.add(tid)
-            wanted.add(model.vocab.eos_id)
-            at_full = _bank_of(hyp, lens) >= full
-            for nxt in sorted(wanted):
-                if not np.isfinite(lp[nxt]):
-                    continue
-                if nxt == model.vocab.eos_id:
-                    if at_full:
-                        fin = Hypothesis(list(hyp.ids),
-                                         hyp.logps + [float(lp[nxt])],
-                                         hyp.tracker, list(hyp.pointers),
-                                         True)
-                        done.append((fin, fin.normalized(alpha)))
-                    continue
-                child = _extend(hyp, nxt, float(lp[nxt]), row)
-                _advance_pointers(child, ctoks, model.vocab.tokens[nxt])
-                cands.append(child)
-        banks = {}
-        for child in cands:
-            banks.setdefault(_bank_of(child, lens), []).append(child)
-        for b in banks:
-            ranked = sorted(((h, h.score) for h in banks[b]), key=_rank_key)
-            banks[b] = _step_trackers(model,
-                                      [h for h, _ in ranked[:beam_size]])
-        if not banks:
-            break
-    # force-close any fully covered survivor so it can still be returned
-    done += _closed(model, decoder,
-                    [hyp for hyps in banks.values() for hyp in hyps
-                     if _bank_of(hyp, lens) >= full], alpha)
-    if done:
-        done.sort(key=_rank_key)
-        return _result_from(model, done[0][0], alpha)
-    # nothing reached full coverage: surface the closest partial
-    pool = [h for hyps in banks.values() for h in hyps]
-    if not pool:
-        raise RuntimeError("search emptied without any hypothesis")
-    pool.sort(key=lambda h: (-_bank_of(h, lens), -h.normalized(alpha),
-                             tuple(h.ids)))
-    best = pool[0]
-    warn = ("constraints not satisfiable within %d steps; "
-            "returning best partial (%d/%d constraint tokens)"
-            % (max_len, _bank_of(best, lens), full))
-    return _result_from(model, best, alpha, unsatisfiable=True,
-                        warnings=[warn])
+    vocab = model.vocab
+    # a token outside the vocabulary maps to pad, which is never emitted
+    targets = [[vocab.index.get(x_tokens[i], vocab.pad_id) for i in row]
+               for row in constraint_rows]
+    return _search(model, x_tokens, constraint_rows, config, scorer,
+                   beam_size, alpha, max_len, targets)
 
 
 def run_decoder(name: str, model, x_tokens, constraint_rows, config,

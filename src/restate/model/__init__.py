@@ -3,12 +3,14 @@
 from .nn import ShapeMismatch
 from .training import (Adam, NonFiniteLoss, TrainingConfig, TrainingExample,
                        assemble_batch, example_from_record, train)
-from .transformer import (CheckpointVersionMismatch, LengthOverflow,
-                          ModelConfig, NonFiniteLogProbs, Seq2SeqModel,
-                          build_flag_matrix_batch, cross_attention_flagged)
+from .transformer import (CheckpointMismatch, CheckpointVersionMismatch,
+                          LengthOverflow, ModelConfig, NonFiniteLogProbs,
+                          Seq2SeqModel, build_flag_matrix_batch,
+                          cross_attention_flagged)
 
 __all__ = [
     "Adam",
+    "CheckpointMismatch",
     "CheckpointVersionMismatch",
     "LengthOverflow",
     "ModelConfig",

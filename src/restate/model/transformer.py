@@ -31,7 +31,12 @@ class LengthOverflow(ValueError):
     """Raised when a sequence exceeds the positional table."""
 
 
-class CheckpointVersionMismatch(ValueError):
+class CheckpointMismatch(ValueError):
+    """Raised when a checkpoint's tensors do not fit its own config and
+    vocabulary."""
+
+
+class CheckpointVersionMismatch(CheckpointMismatch):
     """Raised when loading a checkpoint written by an unknown format."""
 
 
@@ -548,8 +553,19 @@ class Seq2SeqModel:
                     % (meta.get("format_version"), CHECKPOINT_VERSION))
             vocab = Vocabulary(meta["vocab_tokens"])
             model = cls(ModelConfig(**meta["config"]), vocab)
-            for k in model.params:
-                model.params[k] = data[k].astype(np.float64)
+            names = set(data.files) - {"__meta__"}
+            if names != set(model.params):
+                raise CheckpointMismatch(
+                    "checkpoint tensors do not fit its config: missing %s,"
+                    " unexpected %s" % (sorted(set(model.params) - names),
+                                        sorted(names - set(model.params))))
+            for k, init in model.params.items():
+                saved = data[k]
+                if saved.shape != init.shape:
+                    raise CheckpointMismatch(
+                        "checkpoint tensor %s has shape %s, its config and"
+                        " vocabulary need %s" % (k, saved.shape, init.shape))
+                model.params[k] = saved.astype(np.float64)
         return model
 
 

@@ -291,6 +291,45 @@ class TestRewrite:
         assert err.count("\n") == 1
         assert gold[0]["id"] in err and "NaN" in err
 
+    @pytest.mark.parametrize("fault", ["missing", "misshapen", "version"])
+    def test_bad_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys,
+                                             fault):
+        with np.load(workdir / "model.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        if fault == "missing":
+            del arrays["out.w"]
+        elif fault == "misshapen":
+            arrays["out.w"] = arrays["out.w"][:, :-1]
+        else:
+            meta = json.loads(bytes(arrays["__meta__"]).decode())
+            meta["format_version"] = 99
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                               dtype=np.uint8)
+        ckpt = tmp_path / "bad.npz"
+        np.savez(ckpt, **arrays)
+        rc = main(["rewrite", "--input",
+                   str(workdir / "corpus" / "test.jsonl"),
+                   "--checkpoint", str(ckpt), "--out",
+                   str(tmp_path / "out.jsonl")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_cbs_warnings_reach_stderr(self, workdir, tmp_path, capsys):
+        out = tmp_path / "cbs.jsonl"
+        rc = main(["rewrite", "--input",
+                   str(workdir / "corpus" / "test.jsonl"),
+                   "--checkpoint", str(workdir / "model.npz"),
+                   "--out", str(out), "--decoder", "cbs", "--max-len", "1"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        unsatisfiable = [r["id"] for r in read_jsonl(out)
+                         if r["unsatisfiable"]]
+        assert unsatisfiable and len(lines) == len(unsatisfiable)
+        for rid, line in zip(unsatisfiable, lines):
+            assert line.startswith("warning: record %s: " % rid)
+            assert "best partial" in line
+
 
 class TestEvaluate:
     def test_report_fields(self, scored):

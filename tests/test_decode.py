@@ -1,16 +1,18 @@
 """Decoder tests: greedy/beam equivalences, an exhaustive-enumeration
 oracle on hand-set logits and on a trained model, the banked search's
-containment guarantee, and flag-trace consistency."""
+containment guarantee, its constraint pointers, and flag-trace
+consistency."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from restate.decode import (DecodeResult, Hypothesis, beam_decode,
+from restate.decode import (DecodeResult, Hypothesis, _advance, beam_decode,
                             constrained_beam_decode, greedy_decode,
                             run_decoder)
-from restate.flags import SatisfierConfig, replay_flags
+from restate.flags import SatisfierConfig, contains_contiguous, replay_flags
 from restate.model import ModelConfig, Seq2SeqModel, TrainingConfig, train
 from restate.model.training import TrainingExample
 from restate.similarity import HashedNgramEmbedder, SpanSimilarity
@@ -253,6 +255,32 @@ class TestConstrainedBeam:
                 phrase = " " + " ".join(x[i] for i in row) + " "
                 assert phrase in joined, (x, row, res.tokens)
 
+    def test_repeated_first_token_reaches_full_bank(self):
+        # "a a b" ends "a a a b"; a pointer reset to 1 after the third "a"
+        # never sees it complete, so only "a a b" + stop could finish
+        stub = StubLM({
+            (): {"a": 0.9, "b": 0.04, "c": 0.04, "<eos>": 0.02},
+            ("a",): {"a": 0.9, "b": 0.04, "c": 0.04, "<eos>": 0.02},
+            ("a", "a"): {"a": 0.9, "b": 0.05, "c": 0.03, "<eos>": 0.02},
+            ("a", "a", "a"): {"a": 0.04, "b": 0.9, "c": 0.04, "<eos>": 0.02},
+            ("a", "a", "a", "b"): {"a": 0.04, "b": 0.04, "c": 0.02,
+                                   "<eos>": 0.9},
+            ("a", "a", "b"): {"a": 0.5, "b": 0.2, "c": 0.25, "<eos>": 0.05},
+        })
+        res = constrained_beam_decode(stub, ["a", "a", "b"], [(0, 1, 2)],
+                                      LEX, beam_size=1, max_len=5)
+        assert res.tokens == ["a", "a", "a", "b"]
+        assert res.finished and not res.unsatisfiable
+
+    def test_out_of_vocabulary_constraint_returns_flagged_partial(
+            self, copy_model):
+        # "zebra" can never be emitted; once the single beam's only
+        # continuation is the stop token, the search ends with a partial
+        res = constrained_beam_decode(copy_model, ["the", "zebra"], [(1,)],
+                                      LEX, beam_size=1)
+        assert res.unsatisfiable and not res.finished
+        assert "partial (0/1" in res.warnings[0]
+
 
 class TestFlagConsistency:
     def test_offline_replay_reproduces_carried_matrix(self, copy_model):
@@ -277,6 +305,61 @@ class TestFlagConsistency:
     def test_matrix_has_one_column_per_emitted_token(self, copy_model):
         res = greedy_decode(copy_model, SENTENCES[2], [(0,)], LEX)
         assert res.flag_matrix.shape == (3, len(res.tokens) + 1)
+
+
+_TOKENS = st.integers(5, 6)  # two ids, so targets often overlap themselves
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_TOKENS, min_size=1, max_size=4), min_size=1,
+                max_size=3), st.lists(_TOKENS, max_size=12))
+def test_pointer_is_longest_prefix_ending_output(targets, stream):
+    pointers = [0] * len(targets)
+    for t in range(1, len(stream) + 1):
+        pointers = _advance(pointers, targets, stream[t - 1])
+        out = stream[:t]
+        for target, p in zip(targets, pointers):
+            if contains_contiguous(out, target):
+                assert p == len(target)
+            else:
+                assert p == max(q for q in range(min(len(target), t) + 1)
+                                if out[t - q:] == target[:q])
+
+
+@st.composite
+def _search_inputs(draw):
+    words = sorted({t for s in SENTENCES for t in s} | {"brazil"})
+    x = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
+    span = st.tuples(st.integers(0, len(x) - 1), st.integers(1, 2)).map(
+        lambda s: tuple(range(s[0], min(len(x), s[0] + s[1]))))
+    rows = draw(st.lists(span, max_size=2))
+    return x, rows, draw(st.integers(1, 3)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_search_inputs())
+def test_finished_cbs_contains_every_constraint(copy_model, case):
+    x, rows, width, max_len = case
+    res = constrained_beam_decode(copy_model, x, rows, LEX, beam_size=width,
+                                  max_len=max_len)
+    assert res.finished != res.unsatisfiable
+    if res.finished:
+        for row in rows:
+            assert contains_contiguous(res.tokens, [x[i] for i in row])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_search_inputs())
+def test_beam_score_is_at_least_greedy(copy_model, case):
+    x, rows, width, max_len = case
+    g = greedy_decode(copy_model, x, rows, LEX, max_len=max_len)
+    if not g.finished:  # greedy left out the stop token the beam must pay
+        g = beam_decode(copy_model, x, rows, LEX, beam_size=1,
+                        max_len=max_len)
+        assert g.finished
+    b = beam_decode(copy_model, x, rows, LEX, beam_size=width,
+                    max_len=max_len)
+    assert b.normalized_score >= g.normalized_score
 
 
 class TestBatchedSteps:
@@ -320,7 +403,6 @@ class TestPlumbing:
         assert len(res.satisfied) == 1
         h = Hypothesis([1, 2], [-0.5, -0.25], res.tracker)
         assert h.score == pytest.approx(-0.75)
-        assert h.satisfied_count <= 1
         assert h.normalized(0.7) == pytest.approx(-0.75 / 2 ** 0.7)
 
     def test_run_decoder_dispatch(self, copy_model):
