@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,6 +43,17 @@ class MissingParse(ValueError):
     """Raised when an input record has neither parses nor constraints."""
 
 
+def _finite(text):
+    """argparse type of every float option: NaN and infinities are usage
+    errors, named with their option when parsed."""
+    try:
+        if math.isfinite(float(text)):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("%r is not a finite number" % text)
+
+
 def _env(option, fallback, cast=str):
     """Default for an option, overridable via RESTATE_<OPTION>."""
     raw = os.environ.get(ENV_PREFIX + option.upper().replace("-", "_"))
@@ -49,10 +61,11 @@ def _env(option, fallback, cast=str):
         return fallback
     try:
         return cast(raw)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValueError("environment override %s%s=%r is not a valid %s"
                          % (ENV_PREFIX, option.upper().replace("-", "_"),
-                            raw, cast.__name__))
+                            raw, "number" if cast is _finite
+                            else cast.__name__))
 
 
 def _read_jsonl(path):
@@ -77,7 +90,7 @@ def _snapshot(args, path):
     payload = {"command": args.command, "version": __version__,
                "resolved": resolved}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -99,11 +112,11 @@ def _add_satisfier_args(p):
     p.add_argument("--mode", choices=("semantic", "lexical", "off"),
                    default=_env("mode", "semantic"),
                    help="constraint satisfaction rule (default %(default)s)")
-    p.add_argument("--threshold-a", type=float,
-                   default=_env("threshold-a", 0.8, float),
+    p.add_argument("--threshold-a", type=_finite,
+                   default=_env("threshold-a", 0.8, _finite),
                    help="similarity floor a flip must exceed")
-    p.add_argument("--threshold-b", type=float,
-                   default=_env("threshold-b", 0.3, float),
+    p.add_argument("--threshold-b", type=_finite,
+                   default=_env("threshold-b", 0.3, _finite),
                    help="similarity jump a flip must exceed")
     p.add_argument("--style", choices=("on", "off"),
                    default=_env("style", "off"),
@@ -162,9 +175,10 @@ def _parse_mix(text):
                                      " got %r" % part)
         cat, share = part.split("=", 1)
         try:
-            mix[cat.strip()] = float(share)
-        except ValueError:
-            raise datagen.InvalidMix("share %r is not a number" % share)
+            mix[cat.strip()] = _finite(share)
+        except argparse.ArgumentTypeError:
+            raise datagen.InvalidMix("share %r is not a finite number"
+                                     % share)
     return mix
 
 
@@ -186,7 +200,7 @@ def cmd_datagen(args):
                 "first_person_rate": args.first_person_rate,
                 "category_counts": counts, "files": files}
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _snapshot(args, os.path.join(args.out, "config.json"))
     print("wrote %d instances to %s" % (len(instances), args.out))
@@ -367,7 +381,7 @@ def build_parser():
     p.add_argument("--test-size", type=int, default=400)
     p.add_argument("--mix", default="",
                    help="category shares, e.g. explanation=0.4,condition=0.6")
-    p.add_argument("--first-person-rate", type=float, default=0.3)
+    p.add_argument("--first-person-rate", type=_finite, default=0.3)
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("extract-constraints",
@@ -385,7 +399,7 @@ def build_parser():
     _add_satisfier_args(p)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=3e-4)
+    p.add_argument("--lr", type=_finite, default=3e-4)
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--enc-layers", type=int, default=2)
@@ -405,7 +419,7 @@ def build_parser():
                    default=_env("decoder", "greedy"))
     p.add_argument("--beam", type=int, default=_env("beam", 4, int),
                    help="beam width for beam/cbs decoding")
-    p.add_argument("--alpha", type=float, default=0.7,
+    p.add_argument("--alpha", type=_finite, default=0.7,
                    help="length-normalization exponent")
     p.add_argument("--max-len", type=int, default=48,
                    help="decode budget in tokens")

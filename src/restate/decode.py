@@ -29,6 +29,18 @@ sits in bank 0, which is full coverage, so any may stop, and nothing is
 forced. It seeds its finished pool with the argmax trajectory, which
 makes the greedy result a floor for the returned normalized score, and
 at width 1 that trajectory is the whole search.
+
+The search stops early, exactly (after Huang et al. 2017, "When to
+Finish?"): before each step, and before the closing at budget, it ends
+once the best finished normalized score is strictly above the best any
+live hypothesis can still reach. Log-probabilities are <= 0, so a
+descendant's score (a left-to-right float sum) never exceeds its
+ancestor's; a live hypothesis with n chosen tokens finishes with n + 1
+to max_len + 1 of them, so its reachable maximum is its score divided
+by the largest length divisor in that range, computed as normalized()
+computes it, which holds for every alpha. The comparison is strict, so
+no result found later could tie the best and win on its token ids: the
+stop changes no field of the result, only the work done.
 """
 
 from __future__ import annotations
@@ -201,6 +213,27 @@ def _step_trackers(model, hyps):
     return hyps
 
 
+def _length_caps(alpha, max_len):
+    """caps[n]: the largest divisor normalized() applies to a result
+    that finishes with n + 1 to max_len + 1 chosen tokens. Taking the
+    largest divisor rather than an end of the range needs no assumption
+    about alpha's sign or about pow's monotonicity."""
+    caps = [max(1, length) ** alpha for length in range(1, max_len + 2)]
+    for n in range(max_len - 1, -1, -1):
+        caps[n] = max(caps[n], caps[n + 1])
+    return caps
+
+
+def _decided(done, live, alpha, caps):
+    """The early stop of the module docstring: True once the best
+    finished normalized score is strictly above every live hypothesis's
+    score (<= 0) divided by its largest reachable length divisor."""
+    if not done:
+        return False
+    best = max(h.normalized(alpha) for h in done)
+    return all(best > h.score / caps[len(h.logps)] for h in live)
+
+
 def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
             alpha, max_len, targets):
     """The banked beam search of the module docstring. targets holds
@@ -226,7 +259,15 @@ def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
     live = [Hypothesis([], [], _new_tracker(x_tokens, constraint_rows,
                                             config, scorer),
                        [0] * len(targets))]
-    for _ in range(max_len):
+    caps = _length_caps(alpha, max_len)
+    for step in range(max_len + 1):
+        if _decided(done, live, alpha, caps):
+            break
+        if step == max_len:
+            # budget exhausted: close fully covered survivors for the ranking
+            done += _closed(model, decoder, [h for h in live
+                                             if h.bank >= full])
+            break
         banks = {}
         for row, (hyp, lp) in enumerate(zip(live, decoder.logprobs(live))):
             k = min(width, int(np.isfinite(lp).sum()))
@@ -252,9 +293,6 @@ def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
         for hyps in banks.values():
             hyps.sort(key=lambda h: (-h.score, tuple(h.ids)))
             live += _step_trackers(model, hyps[:beam_size])
-    else:
-        # budget exhausted: close fully covered survivors for the ranking
-        done += _closed(model, decoder, [h for h in live if h.bank >= full])
     if done:
         best = min(done, key=lambda h: (-h.normalized(alpha), tuple(h.ids)))
         return _result_from(model, best, alpha)

@@ -282,8 +282,10 @@ class FlagTracker:
                 update_semantic(self.m, cid, sim_now, self.sim_prev[cid], self.config)
                 self.sim_prev[cid] = sim_now
         elif self.config.mode == "lexical":
-            for cid in range(self.m.n_constraints()):
-                update_lexical(self.m, cid, self.prefix)
+            # every earlier prefix was checked and a flip is permanent, so
+            # a new match must end at the newest token
+            for cid, tokens in enumerate(self.m.constraint_tokens):
+                update_lexical(self.m, cid, self.prefix[-len(tokens):])
         update_style(self.m, token, self.config)
         self.m.record_step(token)
 

@@ -18,7 +18,8 @@ self-attention keys and values cached for its earlier positions.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import zipfile
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -543,16 +544,19 @@ class Seq2SeqModel:
 
     @classmethod
     def load(cls, path) -> "Seq2SeqModel":
-        with np.load(path, allow_pickle=False) as data:
-            if "__meta__" not in data:
-                raise CheckpointVersionMismatch("missing checkpoint metadata")
-            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-            if meta.get("format_version") != CHECKPOINT_VERSION:
-                raise CheckpointVersionMismatch(
-                    "checkpoint format %r, expected %d"
-                    % (meta.get("format_version"), CHECKPOINT_VERSION))
-            vocab = Vocabulary(meta["vocab_tokens"])
-            model = cls(ModelConfig(**meta["config"]), vocab)
+        try:
+            data = np.load(path, allow_pickle=False)
+        except (ValueError, zipfile.BadZipFile):
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise CheckpointMismatch("%s is not an .npz archive" % path)
+        with data:
+            config, tokens = _checkpoint_meta(data)
+            try:
+                model = cls(ModelConfig(**config), Vocabulary(tokens))
+            except (ValueError, ArithmeticError) as exc:
+                raise CheckpointMismatch("checkpoint config %s: %s"
+                                         % (config, exc)) from exc
             names = set(data.files) - {"__meta__"}
             if names != set(model.params):
                 raise CheckpointMismatch(
@@ -567,6 +571,37 @@ class Seq2SeqModel:
                         " vocabulary need %s" % (k, saved.shape, init.shape))
                 model.params[k] = saved.astype(np.float64)
         return model
+
+
+def _checkpoint_meta(data):
+    """(config, vocab_tokens) from a checkpoint's metadata, checked for
+    form; raises CheckpointMismatch."""
+    if "__meta__" not in data:
+        raise CheckpointVersionMismatch("missing checkpoint metadata")
+    try:
+        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes or JSON
+        raise CheckpointMismatch("checkpoint metadata is not UTF-8 JSON") \
+            from exc
+    if not isinstance(meta, dict):
+        raise CheckpointMismatch("checkpoint metadata is not a JSON object")
+    if meta.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointVersionMismatch(
+            "checkpoint format %r, expected %d"
+            % (meta.get("format_version"), CHECKPOINT_VERSION))
+    tokens = meta.get("vocab_tokens")
+    if (not isinstance(tokens, list)
+            or not all(isinstance(t, str) for t in tokens)):
+        raise CheckpointMismatch(
+            "checkpoint vocab_tokens is missing or not a list of strings")
+    config = meta.get("config")
+    keys = sorted(f.name for f in fields(ModelConfig))
+    if not isinstance(config, dict) or sorted(config) != keys:
+        raise CheckpointMismatch("checkpoint config must have exactly the"
+                                 " keys %s" % ", ".join(keys))
+    if not all(type(v) is int for v in config.values()):
+        raise CheckpointMismatch("checkpoint config values must be integers")
+    return config, tokens
 
 
 def cross_attention_flagged(h_d, h_e, m, wq, wk, wv, ek, ev, heads=1,

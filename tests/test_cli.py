@@ -105,6 +105,17 @@ class TestDatagen:
         assert rc == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args, named", [
+        (["--first-person-rate", "nan"], "argument --first-person-rate"),
+        (["--mix", "explanation=inf"], "share 'inf'")],
+        ids=["first-person-rate", "mix"])
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, args,
+                                             named):
+        rc = main(["datagen", "--out", str(tmp_path / "n")] + args)
+        assert rc == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "n").exists()
+
     def test_mix_shapes_category_counts(self, tmp_path, capsys):
         out = tmp_path / "mixed"
         rc = main(["datagen", "--out", str(out), "--seed", "1",
@@ -184,6 +195,16 @@ class TestTrain:
                    "--out", "/tmp/nowhere.npz", "--split", "dev"])
         assert rc == EXIT_USAGE
         assert "split" in capsys.readouterr().err
+
+    def test_non_finite_lr_is_usage_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.npz"
+        rc = main(["train", "--input",
+                   str(workdir / "corpus" / "train.jsonl"),
+                   "--out", str(out), "--lr", "nan"])
+        assert rc == EXIT_USAGE
+        assert "argument --lr: 'nan' is not a finite number" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -291,22 +312,42 @@ class TestRewrite:
         assert err.count("\n") == 1
         assert gold[0]["id"] in err and "NaN" in err
 
-    @pytest.mark.parametrize("fault", ["missing", "misshapen", "version"])
+    @pytest.mark.parametrize("fault", [
+        "missing", "misshapen", "version", "no-vocab", "vocab-not-strings",
+        "config-unknown-key", "config-missing-key", "meta-not-utf8",
+        "meta-not-json", "not-npz"])
     def test_bad_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys,
                                              fault):
         with np.load(workdir / "model.npz") as data:
             arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        raw = None
         if fault == "missing":
             del arrays["out.w"]
         elif fault == "misshapen":
             arrays["out.w"] = arrays["out.w"][:, :-1]
-        else:
-            meta = json.loads(bytes(arrays["__meta__"]).decode())
+        elif fault == "version":
             meta["format_version"] = 99
-            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
-                                               dtype=np.uint8)
+        elif fault == "no-vocab":
+            del meta["vocab_tokens"]
+        elif fault == "vocab-not-strings":
+            meta["vocab_tokens"][5] = 5
+        elif fault == "config-unknown-key":
+            meta["config"]["width"] = 8
+        elif fault == "config-missing-key":
+            del meta["config"]["ff"]
+        elif fault == "meta-not-utf8":
+            raw = b"\xff\xfe"
+        elif fault == "meta-not-json":
+            raw = b"{not json"
+        if raw is None:
+            raw = json.dumps(meta).encode()
+        arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
         ckpt = tmp_path / "bad.npz"
-        np.savez(ckpt, **arrays)
+        if fault == "not-npz":
+            ckpt.write_text("not a checkpoint\n")
+        else:
+            np.savez(ckpt, **arrays)
         rc = main(["rewrite", "--input",
                    str(workdir / "corpus" / "test.jsonl"),
                    "--checkpoint", str(ckpt), "--out",
@@ -314,6 +355,23 @@ class TestRewrite:
         assert rc == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", ["--alpha", "--threshold-a",
+                                        "--threshold-b"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_option_is_usage_error(self, workdir, tmp_path,
+                                              capsys, option, value):
+        out = tmp_path / "out.jsonl"
+        rc = main(["rewrite", "--input",
+                   str(workdir / "corpus" / "test.jsonl"),
+                   "--checkpoint", str(workdir / "model.npz"),
+                   "--out", str(out), "--decoder", "beam",
+                   option + "=" + value])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument %s: %r is not a finite number" % (option, value) \
+            in err
+        assert not out.exists()
 
     def test_cbs_warnings_reach_stderr(self, workdir, tmp_path, capsys):
         out = tmp_path / "cbs.jsonl"
@@ -443,6 +501,14 @@ class TestEnvOverrides:
         capsys.readouterr()
         snap = json.loads((out.parent / "lex.npz.config.json").read_text())
         assert snap["resolved"]["mode"] == "lexical"
+
+    def test_non_finite_env_value_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("RESTATE_THRESHOLD_B", "nan")
+        rc = main(["rewrite", "--input", "in.jsonl", "--checkpoint", "m.npz",
+                   "--out", "out.jsonl"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "RESTATE_THRESHOLD_B='nan' is not a valid number" in err
 
     def test_invalid_env_value_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("RESTATE_SEED", "not-a-number")

@@ -1,14 +1,16 @@
 """Decoder tests: greedy/beam equivalences, an exhaustive-enumeration
 oracle on hand-set logits and on a trained model, the banked search's
-containment guarantee, its constraint pointers, and flag-trace
-consistency."""
+containment guarantee, its constraint pointers, its early stop, and
+flag-trace consistency."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from restate import decode
 from restate.decode import (DecodeResult, Hypothesis, _advance, beam_decode,
                             constrained_beam_decode, greedy_decode,
                             run_decoder)
@@ -362,6 +364,78 @@ def test_beam_score_is_at_least_greedy(copy_model, case):
     assert b.normalized_score >= g.normalized_score
 
 
+def _fields(res):
+    """Every field of a result the early stop must keep."""
+    return (res.tokens, repr(res.score), repr(res.normalized_score),
+            res.finished, res.unsatisfiable, res.warnings,
+            res.flag_matrix.tolist())
+
+
+def _same_without_stop(model, x, rows, width, alpha, max_len):
+    for decoder in (beam_decode, constrained_beam_decode):
+        got = decoder(model, x, rows, LEX, beam_size=width, alpha=alpha,
+                      max_len=max_len)
+        with mock.patch.object(decode, "_decided", lambda *args: False):
+            full = decoder(model, x, rows, LEX, beam_size=width, alpha=alpha,
+                           max_len=max_len)
+        assert _fields(got) == _fields(full), decoder.__name__
+
+
+# next-token distributions with exact ties and certain (logp 0) tokens,
+# the cases where a stop on >= or on a one-sided length bound goes wrong
+_PALETTE = [{"a": 0.5, "b": 0.5}, {"<eos>": 1.0}, {"c": 1.0},
+            {"a": 0.25, "b": 0.5, "c": 0.25}, {"c": 0.5, "<eos>": 0.5},
+            {"a": 0.25, "b": 0.25, "c": 0.25, "<eos>": 0.25},
+            {"a": 0.39, "b": 0.41, "<eos>": 0.2},
+            {"c": 0.6, "<eos>": 0.4}]
+_PREFIXES = [()] + [(t,) for t in "abc"] + [(t, u) for t in "abc"
+                                            for u in "abc"]
+_ALPHAS = st.sampled_from([-0.5, 0, 0.7, 1.5])
+
+
+@st.composite
+def _stub_cases(draw):
+    """A StubLM table over every prefix of up to two tokens, an input
+    over its tokens and constraint rows, a width, alpha and budget."""
+    picks = draw(st.lists(st.integers(0, len(_PALETTE) - 1),
+                          min_size=len(_PREFIXES) + 1,
+                          max_size=len(_PREFIXES) + 1))
+    table = {p: _PALETTE[i] for p, i in zip(_PREFIXES, picks)}
+    x = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3))
+    span = st.tuples(st.integers(0, len(x) - 1), st.integers(1, 2)).map(
+        lambda s: tuple(range(s[0], min(len(x), s[0] + s[1]))))
+    rows = draw(st.lists(span, max_size=2))
+    return (table, _PALETTE[picks[-1]], x, rows, draw(st.integers(1, 5)),
+            draw(_ALPHAS), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stub_cases())
+# constrained: "b c" finishes at log 1/2 a step before "a c c" ties it
+# and wins on its smaller ids, so a stop on >= returns "b c"
+@example(({(): {"a": 0.5, "b": 0.5}, ("a",): {"c": 1.0},
+           ("b",): {"c": 1.0}, ("a", "c"): {"c": 1.0},
+           ("b", "c"): {"<eos>": 1.0}}, {"<eos>": 1.0}, ["c"], [(0,)], 2,
+          0, 4))
+# alpha < 0 makes longer results pay more, so "a" + stop one step on
+# beats the empty result; a bound that assumes a finish at budget stops
+# before it
+@example(({(): {"a": 0.39, "b": 0.41, "<eos>": 0.2}, ("a",): {"<eos>": 1.0}},
+          {"c": 0.6, "<eos>": 0.4}, ["a"], [], 2, -0.5, 6))
+def test_early_stop_keeps_stub_results(case):
+    table, default, x, rows, width, alpha, max_len = case
+    _same_without_stop(StubLM(table, default), x, rows, width, alpha,
+                       max_len)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_search_inputs(), st.integers(1, 5), _ALPHAS, st.integers(1, 48))
+def test_early_stop_keeps_model_results(copy_model, case, width, alpha,
+                                        max_len):
+    x, rows, _, _ = case
+    _same_without_stop(copy_model, x, rows, width, alpha, max_len)
+
+
 class TestBatchedSteps:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -394,6 +468,28 @@ class TestBatchedSteps:
                                 max_len=max_len)
         # every bank shares one call per step, plus one closing call
         assert len(calls) <= max_len + 1
+
+    # input, constraint rows, then (calls, rows) with the early stop and
+    # without it; the budget of 48 clamps to the model's 31 positions
+    @pytest.mark.parametrize("decoder, x, rows, stopped, full", [
+        ("beam", SENTENCES[2], [], (8, 17), (36, 129)),
+        ("cbs", SENTENCES[2], [(1, 2)], (4, 25), (32, 353)),
+        ("cbs", ["the", "cat", "brazil"], [(2,), (0,)], (14, 147),
+         (32, 355)),
+    ], ids=["beam", "cbs-one-row", "cbs-two-rows"])
+    def test_work_counters_are_pinned(self, copy_model, calls, decoder, x,
+                                      rows, stopped, full):
+        counted = []
+        for stop in (decode._decided, lambda *args: False):
+            with mock.patch.object(decode, "_decided", stop):
+                run_decoder(decoder, copy_model, x, rows, LEX, beam_size=4,
+                            max_len=48)
+            counted.append((len(calls), sum(calls)))
+            calls.clear()
+        assert counted == [stopped, full]
+        # without the stop: beam's 4 greedy-seed calls, then 31 steps
+        # and one closing call either way
+        assert full[0] == (4 if decoder == "beam" else 0) + 31 + 1
 
 
 class TestPlumbing:

@@ -291,6 +291,44 @@ def test_overlapping_constraints_share_cells_by_ownership():
     assert tracker.matrix()[:, -1].tolist() == [2, 2, 2, 2]
 
 
+def _full_prefix_matrix(x, rows, stream, config):
+    """Lexical flags by the whole-prefix rule: at every step each
+    constraint is checked against everything emitted so far."""
+    m = init_flags(x, rows, config)
+    for t, tok in enumerate(stream, 1):
+        for cid in range(m.n_constraints()):
+            update_lexical(m, cid, stream[:t])
+        update_style(m, tok, config)
+        m.record_step(tok)
+    return m.matrix()
+
+
+@st.composite
+def _lexical_streams(draw):
+    words = st.sampled_from(["a", "b", "i"])  # few words: many repeats
+    x = draw(st.lists(words, min_size=1, max_size=5))
+    span = st.tuples(st.integers(0, len(x) - 1), st.integers(1, 3)).map(
+        lambda s: tuple(range(s[0], min(len(x), s[0] + s[1]))))
+    return (x, draw(st.lists(span, max_size=3)),
+            draw(st.lists(words, max_size=12)), draw(st.booleans()),
+            draw(st.integers(0, 12)))
+
+
+@given(_lexical_streams())
+def test_lexical_tracker_equals_full_prefix_rule(case):
+    x, rows, stream, style, fork_at = case
+    cfg = SatisfierConfig(mode="lexical", style_enabled=style)
+    want = _full_prefix_matrix(x, rows, stream, cfg)
+    assert np.array_equal(replay_flags(x, rows, stream, cfg).matrix(), want)
+    # a clone taken mid-stream, as the search takes them, carries on alike
+    tracker = FlagTracker(x, rows, cfg)
+    for t, tok in enumerate(stream):
+        if t == fork_at:
+            tracker = tracker.clone()
+        tracker.step(tok)
+    assert np.array_equal(tracker.matrix(), want)
+
+
 def test_invariant_fuzz_small():
     rng = np.random.default_rng(7)
     vocab = ["red", "box", "ship", "to", "us", "you", "we", "a", "lid", "."]
