@@ -144,9 +144,7 @@ def _instance_from_record(rec):
                 "record %s carries neither constraints nor parses" % d["id"])
         cons = extract_constraints(parse_bracketed(d["question_parse"]),
                                    parse_bracketed(d["answer_parse"]))
-        d["constraints"] = [{"tokens": list(c.tokens), "start": c.start,
-                             "end": c.end, "label": c.label,
-                             "source": c.source} for c in cons]
+        d["constraints"] = [datagen.constraint_to_json(c) for c in cons]
     for key, default in (("category", ""), ("polarity", ""), ("target", ""),
                          ("question_parse", ""), ("answer_parse", ""),
                          ("domain", ""), ("split", "")):
@@ -213,9 +211,7 @@ def cmd_extract_constraints(args):
     for rec in records:
         inst = _instance_from_record(rec)
         out.append({"id": inst.id,
-                    "constraints": [{"tokens": list(c.tokens),
-                                     "start": c.start, "end": c.end,
-                                     "label": c.label, "source": c.source}
+                    "constraints": [datagen.constraint_to_json(c)
                                     for c in inst.constraints]})
     _write_jsonl(out, args.out)
     _snapshot(args, args.out + ".config.json")

@@ -449,7 +449,8 @@ def build_corpus(seed, split_sizes=DEFAULT_SPLIT_SIZES, category_mix=None,
     return out
 
 
-def _constraint_to_json(c):
+def constraint_to_json(c):
+    """A constraint as its corpus JSON object."""
     return {"tokens": list(c.tokens), "start": c.start, "end": c.end,
             "label": c.label, "source": c.source}
 
@@ -470,7 +471,7 @@ def instance_to_json(inst):
         "target": inst.target,
         "question_parse": inst.question_parse,
         "answer_parse": inst.answer_parse,
-        "constraints": [_constraint_to_json(c) for c in inst.constraints],
+        "constraints": [constraint_to_json(c) for c in inst.constraints],
         "domain": inst.domain,
         "split": inst.split,
     }

@@ -45,6 +45,7 @@ stop changes no field of the result, only the work done.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,12 +140,21 @@ def _new_tracker(x_tokens, constraint_rows, config, scorer):
                        config, scorer=scorer)
 
 
-def _clamp_budget(model, max_len):
-    """Keep prefix + stop inside the decoder's positional table."""
+def _clamp_budget(model, max_len, alpha):
+    """Keep prefix + stop inside the decoder's positional table, and
+    reject an alpha whose length divisor overflows (or, negative,
+    underflows to zero) for an output of budget + 1 chosen tokens."""
     cfg = getattr(model, "config", None)
-    if cfg is None:
-        return max_len
-    return max(1, min(max_len, cfg.max_len - 1))
+    if cfg is not None:
+        max_len = max(1, min(max_len, cfg.max_len - 1))
+    try:
+        divisor = float(max_len + 1) ** abs(alpha)
+    except OverflowError:
+        divisor = math.inf
+    if not math.isfinite(divisor):
+        raise ValueError("alpha %r overflows the length normalization of"
+                         " outputs up to %d tokens" % (alpha, max_len + 1))
+    return max_len
 
 
 def _greedy_hyp(model, decoder, tracker, max_len):
@@ -168,7 +178,7 @@ def greedy_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
                   alpha: float = 0.7) -> DecodeResult:
     """Pick the argmax token every step (ties: smallest id); stop at the
     end token or after max_len tokens."""
-    max_len = _clamp_budget(model, max_len)
+    max_len = _clamp_budget(model, max_len, alpha)
     hyp = _greedy_hyp(model, _Decoder(model, x_tokens),
                       _new_tracker(x_tokens, constraint_rows, config, scorer),
                       max_len)
@@ -241,7 +251,7 @@ def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
     is plain beam search."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    max_len = _clamp_budget(model, max_len)
+    max_len = _clamp_budget(model, max_len, alpha)
     decoder = _Decoder(model, x_tokens)
     eos = model.vocab.eos_id
     full = sum(len(t) for t in targets)

@@ -131,9 +131,6 @@ class MentionFlagMatrix:
     def satisfied_count(self) -> int:
         return sum(self.satisfied)
 
-    def all_satisfied(self) -> bool:
-        return all(self.satisfied)
-
     def matrix(self) -> np.ndarray:
         """Full history, shape (input length, 1 + output length)."""
         return np.stack(self.history, axis=1)

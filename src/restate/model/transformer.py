@@ -8,6 +8,11 @@ slices. Row 0 (the "not part of any constraint" flag) is pinned to
 zero so unflagged positions get exactly standard attention and an
 all-zero flag matrix reduces the model to its vanilla twin.
 
+Only the flag-aware cross-attention differs from a standard pre-LN
+Transformer: the encoder layers and the decoder's self-attention and
+feed-forward run one forward/backward pair per sublayer (_self_attn,
+_feed_forward), keyed by parameter-name prefix.
+
 Teacher forcing and inference share one decoder-layer function.
 Inference is incremental: begin_decode computes every layer's
 cross-attention keys and values once per input, and decode_step
@@ -91,6 +96,19 @@ def build_flag_matrix_batch(ms, lenc, ldec):
     return out
 
 
+def _flag_onehot(m_batch, b, ls, lt):
+    """One-hot of a (B, Ls, Lt) flag batch, or None for the vanilla path
+    when m_batch is None; raises ShapeMismatch for any other shape."""
+    if m_batch is None:
+        return None
+    m_batch = np.asarray(m_batch)
+    if m_batch.shape != (b, ls, lt):
+        raise ShapeMismatch(
+            "flag matrix %s does not match (B=%d, Ls=%d, Lt=%d)"
+            % (m_batch.shape, b, ls, lt))
+    return nn.flag_onehot(m_batch)
+
+
 class Seq2SeqModel:
     """Transformer rewriter; owns its vocabulary and parameters."""
 
@@ -152,13 +170,74 @@ class Seq2SeqModel:
     def zero_grads(self):
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def _ek3(self):
+    def _flag_tables(self):
+        """The flag tables E_k, E_v split across heads, each (3, H, Dh)."""
         cfg = self.config
-        return self.params["flag.ek"].reshape(3, cfg.heads, cfg.dim // cfg.heads)
+        return tuple(self.params[name].reshape(3, cfg.heads,
+                                               cfg.dim // cfg.heads)
+                     for name in ("flag.ek", "flag.ev"))
 
-    def _ev3(self):
-        cfg = self.config
-        return self.params["flag.ev"].reshape(3, cfg.heads, cfg.dim // cfg.heads)
+    # ------------------------------------------------------- shared sublayers
+    def _self_attn(self, ln, att, x, mask, past=None):
+        """Pre-LN self-attention sublayer: layer norm ln, projections
+        att.wq/.wk/.wv/.wo, residual. past: (k, v) of the positions
+        before x, (B, H, Lp, Dh), or None when x holds them all. Returns
+        the output, the backward cache and the (k, v) of every position."""
+        p = self.params
+        heads = self.config.heads
+        h, cln = nn.layer_norm(x, p[ln + ".g"], p[ln + ".b"])
+        q = nn.split_heads(h @ p[att + ".wq"], heads)
+        k = nn.split_heads(h @ p[att + ".wk"], heads)
+        v = nn.split_heads(h @ p[att + ".wv"], heads)
+        if past is not None:
+            k = np.concatenate([past[0], k], axis=2)
+            v = np.concatenate([past[1], v], axis=2)
+        ctx, catt = nn.attention(q, k, v, mask)
+        mo = nn.merge_heads(ctx)
+        return x + mo @ p[att + ".wo"], (h, cln, catt, mo), (k, v)
+
+    def _self_attn_bwd(self, ln, att, cache, dout, grads):
+        """Gradient into the self-attention sublayer's input."""
+        p = self.params
+        h, cln, catt, mo = cache
+        dmo, dwo = nn.linear_bwd(mo, p[att + ".wo"], dout)
+        grads[att + ".wo"] += dwo
+        dctx = nn.split_heads(dmo, self.config.heads)
+        dq, dk, dv = nn.attention_bwd(catt, dctx)
+        dh = np.zeros_like(h)
+        for nm, d in (("wq", dq), ("wk", dk), ("wv", dv)):
+            dhp, dw = nn.linear_bwd(h, p[att + "." + nm], nn.merge_heads(d))
+            grads[att + "." + nm] += dw
+            dh += dhp
+        dx, dg, db = nn.layer_norm_bwd(cln, dh)
+        grads[ln + ".g"] += dg
+        grads[ln + ".b"] += db
+        return dout + dx
+
+    def _feed_forward(self, ln, ff, x):
+        """Pre-LN feed-forward sublayer: layer norm ln, ff.w1, relu,
+        ff.w2, residual. Returns the output and the backward cache."""
+        p = self.params
+        h, cln = nn.layer_norm(x, p[ln + ".g"], p[ln + ".b"])
+        z1 = h @ p[ff + ".w1"] + p[ff + ".b1"]
+        r = nn.relu(z1)
+        return x + r @ p[ff + ".w2"] + p[ff + ".b2"], (h, cln, z1, r)
+
+    def _feed_forward_bwd(self, ln, ff, cache, dout, grads):
+        """Gradient into the feed-forward sublayer's input."""
+        p = self.params
+        h, cln, z1, r = cache
+        dr, dw2 = nn.linear_bwd(r, p[ff + ".w2"], dout)
+        grads[ff + ".w2"] += dw2
+        grads[ff + ".b2"] += dout.reshape(-1, dout.shape[-1]).sum(axis=0)
+        dz1 = nn.relu_bwd(z1, dr)
+        dh, dw1 = nn.linear_bwd(h, p[ff + ".w1"], dz1)
+        grads[ff + ".w1"] += dw1
+        grads[ff + ".b1"] += dz1.reshape(-1, dz1.shape[-1]).sum(axis=0)
+        dx, dg, db = nn.layer_norm_bwd(cln, dh)
+        grads[ln + ".g"] += dg
+        grads[ln + ".b"] += db
+        return dout + dx
 
     # ------------------------------------------------------------ encoder
     def _encode_ids(self, src, src_real):
@@ -173,61 +252,24 @@ class Seq2SeqModel:
         layer_caches = []
         for i in range(cfg.enc_layers):
             pre = "enc%d" % i
-            h1, cln1 = nn.layer_norm(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
-            q = nn.split_heads(h1 @ p[pre + ".attn.wq"], cfg.heads)
-            k = nn.split_heads(h1 @ p[pre + ".attn.wk"], cfg.heads)
-            v = nn.split_heads(h1 @ p[pre + ".attn.wv"], cfg.heads)
-            ctx, catt = nn.attention(q, k, v, mask)
-            mo = nn.merge_heads(ctx)
-            x2 = x + mo @ p[pre + ".attn.wo"]
-            h2, cln2 = nn.layer_norm(x2, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
-            z1 = h2 @ p[pre + ".ff.w1"] + p[pre + ".ff.b1"]
-            r = nn.relu(z1)
-            x3 = x2 + r @ p[pre + ".ff.w2"] + p[pre + ".ff.b2"]
-            layer_caches.append((x, h1, cln1, catt, mo, x2, h2, cln2, z1, r))
-            x = x3
+            x, cattn, _ = self._self_attn(pre + ".ln1", pre + ".attn", x, mask)
+            x, cff = self._feed_forward(pre + ".ln2", pre + ".ff", x)
+            layer_caches.append((cattn, cff))
         henc, clnf = nn.layer_norm(x, p["enc.lnf.g"], p["enc.lnf.b"])
-        cache = (src, src_real, layer_caches, clnf)
-        return henc, cache
+        return henc, (src, layer_caches, clnf)
 
     def _encode_bwd(self, cache, dhenc, grads):
-        cfg = self.config
-        p = self.params
-        src, src_real, layer_caches, clnf = cache
+        src, layer_caches, clnf = cache
         dx, dg, db = nn.layer_norm_bwd(clnf, dhenc)
         grads["enc.lnf.g"] += dg
         grads["enc.lnf.b"] += db
-        for i in reversed(range(cfg.enc_layers)):
+        for i in reversed(range(self.config.enc_layers)):
             pre = "enc%d" % i
-            x, h1, cln1, catt, mo, x2, h2, cln2, z1, r = layer_caches[i]
-            # feed-forward residual
-            dz2 = dx
-            dr, dw2 = nn.linear_bwd(r, p[pre + ".ff.w2"], dz2)
-            grads[pre + ".ff.w2"] += dw2
-            grads[pre + ".ff.b2"] += dz2.reshape(-1, dz2.shape[-1]).sum(axis=0)
-            dz1 = nn.relu_bwd(z1, dr)
-            dh2, dw1 = nn.linear_bwd(h2, p[pre + ".ff.w1"], dz1)
-            grads[pre + ".ff.w1"] += dw1
-            grads[pre + ".ff.b1"] += dz1.reshape(-1, dz1.shape[-1]).sum(axis=0)
-            dx2, dg, db = nn.layer_norm_bwd(cln2, dh2)
-            dx2 = dx + dx2
-            grads[pre + ".ln2.g"] += dg
-            grads[pre + ".ln2.b"] += db
-            # attention residual
-            dmo, dwo = nn.linear_bwd(mo, p[pre + ".attn.wo"], dx2)
-            grads[pre + ".attn.wo"] += dwo
-            dctx = nn.split_heads(dmo, cfg.heads)
-            dq, dk, dv = nn.attention_bwd(catt, dctx)
-            dh1 = np.zeros_like(h1)
-            for nm, d in (("wq", dq), ("wk", dk), ("wv", dv)):
-                dm = nn.merge_heads(d)
-                dh, dw = nn.linear_bwd(h1, p[pre + ".attn." + nm], dm)
-                grads[pre + ".attn." + nm] += dw
-                dh1 += dh
-            dxa, dg, db = nn.layer_norm_bwd(cln1, dh1)
-            grads[pre + ".ln1.g"] += dg
-            grads[pre + ".ln1.b"] += db
-            dx = dx2 + dxa
+            cattn, cff = layer_caches[i]
+            dx = self._feed_forward_bwd(pre + ".ln2", pre + ".ff", cff, dx,
+                                        grads)
+            dx = self._self_attn_bwd(pre + ".ln1", pre + ".attn", cattn, dx,
+                                     grads)
         np.add.at(grads["tok_emb"], src, dx)
         grads["pos_enc"][:src.shape[1]] += dx.sum(axis=0)
 
@@ -249,37 +291,23 @@ class Seq2SeqModel:
         the layer output, its backward cache and the self-attention
         (k, v) of every position up to the last query.
         """
-        cfg = self.config
         p = self.params
         pre = "dec%d" % i
-        h1, cln1 = nn.layer_norm(y, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
-        q = nn.split_heads(h1 @ p[pre + ".self.wq"], cfg.heads)
-        k = nn.split_heads(h1 @ p[pre + ".self.wk"], cfg.heads)
-        v = nn.split_heads(h1 @ p[pre + ".self.wv"], cfg.heads)
-        if past is not None:
-            k = np.concatenate([past[0], k], axis=2)
-            v = np.concatenate([past[1], v], axis=2)
-        sctx, cself = nn.attention(q, k, v, self_mask)
-        smo = nn.merge_heads(sctx)
-        y2 = y + smo @ p[pre + ".self.wo"]
-        h2, cln2 = nn.layer_norm(y2, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
-        qc = nn.split_heads(h2 @ p[pre + ".cross.wq"], cfg.heads)
-        kc, vc = cross_kv
+        y, cself, kv = self._self_attn(pre + ".ln1", pre + ".self", y,
+                                       self_mask, past)
+        # flag-aware cross-attention, the one sublayer the encoder lacks
+        h, cln = nn.layer_norm(y, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
+        q = nn.split_heads(h @ p[pre + ".cross.wq"], self.config.heads)
+        k, v = cross_kv
         if onehot is None:
-            cctx, ccross = nn.attention(qc, kc, vc, cross_mask)
+            ctx, catt = nn.attention(q, k, v, cross_mask)
         else:
-            cctx, ccross = nn.flagged_attention(qc, kc, vc, onehot,
-                                                self._ek3(), self._ev3(),
-                                                cross_mask)
-        cmo = nn.merge_heads(cctx)
-        y3 = y2 + cmo @ p[pre + ".cross.wo"]
-        h3, cln3 = nn.layer_norm(y3, p[pre + ".ln3.g"], p[pre + ".ln3.b"])
-        z1 = h3 @ p[pre + ".ff.w1"] + p[pre + ".ff.b1"]
-        r = nn.relu(z1)
-        y4 = y3 + r @ p[pre + ".ff.w2"] + p[pre + ".ff.b2"]
-        cache = (y, h1, cln1, cself, smo, y2, h2, cln2,
-                 ccross, cmo, y3, h3, cln3, z1, r)
-        return y4, cache, (k, v)
+            ctx, catt = nn.flagged_attention(q, k, v, onehot,
+                                             *self._flag_tables(), cross_mask)
+        mo = nn.merge_heads(ctx)
+        y = y + mo @ p[pre + ".cross.wo"]
+        y, cff = self._feed_forward(pre + ".ln3", pre + ".ff", y)
+        return y, (cself, (h, cln, catt, mo), cff), kv
 
     def _output_logits(self, y):
         p = self.params
@@ -319,61 +347,36 @@ class Seq2SeqModel:
         grads["dec.lnf.g"] += dg
         grads["dec.lnf.b"] += db
         dhenc = np.zeros_like(henc)
-        dek3 = np.zeros_like(self._ek3())
-        dev3 = np.zeros_like(self._ev3())
+        dek3, dev3 = (np.zeros_like(t) for t in self._flag_tables())
         for i in reversed(range(cfg.dec_layers)):
             pre = "dec%d" % i
-            (y, h1, cln1, cself, smo, y2, h2, cln2,
-             ccross, cmo, y3, h3, cln3, z1, r) = layer_caches[i]
-            # feed-forward residual
-            dz2 = dy
-            dr, dw2 = nn.linear_bwd(r, p[pre + ".ff.w2"], dz2)
-            grads[pre + ".ff.w2"] += dw2
-            grads[pre + ".ff.b2"] += dz2.reshape(-1, dz2.shape[-1]).sum(axis=0)
-            dz1 = nn.relu_bwd(z1, dr)
-            dh3, dw1 = nn.linear_bwd(h3, p[pre + ".ff.w1"], dz1)
-            grads[pre + ".ff.w1"] += dw1
-            grads[pre + ".ff.b1"] += dz1.reshape(-1, dz1.shape[-1]).sum(axis=0)
-            dy3, dg, db = nn.layer_norm_bwd(cln3, dh3)
-            dy3 = dy + dy3
-            grads[pre + ".ln3.g"] += dg
-            grads[pre + ".ln3.b"] += db
+            cself, (h, cln, catt, mo), cff = layer_caches[i]
+            dy = self._feed_forward_bwd(pre + ".ln3", pre + ".ff", cff, dy,
+                                        grads)
             # cross-attention residual
-            dcmo, dwo = nn.linear_bwd(cmo, p[pre + ".cross.wo"], dy3)
+            dmo, dwo = nn.linear_bwd(mo, p[pre + ".cross.wo"], dy)
             grads[pre + ".cross.wo"] += dwo
-            dcctx = nn.split_heads(dcmo, cfg.heads)
+            dctx = nn.split_heads(dmo, cfg.heads)
             if flagged:
-                dqc, dkc, dvc, dek, dev = nn.flagged_attention_bwd(ccross, dcctx)
+                dq, dk, dv, dek, dev = nn.flagged_attention_bwd(catt, dctx)
                 dek3 += dek
                 dev3 += dev
             else:
-                dqc, dkc, dvc = nn.attention_bwd(ccross, dcctx)
-            dh2, dwq = nn.linear_bwd(h2, p[pre + ".cross.wq"], nn.merge_heads(dqc))
+                dq, dk, dv = nn.attention_bwd(catt, dctx)
+            dh, dwq = nn.linear_bwd(h, p[pre + ".cross.wq"], nn.merge_heads(dq))
             grads[pre + ".cross.wq"] += dwq
-            dhe, dwk = nn.linear_bwd(henc, p[pre + ".cross.wk"], nn.merge_heads(dkc))
+            dhe, dwk = nn.linear_bwd(henc, p[pre + ".cross.wk"], nn.merge_heads(dk))
             grads[pre + ".cross.wk"] += dwk
             dhenc += dhe
-            dhe, dwv = nn.linear_bwd(henc, p[pre + ".cross.wv"], nn.merge_heads(dvc))
+            dhe, dwv = nn.linear_bwd(henc, p[pre + ".cross.wv"], nn.merge_heads(dv))
             grads[pre + ".cross.wv"] += dwv
             dhenc += dhe
-            dy2, dg, db = nn.layer_norm_bwd(cln2, dh2)
-            dy2 = dy3 + dy2
+            dx, dg, db = nn.layer_norm_bwd(cln, dh)
+            dy = dy + dx
             grads[pre + ".ln2.g"] += dg
             grads[pre + ".ln2.b"] += db
-            # self-attention residual
-            dsmo, dwo = nn.linear_bwd(smo, p[pre + ".self.wo"], dy2)
-            grads[pre + ".self.wo"] += dwo
-            dsctx = nn.split_heads(dsmo, cfg.heads)
-            dq, dk, dv = nn.attention_bwd(cself, dsctx)
-            dh1 = np.zeros_like(h1)
-            for nm, d in (("wq", dq), ("wk", dk), ("wv", dv)):
-                dh, dw = nn.linear_bwd(h1, p[pre + ".self." + nm], nn.merge_heads(d))
-                grads[pre + ".self." + nm] += dw
-                dh1 += dh
-            dya, dg, db = nn.layer_norm_bwd(cln1, dh1)
-            grads[pre + ".ln1.g"] += dg
-            grads[pre + ".ln1.b"] += db
-            dy = dy2 + dya
+            dy = self._self_attn_bwd(pre + ".ln1", pre + ".self", cself, dy,
+                                     grads)
         grads["flag.ek"] += dek3.reshape(3, cfg.dim)
         grads["flag.ev"] += dev3.reshape(3, cfg.dim)
         np.add.at(grads["tok_emb"], tgt_in, dy)
@@ -390,15 +393,8 @@ class Seq2SeqModel:
             src_real = src != self.vocab.pad_id
         if tgt_real is None:
             tgt_real = tgt_in != self.vocab.pad_id
-        if m_batch is not None:
-            m_batch = np.asarray(m_batch)
-            if m_batch.shape != (src.shape[0], src.shape[1], tgt_in.shape[1]):
-                raise ShapeMismatch(
-                    "flag matrix %s does not match (B=%d, Ls=%d, Lt=%d)"
-                    % (m_batch.shape, src.shape[0], src.shape[1], tgt_in.shape[1]))
-            onehot = nn.flag_onehot(m_batch)
-        else:
-            onehot = None
+        onehot = _flag_onehot(m_batch, src.shape[0], src.shape[1],
+                              tgt_in.shape[1])
         henc, ecache = self._encode_ids(src, src_real)
         logits, dcache = self._decode_ids(tgt_in, tgt_real, henc, src_real, onehot)
         if want_cache:
@@ -442,45 +438,24 @@ class Seq2SeqModel:
         tgt_in = np.asarray([[self.vocab.bos_id]
                              + self.vocab.encode(list(y_prefix))])
         if m is not None:
-            m = np.asarray(m)
-            if m.ndim != 2 or m.shape != (src.shape[1], tgt_in.shape[1]):
-                raise ShapeMismatch(
-                    "flag matrix %s does not match (Ls=%d, Lt=%d)"
-                    % (m.shape if hasattr(m, "shape") else type(m),
-                       src.shape[1], tgt_in.shape[1]))
-            m = m[None]
+            m = np.asarray(m)[None]
         logits = self.logits_batch(src, tgt_in, m)
         return nn.softmax(logits[0])
 
-    def predict_next(self, src_ids, prefix_ids, m) -> np.ndarray:
-        """Log-probabilities of the next token given decoded prefix ids.
-
-        m: (Ls, len(prefix)+1) flag columns, or None for the vanilla path.
-        """
-        src = np.asarray([src_ids])
-        real = np.ones_like(src, dtype=bool)
-        henc, _ = self._encode_ids(src, real)
-        return self.predict_next_from_states(henc[0], prefix_ids, m)
-
     def predict_next_from_states(self, henc, prefix_ids, m) -> np.ndarray:
-        """Like predict_next but reusing precomputed encoder states.
+        """Log-probabilities of the token after the decoded prefix ids.
 
-        henc: (Ls, dim) from encode(). Runs the whole prefix, so it is
-        the uncached reference for decode_step.
+        henc: (Ls, dim) from encode(); m: (Ls, len(prefix) + 1) flag
+        columns, or None for the vanilla path. Runs the whole prefix, so
+        it is the uncached reference for decode_step.
         """
         henc = np.asarray(henc)[None]
         tgt_in = np.asarray([[self.vocab.bos_id] + list(prefix_ids)])
         src_real = np.ones((1, henc.shape[1]), dtype=bool)
         tgt_real = np.ones_like(tgt_in, dtype=bool)
-        if m is None:
-            onehot = None
-        else:
-            m = np.asarray(m)
-            if m.shape != (henc.shape[1], tgt_in.shape[1]):
-                raise ShapeMismatch(
-                    "flag matrix %s does not match (Ls=%d, Lt=%d)"
-                    % (m.shape, henc.shape[1], tgt_in.shape[1]))
-            onehot = nn.flag_onehot(m[None])
+        if m is not None:
+            m = np.asarray(m)[None]
+        onehot = _flag_onehot(m, 1, henc.shape[1], tgt_in.shape[1])
         logits, _ = self._decode_ids(tgt_in, tgt_real, henc, src_real, onehot)
         return nn.log_softmax(logits[0, -1])
 

@@ -373,6 +373,25 @@ class TestRewrite:
             in err
         assert not out.exists()
 
+    # at the default budget of 48 tokens, 49.0 ** 200 and 49.0 ** 2000
+    # overflow a float
+    @pytest.mark.parametrize("decoder, alpha", [("beam", "200"),
+                                                ("cbs", "200"),
+                                                ("greedy", "-2000")])
+    def test_overflowing_alpha_is_usage_error(self, workdir, tmp_path,
+                                              capsys, decoder, alpha):
+        out = tmp_path / "out.jsonl"
+        rc = main(["rewrite", "--input",
+                   str(workdir / "corpus" / "test.jsonl"),
+                   "--checkpoint", str(workdir / "model.npz"),
+                   "--out", str(out), "--decoder", decoder,
+                   "--alpha=" + alpha])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha %r " % float(alpha))
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_cbs_warnings_reach_stderr(self, workdir, tmp_path, capsys):
         out = tmp_path / "cbs.jsonl"
         rc = main(["rewrite", "--input",

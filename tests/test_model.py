@@ -119,6 +119,20 @@ class TestVanillaEquivalence:
         b = model.logits_batch(src, tgt_in, None)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("label_smoothing", [0.0, 0.1])
+    def test_zero_flags_bitwise_equal_gradients(self, label_smoothing):
+        model = tiny_model()
+        src, tgt_in, tgt_out, mb = tiny_batch(model.vocab)
+        loss_a, grads_a = model.loss_and_grads(src, tgt_in, tgt_out,
+                                               np.zeros_like(mb),
+                                               label_smoothing)
+        loss_b, grads_b = model.loss_and_grads(src, tgt_in, tgt_out, None,
+                                               label_smoothing)
+        assert repr(loss_a) == repr(loss_b)
+        assert set(grads_a) == set(grads_b) == set(model.params)
+        for name in model.params:
+            assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+
     def test_zeroed_tables_ignore_any_flags(self):
         model = tiny_model()
         src, tgt_in, tgt_out, mb = tiny_batch(model.vocab)
@@ -137,13 +151,13 @@ class TestVanillaEquivalence:
 
     def test_single_flag_cell_perturbs_prediction(self):
         model = tiny_model()
-        ids = model.vocab.encode(["the", "cat", "sat"])
+        henc = model.encode(["the", "cat", "sat"])
         m0 = np.zeros((3, 2), dtype=int)
         m1 = m0.copy()
         m1[1, 1] = 1
         prefix = model.vocab.encode(["the"])
-        a = model.predict_next(ids, prefix, m0)
-        b = model.predict_next(ids, prefix, m1)
+        a = model.predict_next_from_states(henc, prefix, m0)
+        b = model.predict_next_from_states(henc, prefix, m1)
         assert np.max(np.abs(a - b)) > 1e-12
 
     def test_flag_row_zero_never_trains(self):
@@ -350,17 +364,10 @@ class TestModelBehavior:
         model = tiny_model()
         m = np.array([[0, 0], [1, 1], [0, 0]])
         probs = model.forward(["the", "cat", "sat"], ["dog"], m)
-        lp = model.predict_next(model.vocab.encode(["the", "cat", "sat"]),
-                                model.vocab.encode(["dog"]), m)
+        henc = model.encode(["the", "cat", "sat"])
+        lp = model.predict_next_from_states(henc, model.vocab.encode(["dog"]),
+                                            m)
         np.testing.assert_allclose(np.exp(lp), probs[-1], atol=1e-12)
-
-    def test_predict_from_states_matches_predict_next(self):
-        model = tiny_model()
-        ids = model.vocab.encode(["the", "cat"])
-        henc = model.encode(["the", "cat"])
-        a = model.predict_next(ids, [], None)
-        b = model.predict_next_from_states(henc, [], None)
-        assert np.array_equal(a, b)
 
     def test_padding_attention_weight_negligible(self):
         model = tiny_model()
@@ -368,8 +375,8 @@ class TestModelBehavior:
                        + [model.vocab.pad_id])[None]
         real = src != model.vocab.pad_id
         henc, cache = model._encode_ids(src, real)
-        for layer in cache[2]:
-            alpha = layer[3][3]  # attention cache inside the layer cache
+        for layer in cache[1]:
+            alpha = layer[0][2][3]  # attention cache inside the layer cache
             assert np.all(alpha[..., -1] < 1e-6)
             np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
 
