@@ -34,7 +34,7 @@ tracker = FlagTracker(x, constraint_rows, cfg, scorer=scorer)
 for tok in output:
     tracker.step(tok)
 print("paraphrase replay (columns are generated tokens):")
-print(trace(tracker.m, fmt="tsv"))
+print(trace(tracker, fmt="tsv"))
 
 # ------------------------------------------------------------- style row
 x = ["We", "can", "ship", "to", "Brazil"]
@@ -45,4 +45,4 @@ tracker = FlagTracker(x, [], cfg)
 for tok in output:
     tracker.step(tok)
 print("style replay (row 'We' reverts when 'us' is emitted):")
-print(trace(tracker.m, fmt="tsv"))
+print(trace(tracker, fmt="tsv"))

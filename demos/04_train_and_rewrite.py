@@ -52,7 +52,7 @@ for rec in test_recs:
     # the greedy run's final flag column: 2 = satisfied, 1 = still pending
     res = run_decoder("greedy", model, rec["x_tokens"],
                       rec["constraint_rows"], cfg, scorer=scorer, max_len=40)
-    final = res.tracker.m.column()
+    final = res.tracker.column()
     pending = [rec["x_tokens"][i] for i in range(len(final)) if final[i] == 1]
     print("pending constraint tokens after greedy:", pending or "none")
     print()

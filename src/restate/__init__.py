@@ -13,9 +13,8 @@ from .treebank import (Constraint, InputLayout, ParseTree, concat_pqa,
                        parse_bracketed, serialize)
 from .similarity import (EncoderMeanEmbedder, HashedNgramEmbedder,
                          InjectedTableSimilarity, SpanSimilarity, cosine)
-from .flags import (FlagTracker, MentionFlagMatrix, SatisfierConfig,
-                    candidate_spans, init_flags, replay_flags, trace,
-                    update_lexical, update_semantic, update_style)
+from .flags import (FlagTracker, SatisfierConfig, candidate_spans,
+                    replay_flags, trace)
 from .vocab import Vocabulary, tokenize
 from .model import (ModelConfig, Seq2SeqModel, TrainingConfig,
                     TrainingExample, example_from_record, train)
@@ -32,9 +31,8 @@ __all__ = [
     "constraint_token_rows", "extract_constraints", "parse_bracketed",
     "serialize", "EncoderMeanEmbedder", "HashedNgramEmbedder",
     "InjectedTableSimilarity", "SpanSimilarity", "cosine", "FlagTracker",
-    "MentionFlagMatrix", "SatisfierConfig", "candidate_spans", "init_flags",
-    "replay_flags", "trace", "update_lexical", "update_semantic",
-    "update_style", "Vocabulary", "tokenize", "ModelConfig", "Seq2SeqModel",
+    "SatisfierConfig", "candidate_spans", "replay_flags", "trace",
+    "Vocabulary", "tokenize", "ModelConfig", "Seq2SeqModel",
     "TrainingConfig", "TrainingExample", "example_from_record", "train",
     "DecodeResult", "beam_decode", "constrained_beam_decode", "greedy_decode",
     "run_decoder", "PQAInstance", "build_corpus", "generate",

@@ -292,7 +292,7 @@ def cmd_rewrite(args):
         if trace_dir:
             trace_path = os.path.join(trace_dir, inst.id + ".tsv")
             with open(trace_path, "w") as fh:
-                fh.write(flag_trace(result.tracker.m, fmt="tsv"))
+                fh.write(flag_trace(result.tracker, fmt="tsv"))
         reports.append({
             "id": inst.id,
             "output_tokens": result.tokens,
@@ -341,9 +341,10 @@ def cmd_inspect_flags(args):
     if not output_tokens:
         raise ValueError("record has no target and no --output was given")
     config = _satisfier(args)
-    m = replay_flags(mr["x_tokens"], [tuple(r) for r in mr["constraint_rows"]],
-                     output_tokens, config, scorer=_scorer_for(config))
-    text = flag_trace(m, fmt=args.format)
+    tracker = replay_flags(mr["x_tokens"],
+                           [tuple(r) for r in mr["constraint_rows"]],
+                           output_tokens, config, scorer=_scorer_for(config))
+    text = flag_trace(tracker, fmt=args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

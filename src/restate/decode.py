@@ -113,7 +113,7 @@ class _Decoder:
         hyp.row indexes the rows of the previous call."""
         vocab = self.model.vocab
         last = [h.ids[-1] if h.ids else vocab.bos_id for h in hyps]
-        columns = np.stack([h.tracker.m.current for h in hyps])
+        columns = np.stack([h.tracker.current for h in hyps])
         lp, self.cache = self.model.decode_step(
             self.cache, [h.row for h in hyps], last, columns)
         lp[:, vocab.pad_id] = -np.inf
@@ -122,13 +122,20 @@ class _Decoder:
 
 
 def _result_from(model, hyp, alpha, unsatisfiable=False, warnings=()):
+    # log_softmax can return finite log-probs far below the smallest
+    # float, so no bound on alpha alone keeps the quotient finite
+    normalized = hyp.normalized(alpha)
+    if not math.isfinite(normalized):
+        raise ValueError("alpha %r length-normalizes score %r over %d tokens"
+                         " to %r" % (alpha, hyp.score, len(hyp.logps),
+                                     normalized))
     return DecodeResult(
         tokens=[model.vocab.tokens[i] for i in hyp.ids],
         token_ids=list(hyp.ids),
         score=hyp.score,
-        normalized_score=hyp.normalized(alpha),
+        normalized_score=normalized,
         tracker=hyp.tracker,
-        satisfied=list(hyp.tracker.m.satisfied),
+        satisfied=list(hyp.tracker.satisfied),
         finished=hyp.finished,
         unsatisfiable=unsatisfiable,
         warnings=list(warnings),

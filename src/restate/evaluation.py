@@ -179,10 +179,10 @@ def coverage_audit(outputs, instances, embedder=None, config=None):
         cat["total"] += len(rows)
         row_detail = {"id": inst.id}
         for mode, (cfg, scorer) in modes.items():
-            m = replay_flags(rec["x_tokens"], rows, out, cfg, scorer=scorer)
-            hits[mode] += m.satisfied_count()
-            cat[mode] += m.satisfied_count()
-            row_detail[mode] = list(m.satisfied)
+            t = replay_flags(rec["x_tokens"], rows, out, cfg, scorer=scorer)
+            hits[mode] += sum(t.satisfied)
+            cat[mode] += sum(t.satisfied)
+            row_detail[mode] = list(t.satisfied)
         detail.append(row_detail)
     return {
         "lexical": _rate(hits["lexical"], total),
@@ -256,7 +256,8 @@ class EvalReport:
         return asdict(self)
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
+                          allow_nan=False)
 
 
 def build_report(outputs, instances, embedder=None, config=None):

@@ -1,12 +1,17 @@
-"""Mention-flag state machine over the concatenated input sequence.
+"""Mention flags over the concatenated input sequence (after Wang et
+al. 2021, "Mention Flags").
 
 Each input position carries a flag in {0, 1, 2}: 0 = not part of any
 constraint, 1 = constraint not yet satisfied, 2 = satisfied. Style
 (first-person) positions run the opposite direction: they start at 2
-and drop to 1 once the output emits a trigger-lexicon token. One column
-is recorded per emitted output token, so the full matrix has shape
-(input length) x (1 + output length); the leading column is the
-initialization state that accompanies the start symbol.
+and drop to 1 once the output emits a trigger-lexicon token.
+
+FlagTracker holds the whole state for one input and advances it one
+output token at a time. It records one column per emitted token, so
+its matrix has shape (input length) x (1 + output length); the leading
+column is the initialization state that accompanies the start symbol.
+The search clones a tracker for every surviving hypothesis, and
+replay_flags rebuilds a finished output's matrix offline.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ class SatisfierConfig:
     mode: str = "semantic"
     style_enabled: bool = False
     style_trigger: str = "first_person"
-    first_person_lexicon: frozenset = FIRST_PERSON
-    second_person_lexicon: frozenset = SECOND_PERSON
 
     def __post_init__(self):
         if not (0.0 <= self.threshold_a <= 1.0):
@@ -57,8 +60,8 @@ class SatisfierConfig:
 
     def trigger_lexicon(self) -> frozenset:
         if self.style_trigger == "first_person":
-            return self.first_person_lexicon
-        return self.second_person_lexicon
+            return FIRST_PERSON
+        return SECOND_PERSON
 
 
 def candidate_spans(t: int, clen: int) -> set[tuple[int, int]]:
@@ -74,117 +77,6 @@ def candidate_spans(t: int, clen: int) -> set[tuple[int, int]]:
     return {(k, t) for k in range(max(0, t - clen), t)}
 
 
-class MentionFlagMatrix:
-    """Current flag column plus the per-step history.
-
-    constraint_index maps each input position to the id of the single
-    constraint that owns it (or None). When constraint spans overlap,
-    the earliest-listed constraint owns the shared cells; a later
-    constraint still has its satisfaction tracked, it just flips fewer
-    (possibly zero) cells. Style positions are first-person-lexicon
-    tokens outside every constraint span.
-    """
-
-    def __init__(self, x_tokens: list[str], constraint_rows, config: SatisfierConfig):
-        n = len(x_tokens)
-        self.x_tokens = list(x_tokens)
-        self.config = config
-        self.constraint_rows = [tuple(r) for r in constraint_rows]
-        for row in self.constraint_rows:
-            for p in row:
-                if p < 0 or p >= n:
-                    raise IndexOutOfRange("position %d outside input of length %d" % (p, n))
-        self.constraint_index: list[int | None] = [None] * n
-        self.owned: list[tuple[int, ...]] = []
-        self.constraint_tokens: list[tuple[str, ...]] = []
-        for cid, row in enumerate(self.constraint_rows):
-            own = []
-            for p in row:
-                if self.constraint_index[p] is None:
-                    self.constraint_index[p] = cid
-                    own.append(p)
-            self.owned.append(tuple(own))
-            self.constraint_tokens.append(tuple(x_tokens[p] for p in row))
-        self.satisfied = [False] * len(self.constraint_rows)
-        self.current = np.zeros(n, dtype=np.int8)
-        self.style_positions: tuple[int, ...] = ()
-        self.style_active = False
-        if config.mode != "off":
-            for row in self.constraint_rows:
-                for p in row:
-                    self.current[p] = 1
-            if config.style_enabled:
-                style = [i for i, tok in enumerate(x_tokens)
-                         if tok.lower() in config.first_person_lexicon
-                         and self.constraint_index[i] is None]
-                self.style_positions = tuple(style)
-                self.style_active = True
-                for p in style:
-                    self.current[p] = 2
-        self.output_tokens: list[str] = []
-        self.history: list[np.ndarray] = [self.current.copy()]
-
-    # -- queries ---------------------------------------------------------
-    def n_constraints(self) -> int:
-        return len(self.constraint_rows)
-
-    def satisfied_count(self) -> int:
-        return sum(self.satisfied)
-
-    def matrix(self) -> np.ndarray:
-        """Full history, shape (input length, 1 + output length)."""
-        return np.stack(self.history, axis=1)
-
-    def column(self) -> np.ndarray:
-        return self.current.copy()
-
-    def record_step(self, token: str) -> None:
-        """Close the column for one emitted token (call after updates)."""
-        self.output_tokens.append(token)
-        self.history.append(self.current.copy())
-
-    def clone(self) -> "MentionFlagMatrix":
-        m = object.__new__(MentionFlagMatrix)
-        m.x_tokens = self.x_tokens
-        m.config = self.config
-        m.constraint_rows = self.constraint_rows
-        m.constraint_index = self.constraint_index
-        m.owned = self.owned
-        m.constraint_tokens = self.constraint_tokens
-        m.satisfied = list(self.satisfied)
-        m.current = self.current.copy()
-        m.style_positions = self.style_positions
-        m.style_active = self.style_active
-        m.output_tokens = list(self.output_tokens)
-        m.history = list(self.history)
-        return m
-
-
-def init_flags(x_tokens: list[str], constraint_rows,
-               config: SatisfierConfig) -> MentionFlagMatrix:
-    """Build the step-0 matrix: constraint positions 1, style positions 2,
-    everything else 0. With mode 'off' the whole column is 0 and stays so."""
-    return MentionFlagMatrix(x_tokens, constraint_rows, config)
-
-
-def update_semantic(m: MentionFlagMatrix, cid: int, sim_now: float,
-                    sim_prev: float, config: SatisfierConfig) -> MentionFlagMatrix:
-    """Flip constraint cid to satisfied when both similarity gates pass.
-
-    sim_now is the max cosine over candidate_spans at the current step,
-    sim_prev the same quantity one step earlier (0 before the first
-    step). The flip needs sim_now > threshold_a and a jump
-    (sim_now - sim_prev) > threshold_b; it is permanent.
-    """
-    if config.mode == "off" or m.satisfied[cid]:
-        return m
-    if sim_now > config.threshold_a and (sim_now - sim_prev) > config.threshold_b:
-        m.satisfied[cid] = True
-        for p in m.owned[cid]:
-            m.current[p] = 2
-    return m
-
-
 def contains_contiguous(prefix, tokens) -> bool:
     """True if tokens appear verbatim and contiguously inside prefix."""
     k = len(tokens)
@@ -194,44 +86,20 @@ def contains_contiguous(prefix, tokens) -> bool:
     return any(list(prefix[i:i + k]) == target for i in range(len(prefix) - k + 1))
 
 
-def update_lexical(m: MentionFlagMatrix, cid: int,
-                   decoded_prefix) -> MentionFlagMatrix:
-    """Exact-match flip: constraint cid must occur verbatim in the prefix."""
-    if m.config.mode == "off" or m.satisfied[cid]:
-        return m
-    if contains_contiguous(decoded_prefix, m.constraint_tokens[cid]):
-        m.satisfied[cid] = True
-        for p in m.owned[cid]:
-            m.current[p] = 2
-    return m
-
-
-def update_style(m: MentionFlagMatrix, newest_output_token: str,
-                 config: SatisfierConfig) -> MentionFlagMatrix:
-    """Drop style positions from 2 to 1 when a trigger-lexicon token is emitted."""
-    if not m.style_active or config.mode == "off":
-        return m
-    if newest_output_token.lower() in config.trigger_lexicon():
-        for p in m.style_positions:
-            if m.current[p] == 2:
-                m.current[p] = 1
-    return m
-
-
-def trace(m: MentionFlagMatrix, fmt: str = "tsv") -> str:
+def trace(tracker: FlagTracker, fmt: str = "tsv") -> str:
     """Dump the matrix: header = start symbol plus output tokens, one row
     per input token, cells 0/1/2."""
-    grid = m.matrix()
-    headers = [START_COLUMN_HEADER] + list(m.output_tokens)
+    grid = tracker.matrix()
+    headers = [START_COLUMN_HEADER] + list(tracker.output_tokens)
     if fmt == "tsv":
         lines = ["\t".join(["x\\y"] + headers)]
-        for i, tok in enumerate(m.x_tokens):
+        for i, tok in enumerate(tracker.x_tokens):
             lines.append("\t".join([tok] + [str(int(v)) for v in grid[i]]))
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
-            "x_tokens": m.x_tokens,
-            "output_tokens": list(m.output_tokens),
+            "x_tokens": tracker.x_tokens,
+            "output_tokens": list(tracker.output_tokens),
             "columns": headers,
             "matrix": [[int(v) for v in row] for row in grid],
         }
@@ -240,75 +108,117 @@ def trace(m: MentionFlagMatrix, fmt: str = "tsv") -> str:
 
 
 class FlagTracker:
-    """Drives a MentionFlagMatrix token by token during decoding.
+    """Flag state for one input, advanced one output token at a time.
+
+    constraint_index maps each input position to the index of the single
+    constraint that owns it (or None). When constraint spans overlap,
+    the earliest-listed constraint owns the shared cells; a later
+    constraint still has its satisfaction tracked, it just flips fewer
+    (possibly zero) cells. Style positions are first-person-lexicon
+    tokens outside every constraint span.
 
     scorer must expose score(constraint_id, constraint_tokens,
-    prefix_tokens) -> float; it is only consulted in semantic mode.
-    constraint_ids name the constraints for scorer lookups (defaults to
-    'c0', 'c1', ...).
+    prefix_tokens) -> float, where constraint i is named 'c<i>'; it is
+    only consulted in semantic mode.
     """
 
     def __init__(self, x_tokens, constraint_rows, config: SatisfierConfig,
-                 scorer=None, constraint_ids=None):
-        self.m = init_flags(x_tokens, constraint_rows, config)
+                 scorer=None):
+        n = len(x_tokens)
+        rows = [tuple(r) for r in constraint_rows]
+        for row in rows:
+            for p in row:
+                if p < 0 or p >= n:
+                    raise IndexOutOfRange("position %d outside input of length %d" % (p, n))
+        if config.mode == "semantic" and rows and scorer is None:
+            raise ValueError("semantic mode needs a similarity scorer")
+        self.x_tokens = list(x_tokens)
         self.config = config
         self.scorer = scorer
-        n = self.m.n_constraints()
-        if constraint_ids is None:
-            constraint_ids = ["c%d" % i for i in range(n)]
-        if len(constraint_ids) != n:
-            raise ValueError("constraint_ids count mismatch")
-        self.constraint_ids = list(constraint_ids)
-        self.prefix: list[str] = []
-        self.sim_prev = [0.0] * n
-        if config.mode == "semantic" and n > 0 and scorer is None:
-            raise ValueError("semantic mode needs a similarity scorer")
+        self.constraint_index: list[int | None] = [None] * n
+        self.owned: list[tuple[int, ...]] = []
+        self.constraint_tokens: list[tuple[str, ...]] = []
+        for cid, row in enumerate(rows):
+            own = []
+            for p in row:
+                if self.constraint_index[p] is None:
+                    self.constraint_index[p] = cid
+                    own.append(p)
+            self.owned.append(tuple(own))
+            self.constraint_tokens.append(tuple(x_tokens[p] for p in row))
+        self.satisfied = [False] * len(rows)
+        # per constraint, the similarity one step earlier (semantic mode)
+        self.sim_prev = [0.0] * len(rows)
+        self.current = np.zeros(n, dtype=np.int8)
+        self.style_positions: tuple[int, ...] = ()
+        if config.mode != "off":
+            for row in rows:
+                self.current[list(row)] = 1
+            if config.style_enabled:
+                self.style_positions = tuple(
+                    i for i, tok in enumerate(x_tokens)
+                    if tok.lower() in FIRST_PERSON
+                    and self.constraint_index[i] is None)
+                self.current[list(self.style_positions)] = 2
+        self.output_tokens: list[str] = []
+        self.history: list[np.ndarray] = [self.current.copy()]
 
     def step(self, token: str) -> None:
-        """Advance one output token: update constraints, then style, then
-        snapshot the column."""
-        self.prefix.append(token)
-        if self.config.mode == "semantic":
-            for cid in range(self.m.n_constraints()):
-                if self.m.satisfied[cid]:
-                    continue
-                sim_now = float(self.scorer.score(
-                    self.constraint_ids[cid],
-                    self.m.constraint_tokens[cid],
-                    self.prefix))
-                update_semantic(self.m, cid, sim_now, self.sim_prev[cid], self.config)
-                self.sim_prev[cid] = sim_now
-        elif self.config.mode == "lexical":
-            # every earlier prefix was checked and a flip is permanent, so
-            # a new match must end at the newest token
-            for cid, tokens in enumerate(self.m.constraint_tokens):
-                update_lexical(self.m, cid, self.prefix[-len(tokens):])
-        update_style(self.m, token, self.config)
-        self.m.record_step(token)
+        """Advance one output token: flip newly satisfied constraints to
+        2, drop style positions to 1 on a trigger token, then snapshot
+        the column. Both flips are permanent."""
+        self.output_tokens.append(token)
+        if self.config.mode != "off":
+            for cid, tokens in enumerate(self.constraint_tokens):
+                if not self.satisfied[cid] and self._met(cid, tokens):
+                    self.satisfied[cid] = True
+                    self.current[list(self.owned[cid])] = 2
+        if (self.style_positions
+                and token.lower() in self.config.trigger_lexicon()):
+            self.current[list(self.style_positions)] = 1
+        self.history.append(self.current.copy())
+
+    def _met(self, cid: int, tokens) -> bool:
+        """Does the newest token satisfy unsatisfied constraint cid?
+
+        Lexical: the constraint occurs verbatim. Every earlier prefix
+        was checked, so a new match must end at the newest token.
+        Semantic: the best windowed similarity sim_now (see
+        candidate_spans) exceeds threshold_a and jumped by more than
+        threshold_b since the previous step.
+        """
+        out = self.output_tokens
+        if self.config.mode == "lexical":
+            return contains_contiguous(out[-len(tokens):], tokens)
+        sim_now = float(self.scorer.score("c%d" % cid, tokens, out))
+        jump = sim_now - self.sim_prev[cid]
+        self.sim_prev[cid] = sim_now
+        return (sim_now > self.config.threshold_a
+                and jump > self.config.threshold_b)
 
     def column(self) -> np.ndarray:
-        return self.m.column()
+        return self.current.copy()
 
     def matrix(self) -> np.ndarray:
-        return self.m.matrix()
+        """Full history, shape (input length, 1 + output length)."""
+        return np.stack(self.history, axis=1)
 
     def clone(self) -> "FlagTracker":
+        """An independent copy; the input-derived fields are shared."""
         t = object.__new__(FlagTracker)
-        t.m = self.m.clone()
-        t.config = self.config
-        t.scorer = self.scorer
-        t.constraint_ids = self.constraint_ids
-        t.prefix = list(self.prefix)
+        t.__dict__.update(self.__dict__)
+        t.satisfied = list(self.satisfied)
         t.sim_prev = list(self.sim_prev)
+        t.current = self.current.copy()
+        t.output_tokens = list(self.output_tokens)
+        t.history = list(self.history)
         return t
 
 
 def replay_flags(x_tokens, constraint_rows, output_tokens,
-                 config: SatisfierConfig, scorer=None,
-                 constraint_ids=None) -> MentionFlagMatrix:
-    """Reconstruct the full matrix offline for a finished output."""
-    tracker = FlagTracker(x_tokens, constraint_rows, config,
-                          scorer=scorer, constraint_ids=constraint_ids)
+                 config: SatisfierConfig, scorer=None) -> FlagTracker:
+    """Reconstruct the flags offline for a finished output."""
+    tracker = FlagTracker(x_tokens, constraint_rows, config, scorer=scorer)
     for tok in output_tokens:
         tracker.step(tok)
-    return tracker.m
+    return tracker

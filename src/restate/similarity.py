@@ -66,8 +66,6 @@ class HashedNgramEmbedder:
     platforms by construction.
     """
 
-    backend = "hashed-ngram"
-
     def __init__(self, dim: int = 256, n: int = 3):
         self.dim = dim
         self.n = n
@@ -88,8 +86,6 @@ class HashedNgramEmbedder:
 
 class EncoderMeanEmbedder:
     """Mean of the model encoder's output states for the token sequence."""
-
-    backend = "encoder-mean"
 
     def __init__(self, model):
         self.model = model
@@ -137,8 +133,6 @@ class SpanSimilarity:
 class InjectedTableSimilarity:
     """Replay scorer: similarity values come from a fixture table keyed
     by "constraint_id:prefix_len"."""
-
-    backend = "injected-table"
 
     def __init__(self, table: dict):
         self.table = {str(k): float(v) for k, v in table.items()}

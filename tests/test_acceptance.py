@@ -377,13 +377,13 @@ def test_criterion_10_flag_state_machine_fuzz():
         tracker = FlagTracker(x, rows, cfg,
                               scorer=scorer if mode == "semantic" else None)
         constraint_pos = sorted({p for row in rows for p in row})
-        style_pos = list(tracker.m.style_positions)
-        prev = tracker.m.column().copy()
+        style_pos = list(tracker.style_positions)
+        prev = tracker.column().copy()
         zero_pos = np.flatnonzero(prev == 0)
         steps = int(rng.integers(1, 10))
         for _ in range(steps):
             tracker.step(pool[int(rng.integers(0, len(pool)))])
-            col = tracker.m.column().copy()
+            col = tracker.column().copy()
             assert np.isin(col, (0, 1, 2)).all()
             assert np.all(col[zero_pos] == 0)
             for p in constraint_pos:

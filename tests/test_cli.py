@@ -254,10 +254,11 @@ class TestRewrite:
         scorer = SpanSimilarity(HashedNgramEmbedder())
         for row, inst in zip(rows, insts):
             mr = datagen.model_record(inst)
-            m = replay_flags(mr["x_tokens"],
-                             [tuple(r) for r in mr["constraint_rows"]],
-                             row["output_tokens"], config, scorer=scorer)
-            assert open(row["flag_trace_path"]).read() == trace(m, fmt="tsv")
+            tracker = replay_flags(mr["x_tokens"],
+                                   [tuple(r) for r in mr["constraint_rows"]],
+                                   row["output_tokens"], config, scorer=scorer)
+            assert (open(row["flag_trace_path"]).read()
+                    == trace(tracker, fmt="tsv"))
 
     def test_rerun_is_byte_identical(self, workdir, decoded, tmp_path,
                                      capsys):
@@ -461,11 +462,12 @@ class TestInspectFlags:
         assert rc == EXIT_OK
         printed = capsys.readouterr().out
         mr = datagen.model_record(inst)
-        m = replay_flags(mr["x_tokens"],
-                         [tuple(r) for r in mr["constraint_rows"]],
-                         mr["target_tokens"], SatisfierConfig(mode="semantic"),
-                         scorer=SpanSimilarity(HashedNgramEmbedder()))
-        assert printed == trace(m, fmt="tsv")
+        tracker = replay_flags(mr["x_tokens"],
+                               [tuple(r) for r in mr["constraint_rows"]],
+                               mr["target_tokens"],
+                               SatisfierConfig(mode="semantic"),
+                               scorer=SpanSimilarity(HashedNgramEmbedder()))
+        assert printed == trace(tracker, fmt="tsv")
 
     def test_custom_output_and_file(self, workdir, tmp_path, capsys):
         src = workdir / "corpus" / "train.jsonl"

@@ -147,6 +147,14 @@ class TestGreedy:
             greedy_decode(copy_model, SENTENCES[0], [(1,)],
                           SatisfierConfig(mode="semantic"))
 
+    def test_alpha_that_underflows_the_normalization_is_named(self):
+        # (48 + 1) ** 182 is finite, so the budget check lets alpha
+        # -182 through, but 48 ** -182 is below the smallest float and
+        # the budget-length score -221.05 normalizes to -inf
+        stub = StubLM({}, {"a": 0.01, "b": 0.01, "c": 0.01, "<eos>": 1e-9})
+        with pytest.raises(ValueError, match="alpha -182"):
+            greedy_decode(stub, ["x"], [], OFF, alpha=-182, max_len=48)
+
 
 class TestBeam:
     def test_width_one_equals_greedy_tokens(self, copy_model):

@@ -275,6 +275,12 @@ class TestReport:
         assert back["bleu"] == pytest.approx(100.0)
         assert "per_category" in back
 
+    def test_json_rejects_nan(self, scored):
+        import dataclasses
+        rep, _ = scored
+        with pytest.raises(ValueError):
+            dataclasses.replace(rep, rouge_l_f=float("nan")).to_json()
+
     def test_text_table(self, scored):
         rep, _ = scored
         table = text_table({"gold": rep, "baseline": rep})

@@ -1,13 +1,12 @@
-"""Flag matrix initialization, updates, traces, and invariants."""
+"""Flag tracker initialization, updates, clones, traces, and invariants."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from restate.flags import (FlagTracker, IndexOutOfRange, SatisfierConfig,
-                           candidate_spans, contains_contiguous, init_flags,
-                           replay_flags, trace, update_lexical,
-                           update_semantic, update_style)
+from restate.flags import (FIRST_PERSON, FlagTracker, IndexOutOfRange,
+                           SatisfierConfig, candidate_spans,
+                           contains_contiguous, replay_flags, trace)
 from restate.similarity import (HashedNgramEmbedder, InjectedTableSimilarity,
                                 SpanSimilarity)
 
@@ -32,38 +31,41 @@ def semantic_cfg(**kw):
 # ------------------------------------------------------------------- init
 
 def test_init_constraint_column():
-    m = init_flags(SCREEN_X, SCREEN_ROW, semantic_cfg())
-    assert m.column().tolist() == [0, 0, 1, 1, 1, 1]
+    tracker = FlagTracker(SCREEN_X, SCREEN_ROW, semantic_cfg(),
+                          scorer=screen_table())
+    assert tracker.column().tolist() == [0, 0, 1, 1, 1, 1]
 
 
 def test_init_style_column():
     cfg = semantic_cfg(style_enabled=True)
-    m = init_flags(SHIP_X, [], cfg)
-    assert m.column().tolist() == [2, 0, 0, 0, 0]
+    tracker = FlagTracker(SHIP_X, [], cfg)
+    assert tracker.column().tolist() == [2, 0, 0, 0, 0]
 
 
 def test_init_no_constraints_all_zero():
-    m = init_flags(["a", "b", "c"], [], semantic_cfg())
-    assert m.column().tolist() == [0, 0, 0]
+    tracker = FlagTracker(["a", "b", "c"], [], semantic_cfg())
+    assert tracker.column().tolist() == [0, 0, 0]
 
 
 def test_init_mode_off_zeroes_everything():
     cfg = SatisfierConfig(mode="off", style_enabled=True)
-    m = init_flags(SHIP_X, [(1, 2)], cfg)
-    assert m.column().tolist() == [0, 0, 0, 0, 0]
+    tracker = FlagTracker(SHIP_X, [(1, 2)], cfg)
+    assert tracker.column().tolist() == [0, 0, 0, 0, 0]
 
 
 def test_init_out_of_range():
     with pytest.raises(IndexOutOfRange):
-        init_flags(["a", "b"], [(1, 2)], semantic_cfg())
+        FlagTracker(["a", "b"], [(1, 2)], semantic_cfg(),
+                    scorer=screen_table())
 
 
 def test_constraint_membership_beats_style_at_init():
     # a first-person token inside a constraint span starts at 1, not 2
     cfg = semantic_cfg(style_enabled=True)
-    m = init_flags(["ship", "to", "us"], [(1, 2)], cfg)
-    assert m.column().tolist() == [0, 1, 1]
-    assert m.style_positions == ()
+    tracker = FlagTracker(["ship", "to", "us"], [(1, 2)], cfg,
+                          scorer=screen_table())
+    assert tracker.column().tolist() == [0, 1, 1]
+    assert tracker.style_positions == ()
 
 
 def test_config_validation():
@@ -112,26 +114,34 @@ def test_screen_replay_flips_at_touchscreen():
     assert np.array_equal(grid, expected)
 
 
+def _stepped(sims):
+    """SCREEN tracker stepped once per entry of sims, the similarity the
+    constraint scores after that step."""
+    table = InjectedTableSimilarity(
+        {"c0:%d" % (i + 1): s for i, s in enumerate(sims)})
+    tracker = FlagTracker(SCREEN_X, SCREEN_ROW, semantic_cfg(), scorer=table)
+    for tok in SCREEN_OUT[:len(sims)]:
+        tracker.step(tok)
+    return tracker
+
+
 def test_constant_high_sim_never_flips():
-    # both gates are required: delta 0 fails threshold_b
-    cfg = semantic_cfg()
-    m = init_flags(SCREEN_X, SCREEN_ROW, cfg)
-    prev = 0.9
-    update_semantic(m, 0, 0.9, 0.0, cfg)  # first step: jump 0.9 > 0.3, flips
-    assert m.satisfied[0]
-    m2 = init_flags(SCREEN_X, SCREEN_ROW, cfg)
-    update_semantic(m2, 0, 0.9, prev, cfg)
-    assert not m2.satisfied[0]
-    assert m2.column().tolist() == [0, 0, 1, 1, 1, 1]
+    # first step: 0.9 > 0.8 and the jump from 0 is 0.9 > 0.3, so it flips
+    assert _stepped([0.9]).satisfied == [True]
+    # both gates are required: 0.9 after 0.7 jumps only 0.2, and a
+    # constant 0.9 after that jumps 0
+    tracker = _stepped([0.7, 0.9, 0.9])
+    assert tracker.satisfied == [False]
+    assert tracker.column().tolist() == [0, 0, 1, 1, 1, 1]
 
 
 def test_semantic_already_satisfied_unchanged():
-    cfg = semantic_cfg()
-    m = init_flags(SCREEN_X, SCREEN_ROW, cfg)
-    update_semantic(m, 0, 0.85, 0.0, cfg)
-    col = m.column()
-    update_semantic(m, 0, 0.2, 0.85, cfg)  # would fail gates; must not revert
-    assert np.array_equal(m.column(), col)
+    tracker = _stepped([0.85])
+    col = tracker.column()
+    # the table has no entry for step 2: a satisfied constraint is never
+    # scored again, so it cannot revert
+    tracker.step(SCREEN_OUT[1])
+    assert np.array_equal(tracker.column(), col)
 
 
 # ------------------------------------------------------------------ lexical
@@ -142,20 +152,18 @@ def test_contains_contiguous():
     assert not contains_contiguous(["a", "camera", "have"], ("have", "a", "camera"))
 
 
-def test_update_lexical_exact_containment():
+def test_lexical_exact_containment():
     cfg = SatisfierConfig(mode="lexical")
     x = ["q", "<sep>", "a", "camera"]
-    m = init_flags(x, [(2, 3)], cfg)
-    update_lexical(m, 0, ["has", "a", "camera"])
-    assert m.satisfied[0]
-    assert m.column().tolist() == [0, 0, 2, 2]
+    tracker = replay_flags(x, [(2, 3)], ["has", "a", "camera"], cfg)
+    assert tracker.satisfied[0]
+    assert tracker.column().tolist() == [0, 0, 2, 2]
 
 
-def test_update_lexical_no_partial_credit():
+def test_lexical_no_partial_credit():
     cfg = SatisfierConfig(mode="lexical")
-    m = init_flags(["a", "camera"], [(0, 1)], cfg)
-    update_lexical(m, 0, ["has", "cameras"])
-    assert not m.satisfied[0]
+    tracker = replay_flags(["a", "camera"], [(0, 1)], ["has", "cameras"], cfg)
+    assert not tracker.satisfied[0]
 
 
 # -------------------------------------------------------------------- style
@@ -205,7 +213,7 @@ def test_trace_tsv_grid():
                           scorer=screen_table())
     for tok in SCREEN_OUT:
         tracker.step(tok)
-    tsv = trace(tracker.m, fmt="tsv")
+    tsv = trace(tracker, fmt="tsv")
     lines = tsv.strip().split("\n")
     assert lines[0].split("\t") == ["x\\y", "<sep>"] + SCREEN_OUT
     row = lines[3].split("\t")  # input token "has"
@@ -214,8 +222,9 @@ def test_trace_tsv_grid():
 
 
 def test_trace_empty_output_single_column():
-    m = init_flags(SCREEN_X, SCREEN_ROW, semantic_cfg())
-    tsv = trace(m, fmt="tsv")
+    tracker = FlagTracker(SCREEN_X, SCREEN_ROW, semantic_cfg(),
+                          scorer=screen_table())
+    tsv = trace(tracker, fmt="tsv")
     lines = tsv.strip().split("\n")
     assert lines[0].split("\t") == ["x\\y", "<sep>"]
     assert all(len(l.split("\t")) == 2 for l in lines[1:])
@@ -227,7 +236,7 @@ def test_trace_json_roundtrip():
                           scorer=screen_table())
     for tok in SCREEN_OUT:
         tracker.step(tok)
-    payload = json.loads(trace(tracker.m, fmt="json"))
+    payload = json.loads(trace(tracker, fmt="json"))
     assert payload["x_tokens"] == SCREEN_X
     assert payload["columns"] == ["<sep>"] + SCREEN_OUT
     assert payload["matrix"][2] == [1, 1, 1, 1, 1, 1, 2, 2]
@@ -251,20 +260,46 @@ def test_replay_matches_tracker():
                           scorer=screen_table())
     for tok in SCREEN_OUT:
         tracker.step(tok)
-    m2 = replay_flags(SCREEN_X, SCREEN_ROW, SCREEN_OUT, semantic_cfg(),
-                      scorer=screen_table())
-    assert np.array_equal(tracker.matrix(), m2.matrix())
+    replayed = replay_flags(SCREEN_X, SCREEN_ROW, SCREEN_OUT, semantic_cfg(),
+                            scorer=screen_table())
+    assert np.array_equal(tracker.matrix(), replayed.matrix())
 
 
-def test_clone_isolates_state():
-    tracker = FlagTracker(SCREEN_X, SCREEN_ROW, semantic_cfg(),
-                          scorer=screen_table())
-    for tok in SCREEN_OUT[:3]:
+@st.composite
+def _forked_streams(draw):
+    words = st.sampled_from(["a", "b", "i", "us"])  # few words: many repeats
+    x = draw(st.lists(words, min_size=1, max_size=5))
+    span = st.tuples(st.integers(0, len(x) - 1), st.integers(1, 3)).map(
+        lambda s: tuple(range(s[0], min(len(x), s[0] + s[1]))))
+    return (x, draw(st.lists(span, max_size=3)),
+            draw(st.lists(words, max_size=8)),
+            draw(st.lists(words, min_size=1, max_size=6)),
+            draw(st.lists(words, min_size=1, max_size=6)),
+            draw(st.sampled_from(["lexical", "semantic"])),
+            draw(st.booleans()))
+
+
+@given(_forked_streams())
+def test_clone_isolates_state(case):
+    x, rows, shared, tail, fork_tail, mode, style = case
+    assume(tail != fork_tail)
+    cfg = SatisfierConfig(mode=mode, style_enabled=style)
+    scorer = SpanSimilarity(HashedNgramEmbedder())
+    tracker = FlagTracker(x, rows, cfg, scorer=scorer)
+    for tok in shared:
         tracker.step(tok)
     fork = tracker.clone()
-    fork.step(SCREEN_OUT[3])
-    assert tracker.matrix().shape[1] == 4
-    assert fork.matrix().shape[1] == 5
+    # interleave the steps, so state either one shares leaks into the other
+    for i in range(max(len(tail), len(fork_tail))):
+        if i < len(tail):
+            tracker.step(tail[i])
+        if i < len(fork_tail):
+            fork.step(fork_tail[i])
+    for got, stream in ((tracker, shared + tail), (fork, shared + fork_tail)):
+        want = replay_flags(x, rows, stream, cfg, scorer=scorer)
+        assert np.array_equal(got.matrix(), want.matrix())
+        assert got.satisfied == want.satisfied
+        assert got.output_tokens == want.output_tokens
 
 
 def test_semantic_flips_no_later_than_exact_match():
@@ -276,7 +311,7 @@ def test_semantic_flips_no_later_than_exact_match():
     tracker = FlagTracker(x, [(0, 1, 2)], cfg, scorer=scorer)
     for tok in ["yes", "it", "has", "a", "timer"]:
         tracker.step(tok)
-    assert tracker.m.satisfied[0]
+    assert tracker.satisfied[0]
 
 
 def test_overlapping_constraints_share_cells_by_ownership():
@@ -286,21 +321,36 @@ def test_overlapping_constraints_share_cells_by_ownership():
     tracker = FlagTracker(x, [(0, 1, 2, 3), (2, 3)], cfg)
     for tok in ["you", "can", "install", "app", "on", "phone"]:
         tracker.step(tok)
-    assert tracker.m.satisfied == [True, True]
-    assert tracker.m.constraint_index == [0, 0, 0, 0]
+    assert tracker.satisfied == [True, True]
+    assert tracker.constraint_index == [0, 0, 0, 0]
     assert tracker.matrix()[:, -1].tolist() == [2, 2, 2, 2]
 
 
 def _full_prefix_matrix(x, rows, stream, config):
-    """Lexical flags by the whole-prefix rule: at every step each
-    constraint is checked against everything emitted so far."""
-    m = init_flags(x, rows, config)
-    for t, tok in enumerate(stream, 1):
-        for cid in range(m.n_constraints()):
-            update_lexical(m, cid, stream[:t])
-        update_style(m, tok, config)
-        m.record_step(tok)
-    return m.matrix()
+    """Lexical flags by the whole-prefix rule: after t tokens a
+    constraint cell is 2 once its earliest-listed constraint occurs
+    anywhere in them, and a style cell is 1 once any of them is a
+    trigger token."""
+    owner = {}
+    for row in rows:
+        for p in row:
+            owner.setdefault(p, row)
+    columns = []
+    for t in range(len(stream) + 1):
+        prefix = stream[:t]
+        column = []
+        for i, tok in enumerate(x):
+            if i in owner:
+                met = contains_contiguous(prefix, [x[p] for p in owner[i]])
+                column.append(2 if met else 1)
+            elif config.style_enabled and tok.lower() in FIRST_PERSON:
+                hit = any(y.lower() in config.trigger_lexicon()
+                          for y in prefix)
+                column.append(1 if hit else 2)
+            else:
+                column.append(0)
+        columns.append(column)
+    return np.array(columns).T
 
 
 @st.composite
@@ -389,11 +439,11 @@ class TestSemanticFlipOnVerbatimCopies:
         # so the completion jump stays under the delta threshold and the
         # flag honestly remains unsatisfied (lexical mode would flip)
         tracker = self.run_verbatim("the samsung galaxy a20 phone")
-        assert tracker.m.satisfied == [False]
+        assert tracker.satisfied == [False]
         assert set(tracker.matrix()[2].tolist()) == {1}
         lex = FlagTracker(["filler", "filler"] + "the samsung galaxy a20 phone".split(),
                           [(2, 3, 4, 5, 6)],
                           SatisfierConfig(mode="lexical"))
         for t in ["it", "has"] + "the samsung galaxy a20 phone".split() + ["."]:
             lex.step(t)
-        assert lex.m.satisfied == [True]
+        assert lex.satisfied == [True]
