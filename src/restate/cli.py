@@ -21,6 +21,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, datagen
 from .decode import run_decoder
 from .evaluation import IdMismatch, build_report, text_table
@@ -41,6 +43,16 @@ EXIT_RUNTIME = 3
 
 class MissingParse(ValueError):
     """Raised when an input record has neither parses nor constraints."""
+
+
+class MalformedRecord(ValueError):
+    """Raised when an input record does not follow the corpus schema."""
+
+
+# Record fields that must be strings; all but the first four may be absent.
+_TEXT_FIELDS = ("id", "question", "answer", "context", "category",
+                "polarity", "target", "question_parse", "answer_parse",
+                "domain", "split")
 
 
 def _finite(text):
@@ -134,22 +146,39 @@ def _add_seed_arg(p):
 
 def _instance_from_record(rec):
     """Accept a corpus record, extracting constraints if absent."""
-    for key in ("id", "question", "answer", "context"):
+    if not isinstance(rec, dict):
+        raise MalformedRecord("record is not a JSON object")
+    for key in _TEXT_FIELDS[:4]:
         if key not in rec:
-            raise MissingParse("record is missing %r" % key)
+            raise MalformedRecord("record is missing %r" % key)
     d = dict(rec)
+    for key in _TEXT_FIELDS[4:]:
+        d.setdefault(key, "")
+    wrong = [key for key in _TEXT_FIELDS if not isinstance(d[key], str)]
+    if wrong:
+        raise MalformedRecord("record %r: not a string: %s"
+                              % (d["id"], ", ".join(wrong)))
     if "constraints" not in d:
-        if not d.get("question_parse") or not d.get("answer_parse"):
+        if not d["question_parse"] or not d["answer_parse"]:
             raise MissingParse(
                 "record %s carries neither constraints nor parses" % d["id"])
         cons = extract_constraints(parse_bracketed(d["question_parse"]),
                                    parse_bracketed(d["answer_parse"]))
         d["constraints"] = [datagen.constraint_to_json(c) for c in cons]
-    for key, default in (("category", ""), ("polarity", ""), ("target", ""),
-                         ("question_parse", ""), ("answer_parse", ""),
-                         ("domain", ""), ("split", "")):
-        d.setdefault(key, default)
+    elif not (isinstance(d["constraints"], list)
+              and all(map(_is_constraint, d["constraints"]))):
+        raise MalformedRecord(
+            "record %s: constraints must be a list of objects with string"
+            " tokens, label and source and integer start and end" % d["id"])
     return datagen.instance_from_json(d)
+
+
+def _is_constraint(c):
+    return (isinstance(c, dict)
+            and isinstance(c.get("tokens"), list)
+            and all(isinstance(t, str) for t in c["tokens"])
+            and all(type(c.get(k)) is int for k in ("start", "end"))
+            and all(isinstance(c.get(k), str) for k in ("label", "source")))
 
 
 def _filter_split(records, split):
@@ -279,10 +308,13 @@ def cmd_rewrite(args):
         inst = _instance_from_record(rec)
         mr = datagen.model_record(inst)
         try:
-            result = run_decoder(args.decoder, model, mr["x_tokens"],
-                                 mr["constraint_rows"], config,
-                                 scorer=scorer, beam_size=args.beam,
-                                 alpha=args.alpha, max_len=args.max_len)
+            # non-finite weights end in NaN log-probabilities, reported
+            # once below, not in numpy warnings on the way there
+            with np.errstate(all="ignore"):
+                result = run_decoder(args.decoder, model, mr["x_tokens"],
+                                     mr["constraint_rows"], config,
+                                     scorer=scorer, beam_size=args.beam,
+                                     alpha=args.alpha, max_len=args.max_len)
         except FloatingPointError as exc:
             raise type(exc)("record %s: %s" % (inst.id, exc)) from exc
         for warning in result.warnings:
@@ -462,11 +494,16 @@ def main(argv=None):
     # before the ValueError clause: a bad checkpoint is a ValueError too
     except (OSError, CheckpointMismatch, NonFiniteLoss,
             FloatingPointError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        _error(exc)
         return EXIT_RUNTIME
     except (datagen.InvalidMix, MissingParse, IdMismatch, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        _error(exc)
         return EXIT_USAGE
+
+
+def _error(exc):
+    """One stderr line, even when the message quotes input text."""
+    print("error: %s" % str(exc).replace("\n", "\\n"), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,12 @@ convention inside attention; masks are additive (0 keeps a key,
 Flag-aware cross-attention: for query j and key i, the raw score is
 q_j . (k_i + E_k[M(i,j)]) scaled by sqrt(head_dim), and the output is
 sum_i alpha_ij (v_i + E_v[M(i,j)]). The flag tables are materialized
-per head as (3, heads, head_dim) slices; the M-dependent gather is
-expressed through a one-hot tensor so the backward pass stays a couple
-of einsums instead of a scatter loop.
+per head as (3, heads, head_dim) slices. The M-dependent gather goes
+through a one-hot tensor: selecting each key's flag term and summing
+the attention mass per flag are two explicit batched matmuls
+(flag_select, flag_mass), the same reshapes and matmul numpy's einsum
+planner picks for these contractions, so the backward pass stays a few
+matmuls instead of a scatter loop and no call pays for planning.
 """
 
 from __future__ import annotations
@@ -39,10 +42,12 @@ def relu_bwd(x, dy):
 
 
 def layer_norm(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    # one pass over x - mean, summed and divided in the order of
+    # numpy's x.mean and x.var, so the bytes match theirs
+    n = x.shape[-1]
+    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True) / n + eps)
+    xhat = d * inv
     return g * xhat + b, (xhat, inv, g)
 
 
@@ -109,6 +114,28 @@ def flag_onehot(m):
     return (mt[..., None] == np.arange(3)).astype(np.float64)
 
 
+def flag_select(t, onehot):
+    """Each key's term for its own flag: t (B,H,Lq,3), onehot
+    (B,Lq,Lk,3) -> (B,H,Lq,Lk), einsum "bhjf,bjif->bhji"."""
+    b, h, lq, _ = t.shape
+    lk = onehot.shape[2]
+    x = onehot.reshape(b * lq, lk, 3) \
+        @ t.transpose(0, 2, 3, 1).reshape(b * lq, 3, h)
+    return x.reshape(b, lq, lk, h).transpose(0, 3, 1, 2)
+
+
+def flag_mass(a, onehot):
+    """Sum of a over the keys carrying each flag: a (B,H,Lq,Lk), onehot
+    (B,Lq,Lk,3) -> (B,H,Lq,3), einsum "bhji,bjif->bhjf"."""
+    b, h, lq, lk = a.shape
+    if lk == 1:
+        # nothing to sum: einsum multiplies, which keeps a's signed zeros
+        return a * onehot[:, None, :, 0, :]
+    x = onehot.transpose(0, 1, 3, 2).reshape(b * lq, 3, lk) \
+        @ a.transpose(0, 2, 3, 1).reshape(b * lq, lk, h)
+    return x.reshape(b, lq, 3, h).transpose(0, 3, 1, 2)
+
+
 def flagged_attention(q, k, v, onehot, ek3, ev3, mask=None):
     """Cross-attention with additive flag key/value embeddings.
 
@@ -124,13 +151,13 @@ def flagged_attention(q, k, v, onehot, ek3, ev3, mask=None):
     base = q @ k.swapaxes(-1, -2)
     # tf[b,h,j,f] = q_j . ek[f]; gathered per key via the one-hot
     tf = np.einsum("bhjd,fhd->bhjf", q, ek3)
-    tflag = np.einsum("bhjf,bjif->bhji", tf, onehot, optimize=True)
+    tflag = flag_select(tf, onehot)
     logits = (base + tflag) / scale
     if mask is not None:
         logits = logits + mask
     alpha = softmax(logits)
     # amass[b,h,j,f] = total attention mass on keys flagged f
-    amass = np.einsum("bhji,bjif->bhjf", alpha, onehot, optimize=True)
+    amass = flag_mass(alpha, onehot)
     ctx = alpha @ v + np.einsum("bhjf,fhd->bhjd", amass, ev3)
     cache = (q, k, v, onehot, ek3, ev3, alpha, amass, scale)
     return ctx, cache
@@ -140,12 +167,11 @@ def flagged_attention_bwd(cache, dctx):
     q, k, v, onehot, ek3, ev3, alpha, amass, scale = cache
     dev3 = np.einsum("bhjf,bhjd->fhd", amass, dctx)
     damass = np.einsum("bhjd,fhd->bhjf", dctx, ev3)
-    dalpha = dctx @ v.swapaxes(-1, -2) \
-        + np.einsum("bhjf,bjif->bhji", damass, onehot, optimize=True)
+    dalpha = dctx @ v.swapaxes(-1, -2) + flag_select(damass, onehot)
     dv = alpha.swapaxes(-1, -2) @ dctx
     dlogits = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
     draw = dlogits / scale
-    dtf = np.einsum("bhji,bjif->bhjf", draw, onehot, optimize=True)
+    dtf = flag_mass(draw, onehot)
     dq = draw @ k + np.einsum("bhjf,fhd->bhjd", dtf, ek3)
     dk = draw.swapaxes(-1, -2) @ q
     dek3 = np.einsum("bhjf,bhjd->fhd", dtf, q)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -519,33 +520,54 @@ class Seq2SeqModel:
 
     @classmethod
     def load(cls, path) -> "Seq2SeqModel":
-        try:
-            data = np.load(path, allow_pickle=False)
-        except (ValueError, zipfile.BadZipFile):
-            data = None
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise CheckpointMismatch("%s is not an .npz archive" % path)
-        with data:
-            config, tokens = _checkpoint_meta(data)
+        # numpy leaks the file of an archive it fails to open, so the
+        # file is opened (and closed) here
+        with open(path, "rb") as fh:
             try:
-                model = cls(ModelConfig(**config), Vocabulary(tokens))
-            except (ValueError, ArithmeticError) as exc:
-                raise CheckpointMismatch("checkpoint config %s: %s"
-                                         % (config, exc)) from exc
-            names = set(data.files) - {"__meta__"}
-            if names != set(model.params):
+                data = np.load(fh, allow_pickle=False)
+            except (ValueError, EOFError, zipfile.BadZipFile):
+                data = None
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise CheckpointMismatch("%s is not an .npz archive" % path)
+            with data:
+                return cls._from_archive(data)
+
+    @classmethod
+    def _from_archive(cls, data) -> "Seq2SeqModel":
+        config, tokens = _checkpoint_meta(data)
+        try:
+            model = cls(ModelConfig(**config), Vocabulary(tokens))
+        except (ValueError, ArithmeticError) as exc:
+            raise CheckpointMismatch("checkpoint config %s: %s"
+                                     % (config, exc)) from exc
+        names = set(data.files) - {"__meta__"}
+        if names != set(model.params):
+            raise CheckpointMismatch(
+                "checkpoint tensors do not fit its config: missing %s,"
+                " unexpected %s" % (sorted(set(model.params) - names),
+                                    sorted(names - set(model.params))))
+        for k, init in model.params.items():
+            saved = _read_member(data, k)
+            if saved.shape != init.shape:
                 raise CheckpointMismatch(
-                    "checkpoint tensors do not fit its config: missing %s,"
-                    " unexpected %s" % (sorted(set(model.params) - names),
-                                        sorted(names - set(model.params))))
-            for k, init in model.params.items():
-                saved = data[k]
-                if saved.shape != init.shape:
-                    raise CheckpointMismatch(
-                        "checkpoint tensor %s has shape %s, its config and"
-                        " vocabulary need %s" % (k, saved.shape, init.shape))
-                model.params[k] = saved.astype(np.float64)
+                    "checkpoint tensor %s has shape %s, its config and"
+                    " vocabulary need %s" % (k, saved.shape, init.shape))
+            if saved.dtype.kind != "f":
+                raise CheckpointMismatch(
+                    "checkpoint tensor %s has dtype %s, not a floating-point"
+                    " type" % (k, saved.dtype))
+            model.params[k] = saved.astype(np.float64)
         return model
+
+
+def _read_member(data, name):
+    """One array of an open checkpoint; raises CheckpointMismatch when
+    its bytes are damaged."""
+    try:
+        return data[name]
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise CheckpointMismatch("checkpoint tensor %s is unreadable: %s"
+                                 % (name, exc)) from exc
 
 
 def _checkpoint_meta(data):
@@ -553,8 +575,9 @@ def _checkpoint_meta(data):
     form; raises CheckpointMismatch."""
     if "__meta__" not in data:
         raise CheckpointVersionMismatch("missing checkpoint metadata")
+    raw = bytes(_read_member(data, "__meta__"))
     try:
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+        meta = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # undecodable bytes or JSON
         raise CheckpointMismatch("checkpoint metadata is not UTF-8 JSON") \
             from exc

@@ -98,35 +98,64 @@ class EncoderMeanEmbedder:
         return np.asarray(states, dtype=np.float64).mean(axis=0)
 
 
+# Entries each of SpanSimilarity's two memos holds before it is cleared.
+MEMO_CAP = 4096
+
+
 class SpanSimilarity:
     """Scores a constraint against a decoded prefix.
 
     The score at step t is the maximum cosine between the constraint's
     embedding and the embedding of any candidate span (suffixes of the
-    prefix no longer than the constraint). Constraint embeddings are
-    cached by token tuple, so one scorer instance can safely serve many
-    inputs whose constraint ids collide.
+    prefix no longer than the constraint). The constraint id plays no
+    part, so one scorer instance can safely serve many inputs whose
+    constraint ids collide.
+
+    candidate_spans looks back no further than the constraint's length,
+    so a score depends only on the constraint's tokens and the last
+    len(constraint) prefix tokens: score is memoized on that pair. One
+    embedding cache, keyed by token tuple, serves constraint and span
+    vectors alike. Every miss still goes through embedder.embed and
+    cosine, so a memoized score is the same float as a fresh one; the
+    embedder must be a pure function of its tokens. Each memo holds at
+    most MEMO_CAP entries and is cleared when full, which is exact
+    because score is pure. With the default 256-dim hashed embedder
+    both memos at the cap hold about 11 MB.
     """
 
     def __init__(self, embedder):
         self.embedder = embedder
-        self._cache: dict[tuple, np.ndarray] = {}
+        self._vectors: dict[tuple, np.ndarray] = {}
+        self._scores: dict[tuple, float] = {}
+
+    def _embed(self, tokens: tuple) -> np.ndarray:
+        vec = self._vectors.get(tokens)
+        if vec is None:
+            vec = self.embedder.embed(list(tokens))
+            if len(self._vectors) >= MEMO_CAP:
+                self._vectors.clear()
+            self._vectors[tokens] = vec
+        return vec
 
     def score(self, constraint_id: str, constraint_tokens, prefix_tokens) -> float:
         if not prefix_tokens:
             return 0.0
-        key = tuple(constraint_tokens)
-        cvec = self._cache.get(key)
-        if cvec is None:
-            cvec = self.embedder.embed(list(constraint_tokens))
-            self._cache[key] = cvec
         t = len(prefix_tokens)
-        best = 0.0
-        for k, l in sorted(candidate_spans(t, len(constraint_tokens))):
-            span_vec = self.embedder.embed(list(prefix_tokens[k:l]))
-            if not span_vec.any():
-                continue
-            best = max(best, cosine(span_vec, cvec))
+        clen = len(constraint_tokens)
+        key = (tuple(constraint_tokens),
+               tuple(prefix_tokens[max(0, t - clen):]))
+        best = self._scores.get(key)
+        if best is None:
+            cvec = self._embed(key[0])
+            best = 0.0
+            for k, l in sorted(candidate_spans(t, clen)):
+                span_vec = self._embed(tuple(prefix_tokens[k:l]))
+                if not span_vec.any():
+                    continue
+                best = max(best, cosine(span_vec, cvec))
+            if len(self._scores) >= MEMO_CAP:
+                self._scores.clear()
+            self._scores[key] = best
         return best
 
 

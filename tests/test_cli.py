@@ -5,13 +5,17 @@ the whole file stays fast. One subprocess test checks the module is
 runnable as a script.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from restate import datagen
 from restate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
@@ -537,6 +541,154 @@ class TestEnvOverrides:
                    "--dev-size", "0", "--test-size", "0"])
         assert rc == EXIT_USAGE
         assert "RESTATE_SEED" in capsys.readouterr().err
+
+
+# Any JSON value, for overwriting a field of a record or checkpoint.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 200)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+DTYPES = ["int8", "float32", "complex128", "bool", "<U3", "S2"]
+
+
+def _overwrite(obj, path, value):
+    """Overwrite the entry of nested dicts and lists that the choice
+    indices in path lead to, stopping early at a leaf."""
+    for i, choice in enumerate(path):
+        keys = sorted(obj) if isinstance(obj, dict) else range(len(obj))
+        if not keys:
+            return
+        key = keys[choice % len(keys)]
+        if i == len(path) - 1 or not isinstance(obj[key], (dict, list)):
+            obj[key] = value
+            return
+        obj = obj[key]
+
+
+@st.composite
+def corrupt_checkpoint(draw, raw, arrays):
+    """Bytes of the checkpoint with one random fault."""
+    kind = draw(st.sampled_from(["bytes", "truncate", "array", "meta"]))
+    if kind == "bytes":
+        data = bytearray(raw)
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(data) - 1))
+            data[at] = draw(st.integers(0, 255))
+        return bytes(data)
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    arrays = dict(arrays)
+    if kind == "array":
+        name = draw(st.sampled_from(sorted(arrays)))
+        op = draw(st.sampled_from(["delete", "flatten", "narrow", "dtype",
+                                   "scalar", "inf"]))
+        a = arrays[name]
+        if op == "delete":
+            del arrays[name]
+        elif op == "flatten":
+            arrays[name] = a.reshape(-1)
+        elif op == "narrow":
+            arrays[name] = a[..., :-1]
+        elif op == "dtype":
+            arrays[name] = a.astype(draw(st.sampled_from(DTYPES)))
+        elif op == "scalar":
+            arrays[name] = np.float64(draw(st.floats()))
+        elif a.dtype.kind == "f":
+            arrays[name] = np.full_like(a, np.inf)
+    else:
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        path = draw(st.lists(st.integers(0, 500), min_size=1, max_size=3))
+        _overwrite(meta, path, draw(JSON_VALUES))
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+@st.composite
+def corrupt_record(draw, record):
+    """One input line: the record with one random fault."""
+    kind = draw(st.sampled_from(["field", "delete", "line"]))
+    if kind == "line":
+        return draw(st.text(max_size=20).filter(lambda t: "\n" not in t)
+                    | JSON_VALUES.map(json.dumps))
+    rec = json.loads(json.dumps(record))
+    path = draw(st.lists(st.integers(0, 500), min_size=1, max_size=4))
+    if kind == "delete":
+        key = sorted(rec)[path[0] % len(rec)]
+        del rec[key]
+    else:
+        _overwrite(rec, path, draw(JSON_VALUES))
+    return json.dumps(rec)
+
+
+def _run_quietly(argv):
+    """main(argv) -> (exit code, stderr lines, warnings raised)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, err.getvalue(), len(caught)
+
+
+@pytest.fixture(scope="module")
+def recipe_checkpoint(workdir):
+    """A checkpoint in the CLI's default model shape, the recipe's."""
+    ckpt = workdir / "recipe.npz"
+    rc, _, _ = _run_quietly(["train", "--input",
+                             str(workdir / "corpus" / "train.jsonl"),
+                             "--out", str(ckpt), "--epochs", "1",
+                             "--seed", "3"])
+    assert rc == EXIT_OK
+    return ckpt
+
+
+class TestCorruptedInputs:
+    """rewrite on a corrupted checkpoint or record ends cleanly: exit 0, 2
+    or 3 with at most one line on stderr, never a traceback."""
+
+    def _rewrite(self, workdir, ckpt, records):
+        inp = workdir / "fuzz-input.jsonl"
+        inp.write_text(records)
+        rc, err, n_warnings = _run_quietly(
+            ["rewrite", "--input", str(inp), "--checkpoint", str(ckpt),
+             "--out", str(workdir / "fuzz-out.jsonl"), "--max-len", "6"])
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_RUNTIME)
+        assert err.count("\n") + n_warnings <= 1, err
+        if rc != EXIT_OK:
+            assert err.startswith("error: ") and err.endswith("\n"), err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_checkpoint(self, workdir, recipe_checkpoint, data):
+        raw = recipe_checkpoint.read_bytes()
+        with np.load(recipe_checkpoint) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        ckpt = workdir / "fuzz.npz"
+        ckpt.write_bytes(data.draw(corrupt_checkpoint(raw, arrays)))
+        line = (workdir / "corpus" / "test.jsonl").read_text().splitlines()[0]
+        self._rewrite(workdir, ckpt, line + "\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_record(self, workdir, recipe_checkpoint, data):
+        lines = (workdir / "corpus" / "test.jsonl").read_text().splitlines()
+        bad = data.draw(corrupt_record(json.loads(lines[0])))
+        self._rewrite(workdir, recipe_checkpoint,
+                      "\n".join([lines[1], bad, lines[2]]) + "\n")
+
+    def test_message_quoting_a_multiline_id_stays_one_line(
+            self, workdir, recipe_checkpoint):
+        rec = json.loads(
+            (workdir / "corpus" / "test.jsonl").read_text().splitlines()[0])
+        rec["id"] = "two\nlines"
+        rec["constraints"] = "none"
+        self._rewrite(workdir, recipe_checkpoint, json.dumps(rec) + "\n")
 
 
 class TestPipelineCompose:

@@ -2,11 +2,15 @@
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from restate import similarity
+from restate.flags import SatisfierConfig, candidate_spans, replay_flags
 from restate.similarity import (DimensionMismatch, EmptyInput,
                                 HashedNgramEmbedder, InjectedTableSimilarity,
                                 MissingEntry, SpanSimilarity, ZeroVector,
@@ -123,3 +127,106 @@ def test_injected_table_from_json(tmp_path):
     p.write_text(json.dumps({"c0:3": 0.5}))
     t = InjectedTableSimilarity.from_json(p)
     assert t.sim_lookup("c0", 3) == 0.5
+
+
+class CountingEmbedder(HashedNgramEmbedder):
+    """The hashed embedder, recording the tokens of every embed call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def embed(self, tokens):
+        self.calls.append(tuple(tokens))
+        return super().embed(tokens)
+
+
+class RecordingSimilarity(SpanSimilarity):
+    """SpanSimilarity recording the (constraint, prefix) of every score."""
+
+    def __init__(self, embedder):
+        super().__init__(embedder)
+        self.asked = []
+
+    def score(self, constraint_id, constraint_tokens, prefix_tokens):
+        self.asked.append((tuple(constraint_tokens), tuple(prefix_tokens)))
+        return super().score(constraint_id, constraint_tokens, prefix_tokens)
+
+
+WORDS = ["a", "camera", "has", "it", "the", "timer", "Dell", "xps", "13"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=st.lists(st.sampled_from(WORDS), min_size=1, max_size=10),
+       constraints=st.lists(st.lists(st.sampled_from(WORDS), min_size=1,
+                                     max_size=4), min_size=1, max_size=3),
+       cap=st.integers(1, 6))
+def test_memoized_score_equals_fresh_scorer(stream, constraints, cap):
+    # the cap is patched small, so both memos are cleared mid-stream
+    embedder = HashedNgramEmbedder()
+    sim = SpanSimilarity(embedder)
+    with mock.patch.object(similarity, "MEMO_CAP", cap):
+        # the stream twice over: the second pass is served by the memos
+        for prefix in [stream[:t] for t in range(len(stream) + 1)] * 2:
+            for tokens in constraints:
+                got = sim.score("c0", tokens, prefix)
+                want = SpanSimilarity(embedder).score("c0", tokens, prefix)
+                assert repr(got) == repr(want)
+                assert len(sim._vectors) <= cap
+                assert len(sim._scores) <= cap
+
+
+def test_embed_runs_once_per_distinct_tuple():
+    # a semantic replay whose output repeats itself, as a search's
+    # hypotheses do: each span and constraint tuple is embedded once
+    x = ["does", "it", "have", "a", "timer", "?", "yes", "it", "has", "a",
+         "timer"]
+    rows = [(2, 3, 4), (4,), (8, 9, 10)]
+    out = ["yes", "it", "has", "a", "camera", "and", "it", "has", "a",
+           "camera", "and", "a", "timer", "."]
+    config = SatisfierConfig(mode="semantic")
+    embedder = CountingEmbedder()
+    sim = RecordingSimilarity(embedder)
+    first = replay_flags(x, rows, out, config, scorer=sim)
+    wanted = set()
+    for tokens, prefix in sim.asked:
+        wanted.add(tokens)
+        wanted.update(prefix[k:l]
+                      for k, l in candidate_spans(len(prefix), len(tokens)))
+    assert sorted(embedder.calls) == sorted(wanted)
+    assert (len(sim.asked), len(embedder.calls)) == (41, 28)
+    # a second replay on the same scorer is served by the memos alone
+    again = replay_flags(x, rows, out, config, scorer=sim)
+    assert len(embedder.calls) == 28
+    assert np.array_equal(again.matrix(), first.matrix())
+    fresh = replay_flags(x, rows, out, config,
+                         scorer=SpanSimilarity(HashedNgramEmbedder()))
+    assert np.array_equal(fresh.matrix(), first.matrix())
+    assert fresh.sim_prev == first.sim_prev
+
+
+def test_memo_stays_under_its_ceiling():
+    # more distinct one-token spans than MEMO_CAP: the memos are cleared
+    # when full, the scores do not change, and the memory held stays
+    # under the SpanSimilarity docstring's ceiling
+    embedder = HashedNgramEmbedder()
+    sim = SpanSimilarity(embedder)
+    n = 2 * similarity.MEMO_CAP + 100
+    prefixes = [["w%d" % i] for i in range(n)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = 0
+        for i, prefix in enumerate(prefixes):
+            got = sim.score("c0", ("w1",), prefix)
+            assert len(sim._vectors) <= similarity.MEMO_CAP
+            assert len(sim._scores) <= similarity.MEMO_CAP
+            if i % 97 == 0:
+                want = SpanSimilarity(embedder).score("c0", ("w1",), prefix)
+                assert repr(got) == repr(want)
+            held = max(held, tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(sim._vectors) < similarity.MEMO_CAP
+    assert held < 12e6
+    assert sim.score("c0", ("w1",), ["w1"]) == pytest.approx(1.0, abs=1e-12)
