@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .treebank import (Constraint, InputLayout, ParseTree, concat_pqa,
                        constraint_token_rows, extract_constraints,
                        parse_bracketed, serialize)
-from .similarity import (EncoderMeanEmbedder, HashedNgramEmbedder,
-                         InjectedTableSimilarity, SpanSimilarity, cosine)
+from .similarity import (HashedNgramEmbedder, InjectedTableSimilarity,
+                         SpanSimilarity, cosine)
 from .flags import (FlagTracker, SatisfierConfig, candidate_spans,
                     replay_flags, trace)
 from .vocab import Vocabulary, tokenize
@@ -29,7 +29,7 @@ from .evaluation import (EvalReport, bleu, build_report, corpus_rouge_l,
 __all__ = [
     "Constraint", "InputLayout", "ParseTree", "concat_pqa",
     "constraint_token_rows", "extract_constraints", "parse_bracketed",
-    "serialize", "EncoderMeanEmbedder", "HashedNgramEmbedder",
+    "serialize", "HashedNgramEmbedder",
     "InjectedTableSimilarity", "SpanSimilarity", "cosine", "FlagTracker",
     "SatisfierConfig", "candidate_spans", "replay_flags", "trace",
     "Vocabulary", "tokenize", "ModelConfig", "Seq2SeqModel",

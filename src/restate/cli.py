@@ -181,6 +181,30 @@ def _is_constraint(c):
             and all(isinstance(c.get(k), str) for k in ("label", "source")))
 
 
+def _trace_path(trace_dir, record_id):
+    """The trace file of one record; an id that would name a file outside
+    trace_dir is a usage error."""
+    if (record_id in (".", "..") or os.sep in record_id
+            or (os.altsep and os.altsep in record_id)):
+        raise ValueError("record id %r cannot name a trace file: it is"
+                         " '.' or '..' or holds a path separator"
+                         % record_id)
+    return os.path.join(trace_dir, record_id + ".tsv")
+
+
+def _check_report(rep):
+    """A decode report as evaluate reads it: an object with a string id
+    and a list of strings as output_tokens."""
+    if not (isinstance(rep, dict) and isinstance(rep.get("id"), str)):
+        raise MalformedRecord("decode report is not an object with a"
+                              " string id")
+    toks = rep.get("output_tokens")
+    if not (isinstance(toks, list) and all(isinstance(t, str) for t in toks)):
+        raise MalformedRecord("decode report %r: output_tokens must be a"
+                              " list of strings" % rep["id"])
+    return rep
+
+
 def _filter_split(records, split):
     if not split or split == "all":
         return records
@@ -306,6 +330,7 @@ def cmd_rewrite(args):
     reports = []
     for rec in records:
         inst = _instance_from_record(rec)
+        trace_path = _trace_path(trace_dir, inst.id) if trace_dir else None
         mr = datagen.model_record(inst)
         try:
             # non-finite weights end in NaN log-probabilities, reported
@@ -320,9 +345,7 @@ def cmd_rewrite(args):
         for warning in result.warnings:
             print("warning: record %s: %s" % (inst.id, warning),
                   file=sys.stderr)
-        trace_path = None
-        if trace_dir:
-            trace_path = os.path.join(trace_dir, inst.id + ".tsv")
+        if trace_path:
             with open(trace_path, "w") as fh:
                 fh.write(flag_trace(result.tracker, fmt="tsv"))
         reports.append({
@@ -344,7 +367,7 @@ def cmd_rewrite(args):
 
 
 def cmd_evaluate(args):
-    outputs = _read_jsonl(args.outputs)
+    outputs = [_check_report(rep) for rep in _read_jsonl(args.outputs)]
     gold = _filter_split(_read_jsonl(args.gold), args.split)
     instances = [_instance_from_record(r) for r in gold]
     report = build_report(outputs, instances)

@@ -430,6 +430,9 @@ def build_corpus(seed, split_sizes=DEFAULT_SPLIT_SIZES, category_mix=None,
     """Generate a full train/dev/test corpus from one root seed."""
     if len(split_sizes) != len(SPLIT_NAMES):
         raise InvalidMix("expected %d split sizes" % len(SPLIT_NAMES))
+    if min(split_sizes) < 0:
+        raise InvalidMix("split sizes must not be negative, got %s"
+                         % list(split_sizes))
     n = sum(split_sizes)
     instances = generate(seed, n, category_mix)
     style_rng = random.Random("%s:style" % seed)

@@ -1,12 +1,13 @@
 """Corpus metrics and output audits.
 
-BLEU is corpus-level (modified n-gram precisions with a brevity
-penalty); the optional smoothing adds one to numerator and denominator
-of any zero-count order, and both numbers are reported side by side.
-ROUGE-L uses the longest common subsequence with beta = 1.2 weighting
-recall, the usual summary form. Coverage audits replay the mention-flag
-machine offline against each system output, in lexical and semantic
-mode, so the numbers mean exactly what the decoder saw.
+BLEU is corpus-level BLEU-4 (modified n-gram precisions up to
+BLEU_ORDER = 4 with a brevity penalty); the optional smoothing adds one
+to numerator and denominator of any zero-count order, and both numbers
+are reported side by side. ROUGE-L uses the longest common subsequence
+with ROUGE_BETA = 1.2 weighting recall, the usual summary form.
+Coverage audits replay the mention-flag machine offline against each
+system output, in lexical and semantic mode, with the hashed n-gram
+scorer, so the numbers mean exactly what the decoder saw.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ class IdMismatch(ValueError):
     """Raised when outputs and gold instances disagree on ids."""
 
 
+BLEU_ORDER = 4
+ROUGE_BETA = 1.2
+
+
 # ---------------------------------------------------------------------------
 # n-gram metrics
 
@@ -42,15 +47,15 @@ def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(hypotheses, references, max_order=4, smooth=False):
+def bleu(hypotheses, references, smooth=False):
     """Corpus BLEU in [0, 100] over aligned token-list pairs."""
     if len(hypotheses) != len(references):
         raise EmptyCorpus("got %d hypotheses for %d references"
                           % (len(hypotheses), len(references)))
     if not hypotheses:
         raise EmptyCorpus("nothing to score")
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches = [0] * BLEU_ORDER
+    totals = [0] * BLEU_ORDER
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -58,7 +63,7 @@ def bleu(hypotheses, references, max_order=4, smooth=False):
         ref = list(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_ORDER + 1):
             counts = _ngram_counts(hyp, n)
             if not counts:
                 continue
@@ -67,7 +72,7 @@ def bleu(hypotheses, references, max_order=4, smooth=False):
             matches[n - 1] += sum(min(c, ref_counts[g])
                                   for g, c in counts.items())
     log_sum = 0.0
-    for n in range(max_order):
+    for n in range(BLEU_ORDER):
         m, t = matches[n], totals[n]
         if smooth and m == 0:
             m, t = m + 1, t + 1
@@ -77,7 +82,7 @@ def bleu(hypotheses, references, max_order=4, smooth=False):
     if hyp_len == 0:
         return 0.0
     brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(log_sum / max_order)
+    return 100.0 * brevity * math.exp(log_sum / BLEU_ORDER)
 
 
 def lcs_length(a, b):
@@ -93,7 +98,7 @@ def lcs_length(a, b):
     return prev[-1]
 
 
-def rouge_l_scores(hypothesis, reference, beta=1.2):
+def rouge_l_scores(hypothesis, reference):
     """LCS precision / recall / F for one pair of token lists."""
     hyp = list(hypothesis)
     ref = list(reference)
@@ -104,15 +109,16 @@ def rouge_l_scores(hypothesis, reference, beta=1.2):
         return 0.0, 0.0, 0.0
     p = l / len(hyp)
     r = l / len(ref)
-    f = (1 + beta * beta) * p * r / (r + beta * beta * p)
+    b2 = ROUGE_BETA * ROUGE_BETA
+    f = (1 + b2) * p * r / (r + b2 * p)
     return p, r, f
 
 
-def rouge_l(hypothesis, reference, beta=1.2):
-    return rouge_l_scores(hypothesis, reference, beta)[2]
+def rouge_l(hypothesis, reference):
+    return rouge_l_scores(hypothesis, reference)[2]
 
 
-def corpus_rouge_l(hypotheses, references, beta=1.2):
+def corpus_rouge_l(hypotheses, references):
     """Mean per-pair ROUGE-L F over the corpus. An empty hypothesis (a
     decoder may stop at once) shares nothing with its reference and
     scores 0."""
@@ -121,7 +127,7 @@ def corpus_rouge_l(hypotheses, references, beta=1.2):
                           % (len(hypotheses), len(references)))
     if not hypotheses:
         raise EmptyCorpus("nothing to score")
-    return sum(rouge_l(h, r, beta) if len(h) else 0.0
+    return sum(rouge_l(h, r) if len(h) else 0.0
                for h, r in zip(hypotheses, references)) / len(hypotheses)
 
 
@@ -146,7 +152,7 @@ def _rate(num, den):
     return num / den if den else 0.0
 
 
-def coverage_audit(outputs, instances, embedder=None, config=None):
+def coverage_audit(outputs, instances, config=None):
     """Fraction of gold constraints the outputs satisfy, by flag replay.
 
     outputs: list of {"id", "output_tokens"} aligned with instances.
@@ -154,8 +160,6 @@ def coverage_audit(outputs, instances, embedder=None, config=None):
     split per category and the per-instance satisfaction lists.
     """
     toks = _aligned_outputs(outputs, instances)
-    if embedder is None:
-        embedder = HashedNgramEmbedder()
     base = config if config is not None else SatisfierConfig()
     modes = {
         "lexical": (SatisfierConfig(threshold_a=base.threshold_a,
@@ -164,7 +168,7 @@ def coverage_audit(outputs, instances, embedder=None, config=None):
         "semantic": (SatisfierConfig(threshold_a=base.threshold_a,
                                      threshold_b=base.threshold_b,
                                      mode="semantic"),
-                     SpanSimilarity(embedder)),
+                     SpanSimilarity(HashedNgramEmbedder())),
     }
     hits = {m: 0 for m in modes}
     total = 0
@@ -260,11 +264,11 @@ class EvalReport:
                           allow_nan=False)
 
 
-def build_report(outputs, instances, embedder=None, config=None):
+def build_report(outputs, instances, config=None):
     """Score one system's outputs against gold instances."""
     toks = _aligned_outputs(outputs, instances)
     refs = [tokenize(inst.target) for inst in instances]
-    cov = coverage_audit(outputs, instances, embedder=embedder, config=config)
+    cov = coverage_audit(outputs, instances, config=config)
     cor = correctness_audit(outputs, instances)
     per_category = {}
     by_cat = {}

@@ -5,8 +5,7 @@ from .training import (Adam, NonFiniteLoss, TrainingConfig, TrainingExample,
                        assemble_batch, example_from_record, train)
 from .transformer import (CheckpointMismatch, CheckpointVersionMismatch,
                           LengthOverflow, ModelConfig, NonFiniteLogProbs,
-                          Seq2SeqModel, build_flag_matrix_batch,
-                          cross_attention_flagged)
+                          Seq2SeqModel, build_flag_matrix_batch)
 
 __all__ = [
     "Adam",
@@ -22,7 +21,6 @@ __all__ = [
     "TrainingExample",
     "assemble_batch",
     "build_flag_matrix_batch",
-    "cross_attention_flagged",
     "example_from_record",
     "train",
 ]

@@ -178,24 +178,21 @@ def flagged_attention_bwd(cache, dctx):
     return dq, dk, dv, dek3, dev3
 
 
-def cross_entropy(logits, targets, mask, label_smoothing=0.0):
-    """Mean per-token loss over masked positions, plus dlogits.
+def cross_entropy(logits, targets, mask):
+    """Mean negative log-likelihood of the targets over masked positions,
+    plus dlogits.
 
     logits: (B,L,V); targets: (B,L) int; mask: (B,L) float 0/1.
     """
-    b, l, vsz = logits.shape
     logp = log_softmax(logits)
-    p = np.exp(logp)
     n = mask.sum()
     if n == 0:
         raise ValueError("loss mask selects no positions")
-    eps = label_smoothing
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    per_pos = -(1.0 - eps) * picked - (eps / vsz) * logp.sum(axis=-1)
-    loss = float((per_pos * mask).sum() / n)
-    tdist = np.full_like(logits, eps / vsz)
-    np.put_along_axis(tdist, targets[..., None], eps / vsz + (1.0 - eps), axis=-1)
-    dlogits = (p - tdist) * mask[..., None] / n
+    loss = float((-picked * mask).sum() / n)
+    onehot = np.zeros_like(logits)
+    np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
+    dlogits = (np.exp(logp) - onehot) * mask[..., None] / n
     return loss, dlogits
 
 

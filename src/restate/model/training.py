@@ -22,17 +22,19 @@ class NonFiniteLoss(FloatingPointError):
     """Raised when the training loss stops being a finite number."""
 
 
+# Global gradient-norm bound and Adam's moment decays and denominator floor.
+CLIP_NORM = 1.0
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainingConfig:
     lr: float = 3e-4
     batch_size: int = 16
     epochs: int = 20
     seed: int = 0
-    label_smoothing: float = 0.0
-    clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     log_every: int = 0  # 0: log once per epoch
 
     def __post_init__(self):
@@ -52,16 +54,15 @@ class Adam:
         self.t = 0
 
     def step(self, params, grads):
-        c = self.cfg
         self.t += 1
-        b1t = 1.0 - c.beta1 ** self.t
-        b2t = 1.0 - c.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for k, g in grads.items():
-            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * g * g
+            self.m[k] = BETA1 * self.m[k] + (1.0 - BETA1) * g
+            self.v[k] = BETA2 * self.v[k] + (1.0 - BETA2) * g * g
             mhat = self.m[k] / b1t
             vhat = self.v[k] / b2t
-            params[k] -= c.lr * mhat / (np.sqrt(vhat) + c.adam_eps)
+            params[k] -= self.cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 @dataclass
@@ -147,15 +148,13 @@ def train(model: Seq2SeqModel, examples, config: TrainingConfig,
         for start in range(0, n, config.batch_size):
             batch = [examples[j] for j in order[start:start + config.batch_size]]
             src, tgt_in, tgt_out, m_batch = assemble_batch(batch, model.vocab)
-            loss, grads = model.loss_and_grads(
-                src, tgt_in, tgt_out, m_batch,
-                label_smoothing=config.label_smoothing)
+            loss, grads = model.loss_and_grads(src, tgt_in, tgt_out, m_batch)
             if not np.isfinite(loss):
                 raise NonFiniteLoss("loss became %r at epoch %d step %d"
                                     % (loss, epoch, step))
             gn = nn.global_norm(grads.values())
-            if config.clip_norm > 0 and gn > config.clip_norm:
-                scale = config.clip_norm / gn
+            if gn > CLIP_NORM:
+                scale = CLIP_NORM / gn
                 for k in grads:
                     grads[k] *= scale
             # keep flag row 0 pinned whatever the optimizer state does

@@ -22,6 +22,7 @@ self-attention keys and values cached for its earlier positions.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import zipfile
 import zlib
@@ -51,7 +52,7 @@ class NonFiniteLogProbs(FloatingPointError):
     """Raised when a decoding step yields NaN log-probabilities."""
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -385,15 +386,13 @@ class Seq2SeqModel:
         return dhenc
 
     # ------------------------------------------------------------- public
-    def logits_batch(self, src, tgt_in, m_batch, src_real=None, tgt_real=None,
-                     want_cache=False):
-        """Teacher-forced logits. m_batch: (B, Ls, Lt) int flags or None."""
+    def logits_batch(self, src, tgt_in, m_batch, want_cache=False):
+        """Teacher-forced logits. m_batch: (B, Ls, Lt) int flags or None;
+        pad ids in src and tgt_in mark padding."""
         src = np.asarray(src)
         tgt_in = np.asarray(tgt_in)
-        if src_real is None:
-            src_real = src != self.vocab.pad_id
-        if tgt_real is None:
-            tgt_real = tgt_in != self.vocab.pad_id
+        src_real = src != self.vocab.pad_id
+        tgt_real = tgt_in != self.vocab.pad_id
         onehot = _flag_onehot(m_batch, src.shape[0], src.shape[1],
                               tgt_in.shape[1])
         henc, ecache = self._encode_ids(src, src_real)
@@ -412,17 +411,17 @@ class Seq2SeqModel:
         grads["flag.ev"][0] = 0.0
         return grads
 
-    def loss_and_grads(self, src, tgt_in, tgt_out, m_batch, label_smoothing=0.0):
+    def loss_and_grads(self, src, tgt_in, tgt_out, m_batch):
         tgt_out = np.asarray(tgt_out)
         logits, cache = self.logits_batch(src, tgt_in, m_batch, want_cache=True)
         mask = (tgt_out != self.vocab.pad_id).astype(np.float64)
-        loss, dlogits = nn.cross_entropy(logits, tgt_out, mask, label_smoothing)
+        loss, dlogits = nn.cross_entropy(logits, tgt_out, mask)
         grads = self.backward(cache, dlogits)
         return loss, grads
 
-    def encode(self, x_tokens, allow_unk: bool = True) -> np.ndarray:
+    def encode(self, x_tokens) -> np.ndarray:
         """Encoder states for one token sequence, shape (len, dim)."""
-        ids = np.asarray([self.vocab.encode(list(x_tokens), allow_unk=allow_unk)])
+        ids = np.asarray([self.vocab.encode(list(x_tokens))])
         real = np.ones_like(ids, dtype=bool)
         henc, _ = self._encode_ids(ids, real)
         return henc[0]
@@ -513,6 +512,7 @@ class Seq2SeqModel:
             "format_version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "vocab_tokens": self.vocab.tokens,
+            "digest": _checkpoint_digest(self.vocab.tokens, self.params),
         }
         np.savez(path, __meta__=np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
@@ -534,7 +534,7 @@ class Seq2SeqModel:
 
     @classmethod
     def _from_archive(cls, data) -> "Seq2SeqModel":
-        config, tokens = _checkpoint_meta(data)
+        config, tokens, digest = _checkpoint_meta(data)
         try:
             model = cls(ModelConfig(**config), Vocabulary(tokens))
         except (ValueError, ArithmeticError) as exc:
@@ -546,17 +546,24 @@ class Seq2SeqModel:
                 "checkpoint tensors do not fit its config: missing %s,"
                 " unexpected %s" % (sorted(set(model.params) - names),
                                     sorted(names - set(model.params))))
+        saved = {}
         for k, init in model.params.items():
-            saved = _read_member(data, k)
-            if saved.shape != init.shape:
+            saved[k] = _read_member(data, k)
+            if saved[k].shape != init.shape:
                 raise CheckpointMismatch(
                     "checkpoint tensor %s has shape %s, its config and"
-                    " vocabulary need %s" % (k, saved.shape, init.shape))
-            if saved.dtype.kind != "f":
+                    " vocabulary need %s" % (k, saved[k].shape, init.shape))
+            if saved[k].dtype.kind != "f":
                 raise CheckpointMismatch(
                     "checkpoint tensor %s has dtype %s, not a floating-point"
-                    " type" % (k, saved.dtype))
-            model.params[k] = saved.astype(np.float64)
+                    " type" % (k, saved[k].dtype))
+        # tensors of the right shapes can still belong to another
+        # vocabulary order, or have lost precision
+        if digest != _checkpoint_digest(tokens, saved):
+            raise CheckpointMismatch(
+                "checkpoint digest does not match its vocabulary and tensors")
+        for k, arr in saved.items():
+            model.params[k] = arr.astype(np.float64)
         return model
 
 
@@ -570,9 +577,20 @@ def _read_member(data, name):
                                  % (name, exc)) from exc
 
 
+def _checkpoint_digest(tokens, tensors):
+    """SHA-256 over the vocabulary tokens, then each tensor's name, dtype,
+    shape and bytes in name order."""
+    h = hashlib.sha256(json.dumps(tokens).encode("utf-8"))
+    for name in sorted(tensors):
+        arr = tensors[name]
+        h.update(json.dumps([name, arr.dtype.str, arr.shape]).encode("utf-8"))
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def _checkpoint_meta(data):
-    """(config, vocab_tokens) from a checkpoint's metadata, checked for
-    form; raises CheckpointMismatch."""
+    """(config, vocab_tokens, digest) from a checkpoint's metadata, the
+    first two checked for form; raises CheckpointMismatch."""
     if "__meta__" not in data:
         raise CheckpointVersionMismatch("missing checkpoint metadata")
     raw = bytes(_read_member(data, "__meta__"))
@@ -599,39 +617,5 @@ def _checkpoint_meta(data):
                                  " keys %s" % ", ".join(keys))
     if not all(type(v) is int for v in config.values()):
         raise CheckpointMismatch("checkpoint config values must be integers")
-    return config, tokens
+    return config, tokens, meta.get("digest")
 
-
-def cross_attention_flagged(h_d, h_e, m, wq, wk, wv, ek, ev, heads=1,
-                            return_weights=False):
-    """Functional flag-aware cross-attention on raw state matrices.
-
-    h_d: (Lq, dim) decoder states; h_e: (Lk, dim) encoder states;
-    m: flag column (Lk,) applied to every query, or full (Lk, Lq).
-    No output projection; returns (Lq, dim), optionally with the
-    per-head attention weights (heads, Lq, Lk).
-    """
-    h_d = np.atleast_2d(np.asarray(h_d, dtype=np.float64))
-    h_e = np.asarray(h_e, dtype=np.float64)
-    m = np.asarray(m)
-    lq = h_d.shape[0]
-    lk = h_e.shape[0]
-    if m.ndim == 1:
-        m = np.repeat(m[:, None], lq, axis=1)
-    if m.shape != (lk, lq):
-        raise ShapeMismatch("flag column %s does not match (Lk=%d, Lq=%d)"
-                            % (m.shape, lk, lq))
-    dim = h_d.shape[1]
-    dh = dim // heads
-    q = nn.split_heads((h_d @ wq)[None], heads)
-    k = nn.split_heads((h_e @ wk)[None], heads)
-    v = nn.split_heads((h_e @ wv)[None], heads)
-    onehot = nn.flag_onehot(m[None])
-    ek3 = np.asarray(ek).reshape(3, heads, dh)
-    ev3 = np.asarray(ev).reshape(3, heads, dh)
-    ctx, cache = nn.flagged_attention(q, k, v, onehot, ek3, ev3)
-    out = nn.merge_heads(ctx)[0]
-    if return_weights:
-        alpha = cache[6][0]
-        return out, alpha
-    return out

@@ -1,9 +1,9 @@
-"""Sentence similarity backends behind semantic constraint satisfaction.
+"""Sentence similarity behind semantic constraint satisfaction.
 
-Three interchangeable scorers: a hashed character-3-gram bag (default,
-fully self-contained), the mean of a trained encoder's output states,
-and an injected lookup table for replaying fixed similarity sequences
-in tests. All are deterministic.
+Two interchangeable scorers: SpanSimilarity over a hashed
+character-3-gram bag (fully self-contained), and an injected lookup
+table for replaying fixed similarity sequences in tests. Both are
+deterministic.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
 _MASK = (1 << 64) - 1
 
+# HashedNgramEmbedder's output dimension and character n-gram length.
+EMBED_DIM = 256
+NGRAM = 3
+
 
 def _fnv1a(data: bytes) -> int:
     h = _FNV_OFFSET
@@ -62,40 +66,22 @@ class HashedNgramEmbedder:
 
     Tokens are joined with single spaces and padded with one leading and
     trailing space; each 3-gram is hashed with FNV-1a 64-bit and bucketed
-    modulo the output dimension (256 by default). Bit-exact across
-    platforms by construction.
+    modulo the output dimension, EMBED_DIM. Bit-exact across platforms
+    by construction.
     """
-
-    def __init__(self, dim: int = 256, n: int = 3):
-        self.dim = dim
-        self.n = n
 
     def embed(self, tokens) -> np.ndarray:
         if not tokens:
             raise EmptyInput("cannot embed an empty token sequence")
         s = " " + " ".join(tokens).lower() + " "
-        v = np.zeros(self.dim, dtype=np.float64)
-        for i in range(len(s) - self.n + 1):
-            gram = s[i:i + self.n]
-            v[_fnv1a(gram.encode("utf-8")) % self.dim] += 1.0
+        v = np.zeros(EMBED_DIM, dtype=np.float64)
+        for i in range(len(s) - NGRAM + 1):
+            gram = s[i:i + NGRAM]
+            v[_fnv1a(gram.encode("utf-8")) % EMBED_DIM] += 1.0
         norm = float(np.linalg.norm(v))
         if norm > 0.0:
             v /= norm
         return v
-
-
-class EncoderMeanEmbedder:
-    """Mean of the model encoder's output states for the token sequence."""
-
-    def __init__(self, model):
-        self.model = model
-        self.dim = model.config.dim
-
-    def embed(self, tokens) -> np.ndarray:
-        if not tokens:
-            raise EmptyInput("cannot embed an empty token sequence")
-        states = self.model.encode(tokens)
-        return np.asarray(states, dtype=np.float64).mean(axis=0)
 
 
 # Entries each of SpanSimilarity's two memos holds before it is cleared.
@@ -119,7 +105,7 @@ class SpanSimilarity:
     cosine, so a memoized score is the same float as a fresh one; the
     embedder must be a pure function of its tokens. Each memo holds at
     most MEMO_CAP entries and is cleared when full, which is exact
-    because score is pure. With the default 256-dim hashed embedder
+    because score is pure. With the EMBED_DIM = 256 hashed embedder
     both memos at the cap hold about 11 MB.
     """
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .vocab import SEP
+
 
 class UnbalancedParens(ValueError):
     """Raised when brackets do not balance or trailing text follows the tree."""
@@ -200,8 +202,7 @@ class Constraint:
         return " ".join(self.tokens)
 
 
-def _extract_from_tree(tree: ParseTree, source: str,
-                       include_toplevel_np: bool) -> list[Constraint]:
+def _extract_from_tree(tree: ParseTree, source: str) -> list[Constraint]:
     found = []
     sent = tree.leaves()
     for node, parent in tree.walk():
@@ -211,10 +212,6 @@ def _extract_from_tree(tree: ParseTree, source: str,
         if len(leaf_nodes) == 1 and _base_label(leaf_nodes[0].label) in PRONOUN_TAGS:
             continue
         if parent is None or parent.label == "":
-            if include_toplevel_np:
-                found.append(Constraint(
-                    tokens=tuple(sent[node.start:node.end]),
-                    start=node.start, end=node.end, label="NP", source=source))
             continue
         plabel = _base_label(parent.label)
         if plabel in PARENT_LABELS:
@@ -237,20 +234,19 @@ def _extract_from_tree(tree: ParseTree, source: str,
 
 
 def extract_constraints(question_tree: ParseTree,
-                        answer_tree: ParseTree | None = None,
-                        include_toplevel_np: bool = False) -> list[Constraint]:
+                        answer_tree: ParseTree | None = None) -> list[Constraint]:
     """Collect constraint phrases from parsed question and answer.
 
     Every NP node is inspected: single-pronoun NPs are dropped; an NP
     under a VP/PP/ADVP/ADJP parent contributes the parent's whole yield
     under the parent's label; an NP under another NP contributes its own
     yield. Spans are deduplicated per source and ordered question first,
-    then by label priority (NP, VP, other), then by span start. Root NPs
-    are only kept when ``include_toplevel_np`` is set.
+    then by label priority (NP, VP, other), then by span start. A root
+    NP, having no parent phrase, is never a constraint.
     """
-    out = _extract_from_tree(question_tree, "question", include_toplevel_np)
+    out = _extract_from_tree(question_tree, "question")
     if answer_tree is not None:
-        out.extend(_extract_from_tree(answer_tree, "answer", include_toplevel_np))
+        out.extend(_extract_from_tree(answer_tree, "answer"))
     return out
 
 
@@ -265,10 +261,10 @@ class InputLayout:
     length: int = field(default=0)
 
 
-def concat_pqa(q_tokens: list[str], a_tokens: list[str], c_tokens: list[str],
-               sep: str = "<sep>") -> tuple[list[str], InputLayout]:
-    """Concatenate question, answer and context with separators."""
-    x = list(q_tokens) + [sep] + list(a_tokens) + [sep] + list(c_tokens)
+def concat_pqa(q_tokens: list[str], a_tokens: list[str],
+               c_tokens: list[str]) -> tuple[list[str], InputLayout]:
+    """Concatenate question, answer and context with SEP tokens."""
+    x = list(q_tokens) + [SEP] + list(a_tokens) + [SEP] + list(c_tokens)
     a_off = len(q_tokens) + 1
     c_off = a_off + len(a_tokens) + 1
     layout = InputLayout(question=(0, len(q_tokens)),

@@ -18,10 +18,6 @@ SPECIALS = [PAD, BOS, EOS, SEP, UNK]
 _TOKEN_RE = re.compile(r"[a-z0-9']+|[^\sa-z0-9']")
 
 
-class TokenOutOfVocab(KeyError):
-    """Raised when encoding meets a token absent from a closed vocabulary."""
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into word / punctuation tokens."""
     return _TOKEN_RE.findall(text.lower())
@@ -56,24 +52,6 @@ class Vocabulary:
         pool.difference_update(SPECIALS)
         return cls(sorted(pool))
 
-    def encode(self, toks: list[str], allow_unk: bool = True) -> list[int]:
-        ids = []
-        for t in toks:
-            i = self.index.get(t)
-            if i is None:
-                if not allow_unk:
-                    raise TokenOutOfVocab(t)
-                i = self.unk_id
-            ids.append(i)
-        return ids
-
-    def decode(self, ids, strip_specials: bool = True) -> list[str]:
-        out = []
-        for i in ids:
-            if i < 0 or i >= len(self.tokens):
-                raise TokenOutOfVocab(int(i))
-            t = self.tokens[i]
-            if strip_specials and t in (PAD, BOS, EOS):
-                continue
-            out.append(t)
-        return out
+    def encode(self, toks: list[str]) -> list[int]:
+        """Token ids; tokens outside the vocabulary map to <unk>."""
+        return [self.index.get(t, self.unk_id) for t in toks]

@@ -25,8 +25,7 @@ from restate.evaluation import bleu, corpus_rouge_l, coverage_audit
 from restate.flags import FlagTracker, SatisfierConfig
 from restate.model import (ModelConfig, Seq2SeqModel, TrainingConfig,
                            TrainingExample, assemble_batch,
-                           cross_attention_flagged, example_from_record,
-                           train)
+                           example_from_record, nn, train)
 from restate.similarity import HashedNgramEmbedder, SpanSimilarity
 from restate.vocab import Vocabulary
 
@@ -107,17 +106,19 @@ def test_criterion_02_style_row_reverts_on_first_person_emission():
 # --------------------------------------------------------------------------
 
 def test_criterion_03_flagged_attention_exact_and_vanilla_equivalent():
+    # one head, identity projections: q = h_d, k = v = h_e
     h_d = np.array([[1.0, 0.0], [1.0, 0.0]])
     h_e = np.array([[1.0, 0.0], [0.0, 1.0]])
-    eye = np.eye(2)
     ek = np.array([[0.0, 0.0], [0.5, 0.25], [-0.3, 0.1]])
     ev = np.array([[0.0, 0.0], [0.2, -0.4], [0.05, 0.15]])
     m = np.array([[1, 2], [0, 0]])
-    out, weights = cross_attention_flagged(h_d, h_e, m, eye, eye, eye,
-                                           ek, ev, heads=1,
-                                           return_weights=True)
-    np.testing.assert_allclose(out, HAND_OUT, atol=1e-9, rtol=0)
-    np.testing.assert_allclose(weights[0], HAND_ALPHA, atol=1e-9, rtol=0)
+    out, cache = nn.flagged_attention(h_d[None, None], h_e[None, None],
+                                      h_e[None, None],
+                                      nn.flag_onehot(m[None]),
+                                      ek[:, None], ev[:, None])
+    np.testing.assert_allclose(out[0, 0], HAND_OUT, atol=1e-9, rtol=0)
+    np.testing.assert_allclose(cache[6][0, 0], HAND_ALPHA, atol=1e-9,
+                               rtol=0)
 
     model = tiny_model()
     src, tgt_in, tgt_out, mb = tiny_batch(model.vocab)

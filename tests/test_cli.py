@@ -103,6 +103,15 @@ class TestDatagen:
         assert rc == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    def test_negative_split_size_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        rc = main(["datagen", "--out", str(out), "--train-size", "-5",
+                   "--dev-size", "10", "--test-size", "10"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "negative" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_malformed_mix_is_usage_error(self, tmp_path, capsys):
         rc = main(["datagen", "--out", str(tmp_path / "m"),
                    "--mix", "explanation"])
@@ -320,7 +329,7 @@ class TestRewrite:
     @pytest.mark.parametrize("fault", [
         "missing", "misshapen", "version", "no-vocab", "vocab-not-strings",
         "config-unknown-key", "config-missing-key", "meta-not-utf8",
-        "meta-not-json", "not-npz"])
+        "meta-not-json", "not-npz", "vocab-swapped", "float32"])
     def test_bad_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys,
                                              fault):
         with np.load(workdir / "model.npz") as data:
@@ -345,6 +354,11 @@ class TestRewrite:
             raw = b"\xff\xfe"
         elif fault == "meta-not-json":
             raw = b"{not json"
+        elif fault == "vocab-swapped":
+            toks = meta["vocab_tokens"]
+            toks[5], toks[6] = toks[6], toks[5]
+        elif fault == "float32":
+            arrays["out.w"] = arrays["out.w"].astype(np.float32)
         if raw is None:
             raw = json.dumps(meta).encode()
         arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
@@ -360,6 +374,27 @@ class TestRewrite:
         assert rc == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if fault in ("vocab-swapped", "float32"):
+            assert "digest" in err
+
+    @pytest.mark.parametrize("rid", ["../escaped", "absolute"])
+    def test_trace_id_outside_trace_dir_is_usage_error(self, workdir,
+                                                       tmp_path, capsys,
+                                                       rid):
+        if rid == "absolute":
+            rid = str(tmp_path / "anywhere")
+        rec = read_jsonl(workdir / "corpus" / "test.jsonl")[0]
+        rec["id"] = rid
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(json.dumps(rec) + "\n")
+        (tmp_path / "sub").mkdir()
+        rc = main(["rewrite", "--input", str(inp),
+                   "--checkpoint", str(workdir / "model.npz"),
+                   "--out", str(tmp_path / "sub" / "out.jsonl"), "--trace"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(rid) in err
+        assert not list(tmp_path.rglob("*.tsv"))
 
     @pytest.mark.parametrize("option", ["--alpha", "--threshold-a",
                                         "--threshold-b"])
@@ -442,6 +477,31 @@ class TestEvaluate:
                    "--out", str(tmp_path / "r.json")])
         assert rc == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("fault", ["no-output-tokens", "not-object",
+                                       "token-not-string",
+                                       "tokens-are-a-string"])
+    def test_malformed_report_is_usage_error(self, workdir, scored,
+                                             tmp_path, capsys, fault):
+        rows = read_jsonl(scored / "decoded.jsonl")
+        if fault == "no-output-tokens":
+            del rows[0]["output_tokens"]
+        elif fault == "not-object":
+            rows[0] = [rows[0]["id"]]
+        elif fault == "token-not-string":
+            rows[0]["output_tokens"] = ["yes", 1]
+        else:
+            rows[0]["output_tokens"] = "yes it has"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        rc = main(["evaluate", "--outputs", str(bad),
+                   "--gold", str(workdir / "corpus" / "test.jsonl"),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: decode report") \
+            and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
     def test_empty_output_is_scored(self, workdir, scored, tmp_path,
                                     capsys):
@@ -649,8 +709,9 @@ def recipe_checkpoint(workdir):
 
 
 class TestCorruptedInputs:
-    """rewrite on a corrupted checkpoint or record ends cleanly: exit 0, 2
-    or 3 with at most one line on stderr, never a traceback."""
+    """rewrite on a corrupted checkpoint or record, and evaluate on a
+    corrupted decode report, end cleanly: exit 0, 2 or 3 with at most one
+    line on stderr, never a traceback."""
 
     def _rewrite(self, workdir, ckpt, records):
         inp = workdir / "fuzz-input.jsonl"
@@ -681,6 +742,22 @@ class TestCorruptedInputs:
         bad = data.draw(corrupt_record(json.loads(lines[0])))
         self._rewrite(workdir, recipe_checkpoint,
                       "\n".join([lines[1], bad, lines[2]]) + "\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_report(self, workdir, scored, data):
+        lines = (scored / "decoded.jsonl").read_text().splitlines()
+        lines[0] = data.draw(corrupt_record(json.loads(lines[0])))
+        outputs = workdir / "fuzz-decoded.jsonl"
+        outputs.write_text("\n".join(lines) + "\n")
+        rc, err, n_warnings = _run_quietly(
+            ["evaluate", "--outputs", str(outputs),
+             "--gold", str(workdir / "corpus" / "test.jsonl"),
+             "--out", str(workdir / "fuzz-report.json")])
+        assert rc in (EXIT_OK, EXIT_USAGE)
+        assert err.count("\n") + n_warnings <= 1, err
+        if rc != EXIT_OK:
+            assert err.startswith("error: ") and err.endswith("\n"), err
 
     def test_message_quoting_a_multiline_id_stays_one_line(
             self, workdir, recipe_checkpoint):

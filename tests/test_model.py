@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 from restate.model import (Adam, CheckpointVersionMismatch, LengthOverflow,
                            ModelConfig, NonFiniteLoss, Seq2SeqModel,
                            ShapeMismatch, TrainingConfig, TrainingExample,
-                           assemble_batch, build_flag_matrix_batch,
-                           cross_attention_flagged, train)
+                           assemble_batch, build_flag_matrix_batch, train)
 from restate.model import nn
-from restate.similarity import EncoderMeanEmbedder
 from restate.vocab import Vocabulary
 
 
@@ -65,17 +63,23 @@ class TestHandComputedFlagAttention:
     def setup_method(self):
         self.h_d = np.array([[1.0, 0.0], [1.0, 0.0]])
         self.h_e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        self.eye = np.eye(2)
         self.ek = np.array([[0.0, 0.0], [0.5, 0.25], [-0.3, 0.1]])
         self.ev = np.array([[0.0, 0.0], [0.2, -0.4], [0.05, 0.15]])
         self.m = np.array([[1, 2], [0, 0]])
 
+    def attend(self, onehot):
+        """nn.flagged_attention with one head and identity projections:
+        q = h_d, k = v = h_e. Returns the output and the weights."""
+        kv = self.h_e[None, None]
+        ctx, cache = nn.flagged_attention(self.h_d[None, None], kv, kv,
+                                          onehot, self.ek[:, None],
+                                          self.ev[:, None])
+        return ctx[0, 0], cache[6][0, 0]
+
     def test_against_scalar_derivation(self):
-        out, w = cross_attention_flagged(
-            self.h_d, self.h_e, self.m, self.eye, self.eye, self.eye,
-            self.ek, self.ev, heads=1, return_weights=True)
+        out, w = self.attend(nn.flag_onehot(self.m[None]))
         np.testing.assert_allclose(out, HAND_OUT, atol=1e-9, rtol=0)
-        np.testing.assert_allclose(w[0], HAND_ALPHA, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(w, HAND_ALPHA, atol=1e-9, rtol=0)
 
     def test_rederive_with_plain_python(self):
         # independent scalar recomputation, no numpy in the hot path
@@ -90,22 +94,13 @@ class TestHandComputedFlagAttention:
             assert abs(o0 - eo[0]) < 1e-12 and abs(o1 - eo[1]) < 1e-12
 
     def test_weights_rows_sum_to_one(self):
-        _, w = cross_attention_flagged(
-            self.h_d, self.h_e, self.m, self.eye, self.eye, self.eye,
-            self.ek, self.ev, heads=1, return_weights=True)
+        _, w = self.attend(nn.flag_onehot(self.m[None]))
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
-    def test_single_column_broadcasts(self):
-        out1 = cross_attention_flagged(
-            np.array([1.0, 0.0]), self.h_e, np.array([1, 0]),
-            self.eye, self.eye, self.eye, self.ek, self.ev, heads=1)
-        np.testing.assert_allclose(out1[0], HAND_OUT[0], atol=1e-9, rtol=0)
-
     def test_bad_flag_shape_rejected(self):
+        # flags for three keys against two encoder states
         with pytest.raises(ShapeMismatch):
-            cross_attention_flagged(
-                self.h_d, self.h_e, np.zeros((3, 2), dtype=int),
-                self.eye, self.eye, self.eye, self.ek, self.ev)
+            self.attend(nn.flag_onehot(np.zeros((1, 3, 2), dtype=int)))
 
 
 # ------------------------------------------------------- vanilla equivalence
@@ -119,15 +114,12 @@ class TestVanillaEquivalence:
         b = model.logits_batch(src, tgt_in, None)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("label_smoothing", [0.0, 0.1])
-    def test_zero_flags_bitwise_equal_gradients(self, label_smoothing):
+    def test_zero_flags_bitwise_equal_gradients(self):
         model = tiny_model()
         src, tgt_in, tgt_out, mb = tiny_batch(model.vocab)
         loss_a, grads_a = model.loss_and_grads(src, tgt_in, tgt_out,
-                                               np.zeros_like(mb),
-                                               label_smoothing)
-        loss_b, grads_b = model.loss_and_grads(src, tgt_in, tgt_out, None,
-                                               label_smoothing)
+                                               np.zeros_like(mb))
+        loss_b, grads_b = model.loss_and_grads(src, tgt_in, tgt_out, None)
         assert repr(loss_a) == repr(loss_b)
         assert set(grads_a) == set(grads_b) == set(model.params)
         for name in model.params:
@@ -204,29 +196,6 @@ class TestGradients:
                 assert abs(num - ana) <= 1e-7 + 1e-4 * (abs(num) + abs(ana)), \
                     "gradient mismatch at %s%s: %r vs %r" % (name, idx,
                                                              num, ana)
-
-    def test_label_smoothing_gradients(self):
-        vocab = Vocabulary(["a", "b"])
-        cfg = ModelConfig(dim=8, heads=1, enc_layers=1, dec_layers=1,
-                          ff=8, max_len=8, seed=2)
-        model = Seq2SeqModel(cfg, vocab)
-        ex = TrainingExample(["a", "b"], ["b"], np.array([[1, 2], [0, 0]]))
-        src, tgt_in, tgt_out, mb = assemble_batch([ex], vocab)
-        loss, grads = model.loss_and_grads(src, tgt_in, tgt_out, mb,
-                                           label_smoothing=0.1)
-        arr = model.params["out.w"]
-        eps = 1e-6
-        idx = (3, 5)
-        old = arr[idx]
-        arr[idx] = old + eps
-        lp, _ = model.loss_and_grads(src, tgt_in, tgt_out, mb,
-                                     label_smoothing=0.1)
-        arr[idx] = old - eps
-        lm, _ = model.loss_and_grads(src, tgt_in, tgt_out, mb,
-                                     label_smoothing=0.1)
-        arr[idx] = old
-        num = (lp - lm) / (2 * eps)
-        assert abs(num - grads["out.w"][idx]) <= 1e-7 + 1e-4 * abs(num)
 
     def test_pad_positions_get_no_loss_or_gradient(self):
         model = tiny_model()
@@ -501,15 +470,3 @@ class TestCheckpointing:
         with pytest.raises(CheckpointVersionMismatch):
             Seq2SeqModel.load(path)
 
-
-# ---------------------------------------------------------- encoder embedder
-
-class TestEncoderMeanEmbedder:
-    def test_mean_of_states(self):
-        model = tiny_model()
-        emb = EncoderMeanEmbedder(model)
-        toks = ["the", "cat", "sat"]
-        np.testing.assert_allclose(emb.embed(toks),
-                                   model.encode(toks).mean(axis=0),
-                                   atol=1e-12)
-        assert emb.dim == model.config.dim

@@ -127,7 +127,7 @@ HAND_TRACED = [
      [("NP", "dell monitor"), ("PP", "with a stand")]),
     # 10 WP pronoun excluded
     ("(S (NP (WP who)) (VP (VBZ knows)))", []),
-    # 11 root single pronoun: nothing even with the toplevel switch (tested below)
+    # 11 root single pronoun: nothing
     ("(NP (PRP mine))", []),
     # 12 possessive inside a multi-token NP is kept
     ("(NP (NP (PRP$ its) (NN lid)) (PP (IN of) (NP (NN glass))))",
@@ -182,13 +182,6 @@ def test_hand_traced_constraints(tree_str, expected):
 def test_toplevel_np_switch():
     t = parse_bracketed("(NP (PRP$ my) (NN phone))")
     assert extract_constraints(t) == []
-    got = extract_constraints(t, include_toplevel_np=True)
-    assert labels_and_texts(got) == [("NP", "my phone")]
-
-
-def test_toplevel_pronoun_still_excluded():
-    t = parse_bracketed("(NP (PRP mine))")
-    assert extract_constraints(t, include_toplevel_np=True) == []
 
 
 def test_question_constraints_precede_answer_constraints():
