@@ -11,6 +11,7 @@ a complement clause ("also , ..."), a conditional clause ("if it is
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field, replace
@@ -262,6 +263,15 @@ def _target(family, category, polarity, product, feature, feature2,
 def make_instance(iid, category, polarity, domain, product, family, qstyle,
                   feature, feature2, verb, verb2, thing, thing2, variant):
     """Deterministic instance kernel; generate() samples the arguments."""
+    return _make_instance(parse_bracketed, iid, category, polarity, domain,
+                          product, family, qstyle, feature, feature2, verb,
+                          verb2, thing, thing2, variant)
+
+
+def _make_instance(parse, iid, category, polarity, domain, product, family,
+                   qstyle, feature, feature2, verb, verb2, thing, thing2,
+                   variant):
+    """make_instance, reading its bracket strings with parse."""
     if category not in CATEGORIES:
         raise InvalidMix("unknown category %r" % category)
     prep = DOMAINS[domain]["prep"]
@@ -271,8 +281,8 @@ def make_instance(iid, category, polarity, domain, product, family, qstyle,
                               verb, verb2, thing, thing2, prep, variant)
     target = _target(family, category, polarity, product, feature, feature2,
                      verb, verb2, thing, thing2, prep, variant)
-    q_tree = parse_bracketed(q_parse)
-    a_tree = parse_bracketed(a_parse)
+    q_tree = parse(q_parse)
+    a_tree = parse(a_parse)
     constraints = tuple(extract_constraints(q_tree, a_tree))
     declared = ([("question",) + d for d in q_decl]
                 + [("answer",) + d for d in a_decl])
@@ -295,7 +305,7 @@ def make_instance(iid, category, polarity, domain, product, family, qstyle,
     )
 
 
-def _sample_instance(iid, category, rng):
+def _sample_instance(iid, category, rng, parse):
     domain = rng.choice(sorted(DOMAINS))
     inv = DOMAINS[domain]
     product = rng.choice(inv["products"])
@@ -308,9 +318,9 @@ def _sample_instance(iid, category, rng):
     verb = rng.choice(inv["verbs"])
     verb2 = rng.choice(inv["verbs"])
     variant = rng.choice(inv["variants"])
-    return make_instance(iid, category, polarity, domain, product, family,
-                         qstyle, feature, feature2, verb, verb2, thing,
-                         thing2, variant)
+    return _make_instance(parse, iid, category, polarity, domain, product,
+                          family, qstyle, feature, feature2, verb, verb2,
+                          thing, thing2, variant)
 
 
 def _quotas(mix, n):
@@ -345,6 +355,10 @@ def generate(seed, n, category_mix=None):
     shuffled, and all sampling flows from the one seed, so the same
     call always returns the same corpus.
     """
+    return _generate(seed, n, category_mix, parse_bracketed)
+
+
+def _generate(seed, n, category_mix, parse):
     if category_mix is None:
         category_mix = {cat: 1.0 / len(CATEGORIES) for cat in CATEGORIES}
     _check_mix(category_mix, n)
@@ -352,7 +366,7 @@ def generate(seed, n, category_mix=None):
     slots = [cat for cat in CATEGORIES for _ in range(quotas[cat])]
     rng = random.Random(seed)
     rng.shuffle(slots)
-    return [_sample_instance("pqa-%05d" % i, cat, rng)
+    return [_sample_instance("pqa-%05d" % i, cat, rng, parse)
             for i, cat in enumerate(slots)]
 
 
@@ -391,13 +405,17 @@ def first_person_variants(instance, rate, rng=None):
     "i can ..."), while the target keeps its second-person framing.
     The answer parse and gold constraints are rebuilt to match.
     """
+    return _first_person_variants(instance, rate, rng, parse_bracketed)
+
+
+def _first_person_variants(instance, rate, rng, parse):
     if not (0.0 <= rate <= 1.0):
         raise ValueError("rate must lie in [0, 1]")
     if rng is None:
         rng = random.Random("fp:" + instance.id)
     if rng.random() >= rate:
         return instance
-    tree = parse_bracketed(instance.answer_parse)
+    tree = parse(instance.answer_parse)
     swaps = {}
     for sent in _sentence_nodes(tree):
         for child in sent.children:
@@ -413,7 +431,7 @@ def first_person_variants(instance, rate, rng=None):
         return instance
     new_tree = _swap_tokens(tree, swaps)
     new_parse = serialize(new_tree)
-    q_tree = parse_bracketed(instance.question_parse)
+    q_tree = parse(instance.question_parse)
     constraints = tuple(extract_constraints(q_tree, new_tree))
     return replace(instance,
                    answer=" ".join(new_tree.leaves()),
@@ -433,8 +451,11 @@ def build_corpus(seed, split_sizes=DEFAULT_SPLIT_SIZES, category_mix=None,
     if min(split_sizes) < 0:
         raise InvalidMix("split sizes must not be negative, got %s"
                          % list(split_sizes))
+    # each distinct bracket string is parsed once per call: ParseTree is
+    # frozen, so instances may share a tree, and the memo dies with the call
+    parse = functools.cache(parse_bracketed)
     n = sum(split_sizes)
-    instances = generate(seed, n, category_mix)
+    instances = _generate(seed, n, category_mix, parse)
     style_rng = random.Random("%s:style" % seed)
     out = []
     cursor = 0
@@ -443,7 +464,8 @@ def build_corpus(seed, split_sizes=DEFAULT_SPLIT_SIZES, category_mix=None,
         bounds.append((cursor, cursor + size, name))
         cursor += size
     for i, inst in enumerate(instances):
-        inst = first_person_variants(inst, first_person_rate, style_rng)
+        inst = _first_person_variants(inst, first_person_rate, style_rng,
+                                      parse)
         for lo, hi, name in bounds:
             if lo <= i < hi:
                 inst = replace(inst, split=name)

@@ -52,7 +52,7 @@ class NonFiniteLogProbs(FloatingPointError):
     """Raised when a decoding step yields NaN log-probabilities."""
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -512,7 +512,8 @@ class Seq2SeqModel:
             "format_version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "vocab_tokens": self.vocab.tokens,
-            "digest": _checkpoint_digest(self.vocab.tokens, self.params),
+            "digest": _checkpoint_digest(asdict(self.config),
+                                         self.vocab.tokens, self.params),
         }
         np.savez(path, __meta__=np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
@@ -558,10 +559,10 @@ class Seq2SeqModel:
                     "checkpoint tensor %s has dtype %s, not a floating-point"
                     " type" % (k, saved[k].dtype))
         # tensors of the right shapes can still belong to another
-        # vocabulary order, or have lost precision
-        if digest != _checkpoint_digest(tokens, saved):
-            raise CheckpointMismatch(
-                "checkpoint digest does not match its vocabulary and tensors")
+        # vocabulary order or another head count, or have lost precision
+        if digest != _checkpoint_digest(config, tokens, saved):
+            raise CheckpointMismatch("checkpoint digest does not match its"
+                                     " config, vocabulary and tensors")
         for k, arr in saved.items():
             model.params[k] = arr.astype(np.float64)
         return model
@@ -577,10 +578,11 @@ def _read_member(data, name):
                                  % (name, exc)) from exc
 
 
-def _checkpoint_digest(tokens, tensors):
-    """SHA-256 over the vocabulary tokens, then each tensor's name, dtype,
-    shape and bytes in name order."""
-    h = hashlib.sha256(json.dumps(tokens).encode("utf-8"))
+def _checkpoint_digest(config, tokens, tensors):
+    """SHA-256 over the config (sorted-key JSON) and the vocabulary tokens,
+    then each tensor's name, dtype, shape and bytes in name order."""
+    h = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8"))
+    h.update(json.dumps(tokens).encode("utf-8"))
     for name in sorted(tensors):
         arr = tensors[name]
         h.update(json.dumps([name, arr.dtype.str, arr.shape]).encode("utf-8"))

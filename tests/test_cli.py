@@ -329,7 +329,8 @@ class TestRewrite:
     @pytest.mark.parametrize("fault", [
         "missing", "misshapen", "version", "no-vocab", "vocab-not-strings",
         "config-unknown-key", "config-missing-key", "meta-not-utf8",
-        "meta-not-json", "not-npz", "vocab-swapped", "float32"])
+        "meta-not-json", "not-npz", "vocab-swapped", "float32",
+        "config-heads"])
     def test_bad_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys,
                                              fault):
         with np.load(workdir / "model.npz") as data:
@@ -359,6 +360,10 @@ class TestRewrite:
             toks[5], toks[6] = toks[6], toks[5]
         elif fault == "float32":
             arrays["out.w"] = arrays["out.w"].astype(np.float32)
+        elif fault == "config-heads":
+            # no tensor shape depends on the head count
+            assert meta["config"]["heads"] == 2
+            meta["config"]["heads"] = 4
         if raw is None:
             raw = json.dumps(meta).encode()
         arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
@@ -374,7 +379,7 @@ class TestRewrite:
         assert rc == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        if fault in ("vocab-swapped", "float32"):
+        if fault in ("vocab-swapped", "float32", "config-heads"):
             assert "digest" in err
 
     @pytest.mark.parametrize("rid", ["../escaped", "absolute"])

@@ -1,5 +1,6 @@
 """Corpus generator: quotas, determinism, template constraints, style variants."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -59,6 +60,16 @@ class TestDeterminism:
         a = dg.build_corpus(5, (30, 5, 10))
         b = dg.build_corpus(5, (30, 5, 10))
         assert jsonify(a) == jsonify(b)
+
+    def test_recipe_corpus_is_pinned(self):
+        # the benchmark recipe's corpus, as write_corpus's JSON lines; the
+        # corpus holds only strings and ints, so the digest holds on any
+        # platform
+        h = hashlib.sha256()
+        for inst in dg.build_corpus(0, (300, 100, 400)):
+            h.update((json.dumps(dg.instance_to_json(inst)) + "\n").encode())
+        assert h.hexdigest() == ("891960de2dd9b21f4b8d960250f7901c"
+                                 "b3b7508ee251a096c4a684587d325685")
 
 
 @pytest.fixture(scope="module")

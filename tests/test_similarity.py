@@ -18,6 +18,8 @@ from restate.similarity import (DimensionMismatch, EmptyInput,
 
 
 # Independent re-implementation of the hash embedding, used as an oracle.
+# The counts and their sum of squares are exact integers, so it gives the
+# embedder's bytes, not just its values.
 def ref_embed(tokens, dim=256):
     s = " " + " ".join(tokens).lower() + " "
     v = [0.0] * dim
@@ -28,7 +30,7 @@ def ref_embed(tokens, dim=256):
             h = (h * 1099511628211) & ((1 << 64) - 1)
         v[h % dim] += 1.0
     n = math.sqrt(sum(x * x for x in v))
-    return [x / n for x in v]
+    return [x / n for x in v] if n else v
 
 
 def test_cosine_identity():
@@ -203,6 +205,75 @@ def test_embed_runs_once_per_distinct_tuple():
                          scorer=SpanSimilarity(HashedNgramEmbedder()))
     assert np.array_equal(fresh.matrix(), first.matrix())
     assert fresh.sim_prev == first.sim_prev
+
+
+def oracle_score(constraint, prefix):
+    """The maximum cosine over candidate spans, zero-vector spans skipped."""
+    if not prefix:
+        return 0.0
+    cvec = np.array(ref_embed(constraint))
+    best = 0.0
+    for k, l in sorted(candidate_spans(len(prefix), len(constraint))):
+        vec = np.array(ref_embed(prefix[k:l]))
+        if vec.any():
+            best = max(best, cosine(vec, cvec))
+    return best
+
+
+# any text, the empty string, punctuation and non-ASCII letters included
+TOKENS = st.one_of(st.text(max_size=4), st.sampled_from(
+    ["", " ", ",", "?!", "...", "Ünïcödé", "İ", "日本", "ß", "a", "camera"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stream=st.lists(TOKENS, min_size=1, max_size=8),
+       constraints=st.lists(st.lists(TOKENS, min_size=1, max_size=4),
+                            min_size=1, max_size=3),
+       cap=st.integers(1, 6))
+def test_score_and_embed_match_the_reference(stream, constraints, cap):
+    embedder = HashedNgramEmbedder()
+    sim = SpanSimilarity(embedder)
+    with mock.patch.object(similarity, "MEMO_CAP", cap):
+        for prefix in [stream[:t] for t in range(len(stream) + 1)] * 2:
+            for tokens in constraints:
+                try:
+                    want = repr(oracle_score(tokens, prefix))
+                except ZeroVector:
+                    want = "ZeroVector"
+                try:
+                    got = repr(sim.score("c0", tokens, prefix))
+                except ZeroVector:
+                    got = "ZeroVector"
+                assert got == want
+            assert len(embedder._buckets) <= cap
+        for tokens in constraints + [stream]:
+            assert (embedder.embed(tokens).tobytes()
+                    == np.array(ref_embed(tokens)).tobytes())
+
+
+class TableEmbedder:
+    """Returns fixed vectors per token tuple."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def embed(self, tokens):
+        return np.array(self.table[tuple(tokens)], dtype=np.float64)
+
+
+def test_score_raises_what_cosine_raises():
+    sim = SpanSimilarity(TableEmbedder({("c",): [1.0, 1.0, 1.0],
+                                        ("x",): [1.0, 2.0]}))
+    with pytest.raises(DimensionMismatch):
+        sim.score("c0", ["c"], ["x"])
+    sim = SpanSimilarity(TableEmbedder({("c",): [0.0, 0.0],
+                                        ("x",): [1.0, 2.0]}))
+    with pytest.raises(ZeroVector):
+        sim.score("c0", ["c"], ["x"])
+    # a zero-vector span is skipped before either check
+    sim = SpanSimilarity(TableEmbedder({("c",): [0.0, 0.0],
+                                        ("x",): [0.0, 0.0, 0.0]}))
+    assert sim.score("c0", ["c"], ["x"]) == 0.0
 
 
 def test_memo_stays_under_its_ceiling():
