@@ -145,7 +145,8 @@ def _add_seed_arg(p):
 
 
 def _instance_from_record(rec):
-    """Accept a corpus record, extracting constraints if absent."""
+    """Accept a corpus record, extracting constraints if absent. A
+    non-empty parse must yield exactly the tokens of its text."""
     if not isinstance(rec, dict):
         raise MalformedRecord("record is not a JSON object")
     for key in _TEXT_FIELDS[:4]:
@@ -158,12 +159,20 @@ def _instance_from_record(rec):
     if wrong:
         raise MalformedRecord("record %r: not a string: %s"
                               % (d["id"], ", ".join(wrong)))
+    trees = {}
+    for text_key in ("question", "answer"):
+        bracketed = d[text_key + "_parse"]
+        if bracketed:
+            trees[text_key] = parse_bracketed(bracketed)
+            if trees[text_key].leaves() != tokenize(d[text_key]):
+                raise MalformedRecord(
+                    "record %r: %s_parse does not yield the tokens of its %s"
+                    % (d["id"], text_key, text_key))
     if "constraints" not in d:
         if not d["question_parse"] or not d["answer_parse"]:
             raise MissingParse(
                 "record %s carries neither constraints nor parses" % d["id"])
-        cons = extract_constraints(parse_bracketed(d["question_parse"]),
-                                   parse_bracketed(d["answer_parse"]))
+        cons = extract_constraints(trees["question"], trees["answer"])
         d["constraints"] = [datagen.constraint_to_json(c) for c in cons]
     elif not (isinstance(d["constraints"], list)
               and all(map(_is_constraint, d["constraints"]))):
@@ -205,10 +214,17 @@ def _check_report(rep):
     return rep
 
 
-def _filter_split(records, split):
+def _filter_split(instances, split):
     if not split or split == "all":
-        return records
-    return [r for r in records if r.get("split") == split]
+        return instances
+    return [inst for inst in instances if inst.split == split]
+
+
+def _read_instances(path, split=""):
+    """The records of a corpus file, every one checked by
+    _instance_from_record before any is filtered by split."""
+    return _filter_split([_instance_from_record(r) for r in _read_jsonl(path)],
+                         split)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +275,10 @@ def cmd_datagen(args):
 
 
 def cmd_extract_constraints(args):
-    records = _read_jsonl(args.input)
-    out = []
-    for rec in records:
-        inst = _instance_from_record(rec)
-        out.append({"id": inst.id,
-                    "constraints": [datagen.constraint_to_json(c)
-                                    for c in inst.constraints]})
+    out = [{"id": inst.id,
+            "constraints": [datagen.constraint_to_json(c)
+                            for c in inst.constraints]}
+           for inst in _read_instances(args.input)]
     _write_jsonl(out, args.out)
     _snapshot(args, args.out + ".config.json")
     print("extracted constraints for %d records -> %s"
@@ -274,17 +287,19 @@ def cmd_extract_constraints(args):
 
 
 def cmd_train(args):
-    records = _read_jsonl(args.input)
-    all_mrs = [datagen.model_record(_instance_from_record(r))
-               for r in records]
-    keep = {r["id"] for r in _filter_split(records, args.split)}
-    model_records = [mr for mr in all_mrs if mr["id"] in keep]
+    instances = _read_instances(args.input)
+    model_records = [datagen.model_record(inst)
+                     for inst in _filter_split(instances, args.split)]
     if not model_records:
         raise ValueError("no records in split %r" % args.split)
+    for mr in model_records:
+        if not mr["target_tokens"]:
+            raise MalformedRecord("record %r has no target to train on"
+                                  % mr["id"])
     # the vocabulary covers the whole file, not just the training split,
     # so later rewriting of held-out records never meets an unknown token
     pool_lists = []
-    for mr in all_mrs:
+    for mr in map(datagen.model_record, instances):
         pool_lists.append(mr["x_tokens"])
         pool_lists.append(mr["target_tokens"])
     vocab = Vocabulary.build(pool_lists)
@@ -319,8 +334,8 @@ def cmd_train(args):
 
 def cmd_rewrite(args):
     model = Seq2SeqModel.load(args.checkpoint)
-    records = _filter_split(_read_jsonl(args.input), args.split)
-    if not records:
+    instances = _read_instances(args.input, args.split)
+    if not instances:
         raise ValueError("no records to rewrite in split %r" % args.split)
     config = _satisfier(args)
     scorer = _scorer_for(config)
@@ -328,8 +343,7 @@ def cmd_rewrite(args):
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
     reports = []
-    for rec in records:
-        inst = _instance_from_record(rec)
+    for inst in instances:
         trace_path = _trace_path(trace_dir, inst.id) if trace_dir else None
         mr = datagen.model_record(inst)
         try:
@@ -368,8 +382,7 @@ def cmd_rewrite(args):
 
 def cmd_evaluate(args):
     outputs = [_check_report(rep) for rep in _read_jsonl(args.outputs)]
-    gold = _filter_split(_read_jsonl(args.gold), args.split)
-    instances = [_instance_from_record(r) for r in gold]
+    instances = _read_instances(args.gold, args.split)
     report = build_report(outputs, instances)
     with open(args.out, "w") as fh:
         fh.write(report.to_json())
@@ -383,12 +396,11 @@ def cmd_evaluate(args):
 
 
 def cmd_inspect_flags(args):
-    records = _read_jsonl(args.input)
-    match = [r for r in records if r.get("id") == args.id]
+    match = [inst for inst in _read_instances(args.input)
+             if inst.id == args.id]
     if not match:
         raise ValueError("no record with id %r in %s" % (args.id, args.input))
-    inst = _instance_from_record(match[0])
-    mr = datagen.model_record(inst)
+    mr = datagen.model_record(match[0])
     if args.output:
         output_tokens = tokenize(args.output)
     else:

@@ -100,6 +100,12 @@ _ADJECTIVES = frozenset({"wireless", "side"})
 _PLURALS = frozenset({"presets", "pockets", "maps"})
 
 
+# Every step reads its bracket strings through this memo: a corpus parses
+# each distinct string once (about 1,200 of them at (300, 100, 2000)), and
+# ParseTree is frozen, so instances may share a tree.
+_parse = functools.lru_cache(maxsize=4096)(parse_bracketed)
+
+
 # ---------------------------------------------------------------------------
 # parse-fragment builders
 
@@ -263,15 +269,6 @@ def _target(family, category, polarity, product, feature, feature2,
 def make_instance(iid, category, polarity, domain, product, family, qstyle,
                   feature, feature2, verb, verb2, thing, thing2, variant):
     """Deterministic instance kernel; generate() samples the arguments."""
-    return _make_instance(parse_bracketed, iid, category, polarity, domain,
-                          product, family, qstyle, feature, feature2, verb,
-                          verb2, thing, thing2, variant)
-
-
-def _make_instance(parse, iid, category, polarity, domain, product, family,
-                   qstyle, feature, feature2, verb, verb2, thing, thing2,
-                   variant):
-    """make_instance, reading its bracket strings with parse."""
     if category not in CATEGORIES:
         raise InvalidMix("unknown category %r" % category)
     prep = DOMAINS[domain]["prep"]
@@ -281,8 +278,8 @@ def _make_instance(parse, iid, category, polarity, domain, product, family,
                               verb, verb2, thing, thing2, prep, variant)
     target = _target(family, category, polarity, product, feature, feature2,
                      verb, verb2, thing, thing2, prep, variant)
-    q_tree = parse(q_parse)
-    a_tree = parse(a_parse)
+    q_tree = _parse(q_parse)
+    a_tree = _parse(a_parse)
     constraints = tuple(extract_constraints(q_tree, a_tree))
     declared = ([("question",) + d for d in q_decl]
                 + [("answer",) + d for d in a_decl])
@@ -305,7 +302,7 @@ def _make_instance(parse, iid, category, polarity, domain, product, family,
     )
 
 
-def _sample_instance(iid, category, rng, parse):
+def _sample_instance(iid, category, rng):
     domain = rng.choice(sorted(DOMAINS))
     inv = DOMAINS[domain]
     product = rng.choice(inv["products"])
@@ -318,9 +315,9 @@ def _sample_instance(iid, category, rng, parse):
     verb = rng.choice(inv["verbs"])
     verb2 = rng.choice(inv["verbs"])
     variant = rng.choice(inv["variants"])
-    return _make_instance(parse, iid, category, polarity, domain, product,
-                          family, qstyle, feature, feature2, verb, verb2,
-                          thing, thing2, variant)
+    return make_instance(iid, category, polarity, domain, product, family,
+                         qstyle, feature, feature2, verb, verb2, thing, thing2,
+                         variant)
 
 
 def _quotas(mix, n):
@@ -355,10 +352,6 @@ def generate(seed, n, category_mix=None):
     shuffled, and all sampling flows from the one seed, so the same
     call always returns the same corpus.
     """
-    return _generate(seed, n, category_mix, parse_bracketed)
-
-
-def _generate(seed, n, category_mix, parse):
     if category_mix is None:
         category_mix = {cat: 1.0 / len(CATEGORIES) for cat in CATEGORIES}
     _check_mix(category_mix, n)
@@ -366,15 +359,14 @@ def _generate(seed, n, category_mix, parse):
     slots = [cat for cat in CATEGORIES for _ in range(quotas[cat])]
     rng = random.Random(seed)
     rng.shuffle(slots)
-    return [_sample_instance("pqa-%05d" % i, cat, rng, parse)
+    return [_sample_instance("pqa-%05d" % i, cat, rng)
             for i, cat in enumerate(slots)]
 
 
 def gold_constraints(instance):
     """Re-extract the constraint list from the instance's stored parses."""
-    q_tree = parse_bracketed(instance.question_parse)
-    a_tree = parse_bracketed(instance.answer_parse)
-    return extract_constraints(q_tree, a_tree)
+    return extract_constraints(_parse(instance.question_parse),
+                               _parse(instance.answer_parse))
 
 
 # ---------------------------------------------------------------------------
@@ -405,33 +397,29 @@ def first_person_variants(instance, rate, rng=None):
     "i can ..."), while the target keeps its second-person framing.
     The answer parse and gold constraints are rebuilt to match.
     """
-    return _first_person_variants(instance, rate, rng, parse_bracketed)
-
-
-def _first_person_variants(instance, rate, rng, parse):
     if not (0.0 <= rate <= 1.0):
         raise ValueError("rate must lie in [0, 1]")
     if rng is None:
         rng = random.Random("fp:" + instance.id)
     if rng.random() >= rate:
         return instance
-    tree = parse(instance.answer_parse)
+    tree = _parse(instance.answer_parse)
     swaps = {}
     for sent in _sentence_nodes(tree):
         for child in sent.children:
             if child.is_leaf() or child.label != "NP":
                 continue
-            leaf_nodes = child.leaf_nodes()
-            if len(leaf_nodes) == 1 and leaf_nodes[0].label == "PRP":
-                new = _SUBJECT_SWAP.get(leaf_nodes[0].token)
+            leaf = child.sole_leaf()
+            if leaf is not None and leaf.label == "PRP":
+                new = _SUBJECT_SWAP.get(leaf.token)
                 if new:
-                    swaps[leaf_nodes[0].start] = new
+                    swaps[leaf.start] = new
             break  # only the first NP of each sentence is its subject
     if not swaps:
         return instance
     new_tree = _swap_tokens(tree, swaps)
     new_parse = serialize(new_tree)
-    q_tree = parse(instance.question_parse)
+    q_tree = _parse(instance.question_parse)
     constraints = tuple(extract_constraints(q_tree, new_tree))
     return replace(instance,
                    answer=" ".join(new_tree.leaves()),
@@ -451,27 +439,17 @@ def build_corpus(seed, split_sizes=DEFAULT_SPLIT_SIZES, category_mix=None,
     if min(split_sizes) < 0:
         raise InvalidMix("split sizes must not be negative, got %s"
                          % list(split_sizes))
-    # each distinct bracket string is parsed once per call: ParseTree is
-    # frozen, so instances may share a tree, and the memo dies with the call
-    parse = functools.cache(parse_bracketed)
-    n = sum(split_sizes)
-    instances = _generate(seed, n, category_mix, parse)
     style_rng = random.Random("%s:style" % seed)
-    out = []
-    cursor = 0
-    bounds = []
-    for name, size in zip(SPLIT_NAMES, split_sizes):
-        bounds.append((cursor, cursor + size, name))
-        cursor += size
-    for i, inst in enumerate(instances):
-        inst = _first_person_variants(inst, first_person_rate, style_rng,
-                                      parse)
-        for lo, hi, name in bounds:
-            if lo <= i < hi:
-                inst = replace(inst, split=name)
-                break
-        out.append(inst)
-    return out
+    try:
+        instances = [first_person_variants(inst, first_person_rate, style_rng)
+                     for inst in generate(seed, sum(split_sizes),
+                                          category_mix)]
+    finally:
+        # the parsed trees live only as long as the corpus build
+        _parse.cache_clear()
+    names = [name for name, size in zip(SPLIT_NAMES, split_sizes)
+             for _ in range(size)]
+    return [replace(inst, split=name) for inst, name in zip(instances, names)]
 
 
 def constraint_to_json(c):

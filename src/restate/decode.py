@@ -331,8 +331,11 @@ def beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
 
     Live hypotheses are ranked by cumulative log-probability, finished
     ones by score / chosen_tokens ** alpha; ties prefer the smallest
-    token id sequence. Width 1 reproduces the greedy loop exactly, and
-    the greedy trajectory is always among the scored candidates.
+    token id sequence. Width 1 returns the greedy loop's tokens; its
+    scores equal greedy's only when greedy stops within max_len. When
+    greedy runs out of budget instead, the width-1 result also counts
+    the stop token's log-probability and is marked finished. The greedy
+    trajectory is always among the scored candidates.
     """
     return _search(model, list(x_tokens), constraint_rows, config, scorer,
                    beam_size, alpha, max_len, [])

@@ -8,8 +8,6 @@ deterministic.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .flags import candidate_spans
@@ -184,11 +182,6 @@ class InjectedTableSimilarity:
 
     def __init__(self, table: dict):
         self.table = {str(k): float(v) for k, v in table.items()}
-
-    @classmethod
-    def from_json(cls, path) -> "InjectedTableSimilarity":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
     def sim_lookup(self, constraint_id: str, prefix_len: int) -> float:
         key = "%s:%d" % (constraint_id, prefix_len)

@@ -8,6 +8,7 @@ of the concatenated question/answer/context input sequence.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .vocab import SEP
@@ -34,7 +35,11 @@ PRONOUN_TAGS = frozenset({"PRP", "PRP$", "WP", "WP$"})
 # parent labels that promote an NP to a larger constraint phrase
 PARENT_LABELS = frozenset({"VP", "PP", "ADVP", "ADJP"})
 
+# extraction order of constraint labels; every other label ranks 2
 _PRIORITY = {"NP": 0, "VP": 1}
+
+# one bracket, or one run of text between brackets and whitespace
+_BRACKET_TOKEN = re.compile(r"[()]|[^()\s]+")
 
 
 @dataclass(frozen=True)
@@ -63,44 +68,19 @@ class ParseTree:
             out.extend(ch.leaves())
         return out
 
-    def leaf_nodes(self) -> list["ParseTree"]:
-        if self.is_leaf():
-            return [self]
-        out = []
-        for ch in self.children:
-            out.extend(ch.leaf_nodes())
-        return out
-
-    def walk(self, parent: "ParseTree | None" = None):
-        """Yield (node, parent) pairs in pre-order."""
-        yield self, parent
-        for ch in self.children:
-            yield from ch.walk(self)
+    def sole_leaf(self) -> "ParseTree | None":
+        """The preterminal of a one-token yield, or None for a longer one."""
+        if self.end - self.start != 1:
+            return None
+        node = self
+        while node.token is None:
+            node = node.children[0]
+        return node
 
 
 def _base_label(label: str) -> str:
     # strip PTB function annotations: NP-SBJ, NP=2 both count as NP
     return label.split("-")[0].split("=")[0]
-
-
-def _tokenize_brackets(text: str) -> list[str]:
-    toks = []
-    buf = []
-    for ch in text:
-        if ch in "()":
-            if buf:
-                toks.append("".join(buf))
-                buf = []
-            toks.append(ch)
-        elif ch.isspace():
-            if buf:
-                toks.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        toks.append("".join(buf))
-    return toks
 
 
 def parse_bracketed(text: str) -> ParseTree:
@@ -111,13 +91,14 @@ def parse_bracketed(text: str) -> ParseTree:
     hold either exactly one token (preterminal) or one or more subtrees;
     leaf spans are assigned left to right.
     """
-    toks = _tokenize_brackets(text)
+    toks = _BRACKET_TOKEN.findall(text)
     if not toks:
         raise UnbalancedParens("empty input")
     pos = 0
+    n_leaves = 0
 
-    def parse_node() -> tuple:
-        nonlocal pos
+    def parse_node() -> ParseTree:
+        nonlocal pos, n_leaves
         if pos >= len(toks) or toks[pos] != "(":
             raise UnbalancedParens("expected '(' at token %d" % pos)
         pos += 1
@@ -126,7 +107,7 @@ def parse_bracketed(text: str) -> ParseTree:
             label = toks[pos]
             pos += 1
         atoms: list[str] = []
-        kids: list = []
+        kids: list[ParseTree] = []
         while pos < len(toks) and toks[pos] != ")":
             if toks[pos] == "(":
                 kids.append(parse_node())
@@ -147,26 +128,16 @@ def parse_bracketed(text: str) -> ParseTree:
             raise TagWithoutContent(
                 "preterminal '%s' holds %d tokens" % (label, len(atoms)))
         if atoms:
-            return ("leaf", label, atoms[0])
-        return ("node", label, kids)
-
-    raw = parse_node()
-    if pos != len(toks):
-        raise UnbalancedParens("trailing content after tree")
-
-    counter = [0]
-
-    def build(item) -> ParseTree:
-        kind, label, payload = item
-        if kind == "leaf":
-            i = counter[0]
-            counter[0] += 1
-            return ParseTree(label=label, token=payload, start=i, end=i + 1)
-        kids = tuple(build(k) for k in payload)
-        return ParseTree(label=label, children=kids,
+            n_leaves += 1
+            return ParseTree(label=label, token=atoms[0],
+                             start=n_leaves - 1, end=n_leaves)
+        return ParseTree(label=label, children=tuple(kids),
                          start=kids[0].start, end=kids[-1].end)
 
-    return build(raw)
+    tree = parse_node()
+    if pos != len(toks):
+        raise UnbalancedParens("trailing content after tree")
+    return tree
 
 
 def serialize(tree: ParseTree) -> str:
@@ -194,42 +165,40 @@ class Constraint:
     source: str  # "question" or "answer"
 
     @property
-    def priority(self) -> int:
-        return _PRIORITY.get(self.label, 2)
-
-    @property
     def text(self) -> str:
         return " ".join(self.tokens)
 
 
 def _extract_from_tree(tree: ParseTree, source: str) -> list[Constraint]:
-    found = []
-    sent = tree.leaves()
-    for node, parent in tree.walk():
-        if node.is_leaf() or _base_label(node.label) != "NP":
+    # one pre-order pass reads the sentence and the NP spans together
+    sent = []
+    spans = []  # (label, start, end) in pre-order
+    stack = [(tree, None)]
+    while stack:
+        node, parent = stack.pop()
+        if node.token is not None:
+            sent.append(node.token)
             continue
-        leaf_nodes = node.leaf_nodes()
-        if len(leaf_nodes) == 1 and _base_label(leaf_nodes[0].label) in PRONOUN_TAGS:
+        stack.extend((ch, node) for ch in reversed(node.children))
+        if parent is None or _base_label(node.label) != "NP":
             continue
-        if parent is None or parent.label == "":
+        leaf = node.sole_leaf()
+        if leaf is not None and _base_label(leaf.label) in PRONOUN_TAGS:
             continue
         plabel = _base_label(parent.label)
         if plabel in PARENT_LABELS:
-            found.append(Constraint(
-                tokens=tuple(sent[parent.start:parent.end]),
-                start=parent.start, end=parent.end, label=plabel, source=source))
+            spans.append((plabel, parent.start, parent.end))
         elif plabel == "NP":
-            found.append(Constraint(
-                tokens=tuple(sent[node.start:node.end]),
-                start=node.start, end=node.end, label="NP", source=source))
-    found.sort(key=lambda c: (c.priority, c.start, c.end))
+            spans.append(("NP", node.start, node.end))
+    spans.sort(key=lambda s: (_PRIORITY.get(s[0], 2), s[1], s[2]))
     out = []
     seen = set()
-    for c in found:
-        if (c.start, c.end) in seen:
+    for label, start, end in spans:
+        if (start, end) in seen:
             continue
-        seen.add((c.start, c.end))
-        out.append(c)
+        seen.add((start, end))
+        out.append(Constraint(tokens=tuple(sent[start:end]), start=start,
+                              end=end, label=label, source=source))
     return out
 
 

@@ -168,6 +168,26 @@ class TestExtractConstraints:
         assert rc == EXIT_USAGE
         assert "parses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda answer: "no , it does not",
+        lambda answer: answer.rsplit(" ", 2)[0] + " camera .",
+    ], ids=["shorter", "other-words"])
+    def test_parse_not_matching_its_text_is_usage_error(self, workdir,
+                                                        tmp_path, capsys,
+                                                        edit):
+        rec = json.loads(
+            (workdir / "corpus" / "train.jsonl").read_text().splitlines()[0])
+        del rec["constraints"]
+        rec["answer"] = edit(rec["answer"])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(rec) + "\n")
+        rc = main(["extract-constraints", "--input", str(bad),
+                   "--out", str(tmp_path / "o.jsonl")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "answer_parse does not yield the tokens of its answer" in err
+
 
 class TestTrain:
     def test_artifacts_exist(self, workdir):
@@ -208,6 +228,20 @@ class TestTrain:
                    "--out", "/tmp/nowhere.npz", "--split", "dev"])
         assert rc == EXIT_USAGE
         assert "split" in capsys.readouterr().err
+
+    def test_record_without_target_is_usage_error(self, workdir, tmp_path,
+                                                  capsys):
+        lines = (workdir / "corpus" / "train.jsonl").read_text().splitlines()
+        rec = json.loads(lines[1])
+        del rec["target"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+        out = tmp_path / "m.npz"
+        rc = main(["train", "--input", str(bad), "--out", str(out),
+                   "--epochs", "1", "--dim", "8", "--ff", "8", "--heads", "2"])
+        assert rc == EXIT_USAGE
+        assert "has no target" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_lr_is_usage_error(self, workdir, tmp_path, capsys):
         out = tmp_path / "m.npz"
@@ -558,6 +592,31 @@ class TestInspectFlags:
         assert "no record" in capsys.readouterr().err
 
 
+class TestRecordsCheckedFirst:
+    """A record that is not an object is a usage error even where a
+    split filter or an id lookup would skip it."""
+
+    @pytest.mark.parametrize("line", ["[1]", "null"])
+    def test_inspect_flags(self, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        rc, err, _ = _run_quietly(["inspect-flags", "--input", str(bad),
+                                   "--id", "pqa-00000"])
+        assert rc == EXIT_USAGE
+        assert err == "error: record is not a JSON object\n"
+
+    @pytest.mark.parametrize("line", ["[1]", "null"])
+    def test_rewrite_split(self, workdir, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        rc, err, _ = _run_quietly(
+            ["rewrite", "--input", str(bad), "--split", "test",
+             "--checkpoint", str(workdir / "model.npz"),
+             "--out", str(tmp_path / "o.jsonl")])
+        assert rc == EXIT_USAGE
+        assert err == "error: record is not a JSON object\n"
+
+
 class TestEnvOverrides:
     def test_env_sets_default_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RESTATE_SEED", "42")
@@ -714,20 +773,70 @@ def recipe_checkpoint(workdir):
 
 
 class TestCorruptedInputs:
-    """rewrite on a corrupted checkpoint or record, and evaluate on a
-    corrupted decode report, end cleanly: exit 0, 2 or 3 with at most one
-    line on stderr, never a traceback."""
+    """rewrite on a corrupted checkpoint or record, evaluate on a
+    corrupted decode report or gold record, and extract-constraints,
+    inspect-flags and train on a corrupted record end cleanly: exit 0, 2
+    or 3 with at most one line on stderr, never a traceback."""
 
-    def _rewrite(self, workdir, ckpt, records):
-        inp = workdir / "fuzz-input.jsonl"
-        inp.write_text(records)
-        rc, err, n_warnings = _run_quietly(
-            ["rewrite", "--input", str(inp), "--checkpoint", str(ckpt),
-             "--out", str(workdir / "fuzz-out.jsonl"), "--max-len", "6"])
+    @staticmethod
+    def _ends_cleanly(argv):
+        rc, err, n_warnings = _run_quietly(argv)
         assert rc in (EXIT_OK, EXIT_USAGE, EXIT_RUNTIME)
         assert err.count("\n") + n_warnings <= 1, err
         if rc != EXIT_OK:
             assert err.startswith("error: ") and err.endswith("\n"), err
+
+    def _rewrite(self, workdir, ckpt, records):
+        inp = workdir / "fuzz-input.jsonl"
+        inp.write_text(records)
+        self._ends_cleanly(
+            ["rewrite", "--input", str(inp), "--checkpoint", str(ckpt),
+             "--out", str(workdir / "fuzz-out.jsonl"), "--max-len", "6"])
+
+    @staticmethod
+    def _corrupted_corpus(workdir, split, data):
+        """A copy of a corpus file whose first record is corrupted, and
+        the id that record had."""
+        lines = (workdir / "corpus" / split).read_text().splitlines()
+        rec = json.loads(lines[0])
+        lines[0] = data.draw(corrupt_record(rec))
+        path = workdir / ("fuzz-" + split)
+        path.write_text("\n".join(lines) + "\n")
+        return path, rec["id"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_record_extract_constraints(self, workdir, data):
+        path, _ = self._corrupted_corpus(workdir, "train.jsonl", data)
+        self._ends_cleanly(["extract-constraints", "--input", str(path),
+                            "--out", str(workdir / "fuzz-cons.jsonl")])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_record_inspect_flags(self, workdir, data):
+        path, rid = self._corrupted_corpus(workdir, "train.jsonl", data)
+        self._ends_cleanly(["inspect-flags", "--input", str(path),
+                            "--id", rid,
+                            "--out", str(workdir / "fuzz-trace.tsv")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_record_train(self, workdir, data):
+        path, _ = self._corrupted_corpus(workdir, "train.jsonl", data)
+        self._ends_cleanly(["train", "--input", str(path),
+                            "--out", str(workdir / "fuzz-model.npz"),
+                            "--epochs", "1", "--dim", "8", "--ff", "8",
+                            "--heads", "2", "--enc-layers", "1",
+                            "--dec-layers", "1"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_gold_record(self, workdir, scored, data):
+        path, _ = self._corrupted_corpus(workdir, "test.jsonl", data)
+        self._ends_cleanly(["evaluate",
+                            "--outputs", str(scored / "decoded.jsonl"),
+                            "--gold", str(path),
+                            "--out", str(workdir / "fuzz-report.json")])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

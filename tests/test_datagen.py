@@ -287,3 +287,11 @@ class TestSerialization:
                                "category", "polarity", "target",
                                "question_parse", "answer_parse",
                                "constraints", "domain", "split"]
+
+
+def test_build_corpus_leaves_no_parsed_trees_behind():
+    dg.build_corpus(0, (5, 1, 1))
+    assert dg._parse.cache_info().currsize == 0
+    with pytest.raises(ValueError):
+        dg.build_corpus(0, (5, 1, 1), first_person_rate=2.0)
+    assert dg._parse.cache_info().currsize == 0

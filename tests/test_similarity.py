@@ -1,6 +1,5 @@
 """Embedding backends and cosine scoring."""
 
-import json
 import math
 import tracemalloc
 from unittest import mock
@@ -122,13 +121,6 @@ def test_injected_table_lookup_and_missing():
     assert t.score("c0", ("any",), ["a"] * 7) == 0.76
     with pytest.raises(MissingEntry):
         t.sim_lookup("c0", 1)
-
-
-def test_injected_table_from_json(tmp_path):
-    p = tmp_path / "fixture.json"
-    p.write_text(json.dumps({"c0:3": 0.5}))
-    t = InjectedTableSimilarity.from_json(p)
-    assert t.sim_lookup("c0", 3) == 0.5
 
 
 class CountingEmbedder(HashedNgramEmbedder):

@@ -8,10 +8,11 @@ order by priority NP < VP < other, then span start).
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from restate.treebank import (Constraint, EmptyNode, OffsetOutOfRange,
-                              TagWithoutContent, UnbalancedParens, concat_pqa,
+from restate.treebank import (PRONOUN_TAGS, Constraint, EmptyNode,
+                              OffsetOutOfRange, ParseTree, TagWithoutContent,
+                              UnbalancedParens, concat_pqa,
                               constraint_token_rows, extract_constraints,
                               parse_bracketed, serialize)
 
@@ -93,6 +94,123 @@ def test_roundtrip_random_trees(s):
     t = parse_bracketed(s)
     assert parse_bracketed(serialize(t)) == t
     assert t.end == len(t.leaves())
+
+
+# Well-formed trees with the shapes the synthetic corpus never makes:
+# function-tagged labels, unary chains, a bare '( ... )' root and
+# single-pronoun NPs under NP, VP and PP. A spec is (label, token) for a
+# preterminal or (label, [child specs]) for a phrase.
+_phrase_label = st.builds(
+    lambda base, tag: base + tag,
+    st.sampled_from(["NP", "NP", "NP", "VP", "PP", "ADVP", "ADJP", "S",
+                     "SBAR"]),
+    st.sampled_from(["", "", "-SBJ", "=2", "-TMP=1"]))
+_word = st.sampled_from(["it", "the", "box", "has", "of", "mine"])
+_preterminal = st.tuples(
+    st.sampled_from(["DT", "NN", "VB", "IN", "PRP-1"] + sorted(PRONOUN_TAGS)),
+    _word)
+_pronoun_np = st.builds(lambda np, tag, word: (np, [(tag, word)]),
+                        st.sampled_from(["NP", "NP-SBJ", "NP=2"]),
+                        st.sampled_from(sorted(PRONOUN_TAGS) + ["PRP-1"]),
+                        _word)
+_specs = st.recursive(
+    _preterminal | _pronoun_np,
+    lambda kids: st.tuples(_phrase_label,
+                           st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=10)
+_root_specs = _specs | st.builds(lambda kids: ("", kids),
+                                 st.lists(_specs, min_size=1, max_size=2))
+
+
+def _tree(spec, start=0):
+    """The ParseTree of spec, its yield numbered from token start."""
+    label, payload = spec
+    if isinstance(payload, str):
+        return ParseTree(label, token=payload, start=start, end=start + 1)
+    kids = []
+    end = start
+    for kid in payload:
+        kids.append(_tree(kid, end))
+        end += len(kids[-1].leaves())
+    return ParseTree(label, tuple(kids), start=start, end=end)
+
+
+def _nodes(tree):
+    yield tree
+    for ch in tree.children:
+        yield from _nodes(ch)
+
+
+def _leaf_nodes(tree):
+    return [n for n in _nodes(tree) if n.is_leaf()]
+
+
+def _oracle_constraints(tree, source):
+    """extract_constraints' docstring rules, on leaf lists."""
+    def base(label):
+        return label.split("-")[0].split("=")[0]
+
+    found = []  # (start, end, label, tokens), in pre-order
+    sent = tree.leaves()
+
+    def visit(node, parent):
+        if node.is_leaf():
+            return
+        leaves = _leaf_nodes(node)
+        plabel = base(parent.label) if parent is not None else ""
+        if (base(node.label) == "NP"
+                and not (len(leaves) == 1
+                         and base(leaves[0].label) in PRONOUN_TAGS)
+                and plabel in ("NP", "VP", "PP", "ADVP", "ADJP")):
+            span = node if plabel == "NP" else parent
+            start = len(_leaf_nodes_before(tree, span))
+            found.append((start, start + len(span.leaves()), plabel,
+                          span.leaves()))
+        for ch in node.children:
+            visit(ch, node)
+
+    visit(tree, None)
+    ranked = sorted(found, key=lambda f: ({"NP": 0, "VP": 1}.get(f[2], 2),
+                                          f[0], f[1]))
+    out = []
+    for start, end, label, tokens in ranked:
+        if all((c.start, c.end) != (start, end) for c in out):
+            assert tokens == sent[start:end]
+            out.append(Constraint(tuple(tokens), start, end, label, source))
+    return out
+
+
+def _leaf_nodes_before(tree, node):
+    """The preterminals left of node's yield."""
+    out = []
+    for n in _nodes(tree):
+        if n is node:
+            return out
+        if n.is_leaf():
+            out.append(n)
+    raise AssertionError("node not in tree")
+
+
+@given(_root_specs)
+def test_random_tree_shapes_roundtrip_with_spans(spec):
+    tree = _tree(spec)
+    assert parse_bracketed(serialize(tree)) == tree
+
+
+@given(_root_specs)
+def test_sole_leaf_matches_leaf_list(spec):
+    for node in _nodes(parse_bracketed(serialize(_tree(spec)))):
+        leaves = _leaf_nodes(node)
+        assert node.sole_leaf() is (leaves[0] if len(leaves) == 1 else None)
+
+
+@settings(max_examples=300)
+@given(_root_specs, _root_specs)
+def test_extraction_matches_docstring_oracle(q_spec, a_spec):
+    q = parse_bracketed(serialize(_tree(q_spec)))
+    a = parse_bracketed(serialize(_tree(a_spec)))
+    assert extract_constraints(q, a) == (_oracle_constraints(q, "question")
+                                         + _oracle_constraints(a, "answer"))
 
 
 # ---------------------------------------------------- extraction oracle suite
