@@ -20,39 +20,25 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, datagen
 from .decode import run_decoder
-from .evaluation import IdMismatch, build_report, text_table
+from .evaluation import build_report, text_table
 from .flags import SatisfierConfig, replay_flags
 from .flags import trace as flag_trace
 from .model import (CheckpointMismatch, ModelConfig, NonFiniteLoss,
                     Seq2SeqModel, TrainingConfig, TrainingExample,
                     example_from_record, train)
 from .similarity import HashedNgramEmbedder, SpanSimilarity
-from .treebank import extract_constraints, parse_bracketed
 from .vocab import Vocabulary, tokenize
 
 ENV_PREFIX = "RESTATE_"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-
-class MissingParse(ValueError):
-    """Raised when an input record has neither parses nor constraints."""
-
-
-class MalformedRecord(ValueError):
-    """Raised when an input record does not follow the corpus schema."""
-
-
-# Record fields that must be strings; all but the first four may be absent.
-_TEXT_FIELDS = ("id", "question", "answer", "context", "category",
-                "polarity", "target", "question_parse", "answer_parse",
-                "domain", "split")
 
 
 def _finite(text):
@@ -78,16 +64,6 @@ def _env(option, fallback, cast=str):
                          % (ENV_PREFIX, option.upper().replace("-", "_"),
                             raw, "number" if cast is _finite
                             else cast.__name__))
-
-
-def _read_jsonl(path):
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
 
 
 def _write_jsonl(records, path):
@@ -144,52 +120,6 @@ def _add_seed_arg(p):
                    help="root random seed (default %(default)s)")
 
 
-def _instance_from_record(rec):
-    """Accept a corpus record, extracting constraints if absent. A
-    non-empty parse must yield exactly the tokens of its text."""
-    if not isinstance(rec, dict):
-        raise MalformedRecord("record is not a JSON object")
-    for key in _TEXT_FIELDS[:4]:
-        if key not in rec:
-            raise MalformedRecord("record is missing %r" % key)
-    d = dict(rec)
-    for key in _TEXT_FIELDS[4:]:
-        d.setdefault(key, "")
-    wrong = [key for key in _TEXT_FIELDS if not isinstance(d[key], str)]
-    if wrong:
-        raise MalformedRecord("record %r: not a string: %s"
-                              % (d["id"], ", ".join(wrong)))
-    trees = {}
-    for text_key in ("question", "answer"):
-        bracketed = d[text_key + "_parse"]
-        if bracketed:
-            trees[text_key] = parse_bracketed(bracketed)
-            if trees[text_key].leaves() != tokenize(d[text_key]):
-                raise MalformedRecord(
-                    "record %r: %s_parse does not yield the tokens of its %s"
-                    % (d["id"], text_key, text_key))
-    if "constraints" not in d:
-        if not d["question_parse"] or not d["answer_parse"]:
-            raise MissingParse(
-                "record %s carries neither constraints nor parses" % d["id"])
-        cons = extract_constraints(trees["question"], trees["answer"])
-        d["constraints"] = [datagen.constraint_to_json(c) for c in cons]
-    elif not (isinstance(d["constraints"], list)
-              and all(map(_is_constraint, d["constraints"]))):
-        raise MalformedRecord(
-            "record %s: constraints must be a list of objects with string"
-            " tokens, label and source and integer start and end" % d["id"])
-    return datagen.instance_from_json(d)
-
-
-def _is_constraint(c):
-    return (isinstance(c, dict)
-            and isinstance(c.get("tokens"), list)
-            and all(isinstance(t, str) for t in c["tokens"])
-            and all(type(c.get(k)) is int for k in ("start", "end"))
-            and all(isinstance(c.get(k), str) for k in ("label", "source")))
-
-
 def _trace_path(trace_dir, record_id):
     """The trace file of one record; an id that would name a file outside
     trace_dir is a usage error."""
@@ -205,12 +135,12 @@ def _check_report(rep):
     """A decode report as evaluate reads it: an object with a string id
     and a list of strings as output_tokens."""
     if not (isinstance(rep, dict) and isinstance(rep.get("id"), str)):
-        raise MalformedRecord("decode report is not an object with a"
-                              " string id")
+        raise datagen.MalformedRecord("decode report is not an object"
+                                      " with a string id")
     toks = rep.get("output_tokens")
     if not (isinstance(toks, list) and all(isinstance(t, str) for t in toks)):
-        raise MalformedRecord("decode report %r: output_tokens must be a"
-                              " list of strings" % rep["id"])
+        raise datagen.MalformedRecord("decode report %r: output_tokens must"
+                                      " be a list of strings" % rep["id"])
     return rep
 
 
@@ -218,13 +148,6 @@ def _filter_split(instances, split):
     if not split or split == "all":
         return instances
     return [inst for inst in instances if inst.split == split]
-
-
-def _read_instances(path, split=""):
-    """The records of a corpus file, every one checked by
-    _instance_from_record before any is filtered by split."""
-    return _filter_split([_instance_from_record(r) for r in _read_jsonl(path)],
-                         split)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +198,8 @@ def cmd_datagen(args):
 
 
 def cmd_extract_constraints(args):
-    out = [{"id": inst.id,
-            "constraints": [datagen.constraint_to_json(c)
-                            for c in inst.constraints]}
-           for inst in _read_instances(args.input)]
+    out = [{"id": inst.id, "constraints": list(map(asdict, inst.constraints))}
+           for inst in datagen.read_corpus(args.input)]
     _write_jsonl(out, args.out)
     _snapshot(args, args.out + ".config.json")
     print("extracted constraints for %d records -> %s"
@@ -287,15 +208,15 @@ def cmd_extract_constraints(args):
 
 
 def cmd_train(args):
-    instances = _read_instances(args.input)
+    instances = datagen.read_corpus(args.input)
     model_records = [datagen.model_record(inst)
                      for inst in _filter_split(instances, args.split)]
     if not model_records:
         raise ValueError("no records in split %r" % args.split)
     for mr in model_records:
         if not mr["target_tokens"]:
-            raise MalformedRecord("record %r has no target to train on"
-                                  % mr["id"])
+            raise datagen.MalformedRecord("record %r has no target to train"
+                                          " on" % mr["id"])
     # the vocabulary covers the whole file, not just the training split,
     # so later rewriting of held-out records never meets an unknown token
     pool_lists = []
@@ -334,7 +255,7 @@ def cmd_train(args):
 
 def cmd_rewrite(args):
     model = Seq2SeqModel.load(args.checkpoint)
-    instances = _read_instances(args.input, args.split)
+    instances = _filter_split(datagen.read_corpus(args.input), args.split)
     if not instances:
         raise ValueError("no records to rewrite in split %r" % args.split)
     config = _satisfier(args)
@@ -381,8 +302,8 @@ def cmd_rewrite(args):
 
 
 def cmd_evaluate(args):
-    outputs = [_check_report(rep) for rep in _read_jsonl(args.outputs)]
-    instances = _read_instances(args.gold, args.split)
+    outputs = [_check_report(rep) for rep in datagen.read_jsonl(args.outputs)]
+    instances = _filter_split(datagen.read_corpus(args.gold), args.split)
     report = build_report(outputs, instances)
     with open(args.out, "w") as fh:
         fh.write(report.to_json())
@@ -396,7 +317,7 @@ def cmd_evaluate(args):
 
 
 def cmd_inspect_flags(args):
-    match = [inst for inst in _read_instances(args.input)
+    match = [inst for inst in datagen.read_corpus(args.input)
              if inst.id == args.id]
     if not match:
         raise ValueError("no record with id %r in %s" % (args.id, args.input))
@@ -531,7 +452,7 @@ def main(argv=None):
             FloatingPointError) as exc:
         _error(exc)
         return EXIT_RUNTIME
-    except (datagen.InvalidMix, MissingParse, IdMismatch, ValueError) as exc:
+    except ValueError as exc:
         _error(exc)
         return EXIT_USAGE
 

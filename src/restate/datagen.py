@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .treebank import (Constraint, concat_pqa, constraint_token_rows,
                        extract_constraints, parse_bracketed, serialize)
@@ -37,19 +37,33 @@ class InvalidMix(ValueError):
     """Raised for malformed category mixes or instance counts."""
 
 
+class MissingParse(ValueError):
+    """Raised when an input record has neither parses nor constraints."""
+
+
+class MalformedRecord(ValueError):
+    """Raised when an input record does not follow the corpus schema."""
+
+
 @dataclass(frozen=True)
 class PQAInstance:
-    """One question/answer/context triple with its gold rewrite."""
+    """One question/answer/context triple with its gold rewrite.
+
+    This is the corpus record format: a record is the JSON object of
+    these fields, in this order, with the constraints as objects of
+    Constraint's fields. A record may leave out any field with a default
+    (instance_from_json extracts absent constraints from the parses).
+    """
 
     id: str
     question: str
     answer: str
     context: str
-    category: str
-    polarity: str
-    target: str
-    question_parse: str
-    answer_parse: str
+    category: str = ""
+    polarity: str = ""
+    target: str = ""
+    question_parse: str = ""
+    answer_parse: str = ""
     constraints: tuple = ()
     domain: str = ""
     split: str = ""
@@ -452,58 +466,86 @@ def build_corpus(seed, split_sizes=DEFAULT_SPLIT_SIZES, category_mix=None,
     return [replace(inst, split=name) for inst, name in zip(instances, names)]
 
 
-def constraint_to_json(c):
-    """A constraint as its corpus JSON object."""
-    return {"tokens": list(c.tokens), "start": c.start, "end": c.end,
-            "label": c.label, "source": c.source}
+def _carried_constraint(c):
+    """A record's constraint object as a Constraint, or None when it does
+    not have the corpus shape."""
+    if not (isinstance(c, dict)
+            and isinstance(c.get("tokens"), list)
+            and all(isinstance(t, str) for t in c["tokens"])
+            and all(type(c.get(k)) is int for k in ("start", "end"))
+            and all(isinstance(c.get(k), str) for k in ("label", "source"))):
+        return None
+    return Constraint(tokens=tuple(c["tokens"]), start=c["start"],
+                      end=c["end"], label=c["label"], source=c["source"])
 
 
-def _constraint_from_json(d):
-    return Constraint(tokens=tuple(d["tokens"]), start=d["start"],
-                      end=d["end"], label=d["label"], source=d["source"])
+def instance_from_json(rec):
+    """Decode and check one corpus record; MalformedRecord or
+    MissingParse when it does not follow PQAInstance's format.
+
+    Absent string fields read as "". A non-empty parse must yield
+    exactly the tokens of its text. Each carried constraint must repeat
+    the question or answer tokens at its span.
+    """
+    if not isinstance(rec, dict):
+        raise MalformedRecord("record is not a JSON object")
+    text_fields = [f for f in fields(PQAInstance) if f.name != "constraints"]
+    for f in text_fields:
+        if f.default is MISSING and f.name not in rec:
+            raise MalformedRecord("record is missing %r" % f.name)
+    d = {f.name: rec.get(f.name, "") for f in text_fields}
+    wrong = [key for key, value in d.items() if not isinstance(value, str)]
+    if wrong:
+        raise MalformedRecord("record %r: not a string: %s"
+                              % (d["id"], ", ".join(wrong)))
+    tokens = {key: tokenize(d[key]) for key in ("question", "answer")}
+    trees = {}
+    for key in tokens:
+        if d[key + "_parse"]:
+            trees[key] = parse_bracketed(d[key + "_parse"])
+            if trees[key].leaves() != tokens[key]:
+                raise MalformedRecord(
+                    "record %r: %s_parse does not yield the tokens of its %s"
+                    % (d["id"], key, key))
+    if "constraints" not in rec:
+        if len(trees) < 2:
+            raise MissingParse(
+                "record %s carries neither constraints nor parses" % d["id"])
+        return PQAInstance(constraints=tuple(extract_constraints(
+            trees["question"], trees["answer"])), **d)
+    carried = rec["constraints"]
+    if not isinstance(carried, list):
+        carried = [None]
+    constraints = tuple(map(_carried_constraint, carried))
+    if None in constraints:
+        raise MalformedRecord(
+            "record %s: constraints must be a list of objects with string"
+            " tokens, label and source and integer start and end" % d["id"])
+    for i, c in enumerate(constraints):
+        text = tokens.get(c.source)
+        if (text is None or not 0 <= c.start < c.end <= len(text)
+                or list(c.tokens) != text[c.start:c.end]):
+            raise MalformedRecord(
+                "record %r: constraint %d does not match tokens [%d, %d) of"
+                " source %r" % (d["id"], i, c.start, c.end, c.source))
+    return PQAInstance(constraints=constraints, **d)
 
 
-def instance_to_json(inst):
-    return {
-        "id": inst.id,
-        "question": inst.question,
-        "answer": inst.answer,
-        "context": inst.context,
-        "category": inst.category,
-        "polarity": inst.polarity,
-        "target": inst.target,
-        "question_parse": inst.question_parse,
-        "answer_parse": inst.answer_parse,
-        "constraints": [constraint_to_json(c) for c in inst.constraints],
-        "domain": inst.domain,
-        "split": inst.split,
-    }
-
-
-def instance_from_json(d):
-    return PQAInstance(
-        id=d["id"], question=d["question"], answer=d["answer"],
-        context=d["context"], category=d["category"], polarity=d["polarity"],
-        target=d["target"], question_parse=d["question_parse"],
-        answer_parse=d["answer_parse"],
-        constraints=tuple(_constraint_from_json(c) for c in d["constraints"]),
-        domain=d["domain"], split=d.get("split", ""))
+def read_jsonl(path):
+    """The JSON value of each non-blank line of a file."""
+    with open(path) as fh:
+        return [json.loads(line) for line in map(str.strip, fh) if line]
 
 
 def write_corpus(instances, path):
     with open(path, "w") as fh:
         for inst in instances:
-            fh.write(json.dumps(instance_to_json(inst)) + "\n")
+            fh.write(json.dumps(asdict(inst)) + "\n")
 
 
 def read_corpus(path):
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(instance_from_json(json.loads(line)))
-    return out
+    """The checked instances of a corpus file, in file order."""
+    return [instance_from_json(rec) for rec in read_jsonl(path)]
 
 
 def split_of(instances, name):
@@ -521,7 +563,6 @@ def model_record(inst):
         "x_tokens": x_tokens,
         "target_tokens": tokenize(inst.target),
         "constraint_rows": [list(r) for r in rows],
-        "constraint_texts": [c.text for c in inst.constraints],
     }
 
 

@@ -157,7 +157,7 @@ def coverage_audit(outputs, instances, config=None):
 
     outputs: list of {"id", "output_tokens"} aligned with instances.
     Returns micro-averaged lexical and semantic rates, plus the same
-    split per category and the per-instance satisfaction lists.
+    split per category.
     """
     toks = _aligned_outputs(outputs, instances)
     base = config if config is not None else SatisfierConfig()
@@ -173,7 +173,6 @@ def coverage_audit(outputs, instances, config=None):
     hits = {m: 0 for m in modes}
     total = 0
     per_cat = {}
-    detail = []
     for inst, out in zip(instances, toks):
         rec = datagen.model_record(inst)
         rows = [tuple(r) for r in rec["constraint_rows"]]
@@ -181,13 +180,10 @@ def coverage_audit(outputs, instances, config=None):
                                  {"total": 0, "lexical": 0, "semantic": 0})
         total += len(rows)
         cat["total"] += len(rows)
-        row_detail = {"id": inst.id}
         for mode, (cfg, scorer) in modes.items():
             t = replay_flags(rec["x_tokens"], rows, out, cfg, scorer=scorer)
             hits[mode] += sum(t.satisfied)
             cat[mode] += sum(t.satisfied)
-            row_detail[mode] = list(t.satisfied)
-        detail.append(row_detail)
     return {
         "lexical": _rate(hits["lexical"], total),
         "semantic": _rate(hits["semantic"], total),
@@ -197,7 +193,6 @@ def coverage_audit(outputs, instances, config=None):
                 "semantic": _rate(v["semantic"], v["total"]),
                 "n_constraints": v["total"]}
             for c, v in sorted(per_cat.items())},
-        "per_instance": detail,
     }
 
 

@@ -189,6 +189,29 @@ class TestExtractConstraints:
         assert "answer_parse does not yield the tokens of its answer" in err
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(tokens=["totally", "different"]),
+        lambda c: c.update(start=40, end=45),
+        lambda c: c.update(start=c["end"], end=c["start"]),
+        lambda c: c.update(source="context"),
+    ], ids=["tokens", "span-past-text", "reversed-span", "source"])
+    @pytest.mark.parametrize("command", ["extract-constraints",
+                                         "inspect-flags"])
+    def test_constraint_not_matching_its_text_is_usage_error(
+            self, workdir, tmp_path, command, edit):
+        rec = json.loads(
+            (workdir / "corpus" / "train.jsonl").read_text().splitlines()[0])
+        edit(rec["constraints"][0])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(rec) + "\n")
+        argv = {"extract-constraints": ["--out", str(tmp_path / "o.jsonl")],
+                "inspect-flags": ["--id", rec["id"]]}[command]
+        rc, err, _ = _run_quietly([command, "--input", str(bad)] + argv)
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1
+        assert "record %r: constraint 0 does not match" % rec["id"] in err
+
+
 class TestTrain:
     def test_artifacts_exist(self, workdir):
         assert (workdir / "model.npz").exists()

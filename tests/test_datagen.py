@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -15,7 +16,7 @@ FIRST_PERSON = {"i", "me", "my", "mine", "we", "us", "our", "ours"}
 
 
 def jsonify(instances):
-    return [dg.instance_to_json(i) for i in instances]
+    return [asdict(i) for i in instances]
 
 
 class TestQuotas:
@@ -67,7 +68,7 @@ class TestDeterminism:
         # platform
         h = hashlib.sha256()
         for inst in dg.build_corpus(0, (300, 100, 400)):
-            h.update((json.dumps(dg.instance_to_json(inst)) + "\n").encode())
+            h.update((json.dumps(asdict(inst)) + "\n").encode())
         assert h.hexdigest() == ("891960de2dd9b21f4b8d960250f7901c"
                                  "b3b7508ee251a096c4a684587d325685")
 
@@ -235,7 +236,7 @@ class TestFirstPersonVariants:
     def test_deterministic_given_rng(self):
         a = dg.first_person_variants(self.base(), 0.5, random.Random(9))
         b = dg.first_person_variants(self.base(), 0.5, random.Random(9))
-        assert dg.instance_to_json(a) == dg.instance_to_json(b)
+        assert asdict(a) == asdict(b)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -254,8 +255,8 @@ class TestModelRecord:
             "yes", ",", "it", "has", "a", "camera", ".", "<sep>",
             "samsung", "galaxy", "a20", "phone"]
         assert rec["constraint_rows"] == [[2, 3, 4], [10, 11, 12]]
-        for row, text in zip(rec["constraint_rows"], rec["constraint_texts"]):
-            assert " ".join(rec["x_tokens"][p] for p in row) == text
+        for row, c in zip(rec["constraint_rows"], inst.constraints):
+            assert " ".join(rec["x_tokens"][p] for p in row) == c.text
         assert rec["target_tokens"][0] == "yes"
 
 
@@ -266,6 +267,23 @@ class TestSerialization:
         dg.write_corpus(insts, path)
         back = dg.read_corpus(path)
         assert jsonify(back) == jsonify(insts)
+
+    def test_absent_domain_and_split_read_as_empty(self, tmp_path):
+        rec = asdict(dg.build_corpus(2, (1, 0, 0))[0])
+        del rec["domain"], rec["split"]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        (inst,) = dg.read_corpus(path)
+        assert (inst.domain, inst.split) == ("", "")
+        assert inst.id == rec["id"] and len(inst.constraints) > 0
+
+    def test_non_string_field_is_rejected(self, tmp_path):
+        rec = asdict(dg.build_corpus(2, (1, 0, 0))[0])
+        rec["question"] = 5
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ValueError, match="not a string: question"):
+            dg.read_corpus(path)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         insts = dg.build_corpus(2, (12, 3, 5))
