@@ -444,6 +444,175 @@ def test_early_stop_keeps_model_results(copy_model, case, width, alpha,
     _same_without_stop(copy_model, x, rows, width, alpha, max_len)
 
 
+# Every field of beam and constrained beam results on the copy model,
+# recorded from the two-pass search (a separate greedy pass, then the
+# beam) before the argmax trajectory moved into the beam's own steps.
+# (decoder, sentence, width, mode, max_len) -> tokens, finished,
+# unsatisfiable, flag matrix rows, score, normalized score.
+_PINNED_ROWS = [(2,), (0, 1)]
+_PINNED = {
+    ("beam", 0, 2, "lexical", 48):
+        ("the cat sat", True, False, "1122/1122/1112",
+         -0.09609710613832398, -0.03641399394189143),
+    ("beam", 0, 2, "lexical", 2):
+        ("the cat", True, False, "112/112/111",
+         -5.739478096918407, -2.6600360630735724),
+    ("beam", 0, 2, "off", 48):
+        ("the cat sat", True, False, "0000/0000/0000",
+         -0.09537511034959169, -0.036140408697408366),
+    ("beam", 0, 2, "off", 2):
+        ("the cat", True, False, "000/000/000",
+         -5.749836719461629, -2.6648369019414013),
+    ("beam", 0, 4, "lexical", 48):
+        ("the cat sat", True, False, "1122/1122/1112",
+         -0.09609710613832398, -0.03641399394189143),
+    ("beam", 0, 4, "lexical", 2):
+        ("the mat", True, False, "111/111/111",
+         -5.576615804896822, -2.58455540738036),
+    ("beam", 0, 4, "off", 48):
+        ("the cat sat", True, False, "0000/0000/0000",
+         -0.09537511034959169, -0.036140408697408366),
+    ("beam", 0, 4, "off", 2):
+        ("the mat", True, False, "000/000/000",
+         -5.333507509584468, -2.4718836937082735),
+    ("beam", 1, 2, "lexical", 48):
+        ("the dog ran", True, False, "1122/1122/1112",
+         -0.09763155801689372, -0.03699544247510672),
+    ("beam", 1, 2, "lexical", 2):
+        ("the dog", True, False, "112/112/111",
+         -5.771166944293143, -2.6747226731434486),
+    ("beam", 1, 2, "off", 48):
+        ("the dog ran", True, False, "0000/0000/0000",
+         -0.09741566406858568, -0.03691363396659176),
+    ("beam", 1, 2, "off", 2):
+        ("the dog", True, False, "000/000/000",
+         -5.773889882912262, -2.675984654599268),
+    ("beam", 1, 4, "lexical", 48):
+        ("the dog ran", True, False, "1122/1122/1112",
+         -0.09763155801689372, -0.03699544247510672),
+    ("beam", 1, 4, "lexical", 2):
+        ("the mat", True, False, "111/111/111",
+         -5.500443909689138, -2.5492525479872925),
+    ("beam", 1, 4, "off", 48):
+        ("the dog ran", True, False, "0000/0000/0000",
+         -0.09741566406858568, -0.03691363396659176),
+    ("beam", 1, 4, "off", 2):
+        ("the mat", True, False, "000/000/000",
+         -5.351156117365625, -2.480063171418298),
+    ("beam", 2, 2, "lexical", 48):
+        ("on the mat", True, False, "1122/1122/1112",
+         -0.09478968417011172, -0.03591857365773169),
+    ("beam", 2, 2, "lexical", 2):
+        ("on the", True, False, "112/112/111",
+         -5.630431422543687, -2.6094969580370475),
+    ("beam", 2, 2, "off", 48):
+        ("on the mat", True, False, "0000/0000/0000",
+         -0.09451088029595682, -0.03581292674501573),
+    ("beam", 2, 2, "off", 2):
+        ("on the", True, False, "000/000/000",
+         -5.654628774539588, -2.6207115367588547),
+    ("beam", 2, 4, "lexical", 48):
+        ("on the mat", True, False, "1122/1122/1112",
+         -0.09478968417011172, -0.03591857365773169),
+    ("beam", 2, 4, "lexical", 2):
+        ("on the", True, False, "112/112/111",
+         -5.630431422543687, -2.6094969580370475),
+    ("beam", 2, 4, "off", 48):
+        ("on the mat", True, False, "0000/0000/0000",
+         -0.09451088029595682, -0.03581292674501573),
+    ("beam", 2, 4, "off", 2):
+        ("on the", True, False, "000/000/000",
+         -5.654628774539588, -2.6207115367588547),
+    ("cbs", 0, 2, "lexical", 48):
+        ("the cat sat", True, False, "1122/1122/1112",
+         -0.09609710613832398, -0.03641399394189143),
+    ("cbs", 0, 2, "lexical", 2):
+        ("the cat", False, True, "112/112/111",
+         -0.04819955064768554, -0.029670303752816696),
+    ("cbs", 0, 2, "off", 48):
+        ("the cat sat", True, False, "0000/0000/0000",
+         -0.09537511034959169, -0.036140408697408366),
+    ("cbs", 0, 2, "off", 2):
+        ("the cat", False, True, "000/000/000",
+         -0.0474933407000533, -0.02923558053697868),
+    ("cbs", 0, 4, "lexical", 48):
+        ("the cat sat", True, False, "1122/1122/1112",
+         -0.09609710613832398, -0.03641399394189143),
+    ("cbs", 0, 4, "lexical", 2):
+        ("the cat", False, True, "112/112/111",
+         -0.04819955064768554, -0.029670303752816696),
+    ("cbs", 0, 4, "off", 48):
+        ("the cat sat", True, False, "0000/0000/0000",
+         -0.09537511034959169, -0.036140408697408366),
+    ("cbs", 0, 4, "off", 2):
+        ("the cat", False, True, "000/000/000",
+         -0.0474933407000533, -0.02923558053697868),
+    ("cbs", 1, 2, "lexical", 48):
+        ("the dog ran", True, False, "1122/1122/1112",
+         -0.09763155801689372, -0.03699544247510672),
+    ("cbs", 1, 2, "lexical", 2):
+        ("the dog", False, True, "112/112/111",
+         -0.04935217261195643, -0.030379825798822074),
+    ("cbs", 1, 2, "off", 48):
+        ("the dog ran", True, False, "0000/0000/0000",
+         -0.09741566406858568, -0.03691363396659176),
+    ("cbs", 1, 2, "off", 2):
+        ("the dog", False, True, "000/000/000",
+         -0.049157577173633255, -0.03026003825544508),
+    ("cbs", 1, 4, "lexical", 48):
+        ("the dog ran", True, False, "1122/1122/1112",
+         -0.09763155801689372, -0.03699544247510672),
+    ("cbs", 1, 4, "lexical", 2):
+        ("the dog", False, True, "112/112/111",
+         -0.04935217261195643, -0.030379825798822074),
+    ("cbs", 1, 4, "off", 48):
+        ("the dog ran", True, False, "0000/0000/0000",
+         -0.09741566406858568, -0.03691363396659176),
+    ("cbs", 1, 4, "off", 2):
+        ("the dog", False, True, "000/000/000",
+         -0.049157577173633255, -0.03026003825544508),
+    ("cbs", 2, 2, "lexical", 48):
+        ("on the mat", True, False, "1122/1122/1112",
+         -0.09478968417011172, -0.03591857365773169),
+    ("cbs", 2, 2, "lexical", 2):
+        ("on the", False, True, "112/112/111",
+         -0.04483897535506665, -0.02760162700425035),
+    ("cbs", 2, 2, "off", 48):
+        ("on the mat", True, False, "0000/0000/0000",
+         -0.09451088029595682, -0.03581292674501573),
+    ("cbs", 2, 2, "off", 2):
+        ("on the", False, True, "000/000/000",
+         -0.04448243382878468, -0.027382149950146588),
+    ("cbs", 2, 4, "lexical", 48):
+        ("on the mat", True, False, "1122/1122/1112",
+         -0.09478968417011172, -0.03591857365773169),
+    ("cbs", 2, 4, "lexical", 2):
+        ("on the", False, True, "112/112/111",
+         -0.04483897535506665, -0.02760162700425035),
+    ("cbs", 2, 4, "off", 48):
+        ("on the mat", True, False, "0000/0000/0000",
+         -0.09451088029595682, -0.03581292674501573),
+    ("cbs", 2, 4, "off", 2):
+        ("on the", False, True, "000/000/000",
+         -0.04448243382878468, -0.027382149950146588),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_results_are_pinned_to_the_byte(copy_model, case):
+    decoder, sentence, width, mode, max_len = case
+    res = run_decoder(decoder, copy_model, SENTENCES[sentence], _PINNED_ROWS,
+                      SatisfierConfig(mode=mode), beam_size=width,
+                      max_len=max_len)
+    matrix = "/".join("".join(map(str, row))
+                      for row in res.flag_matrix.tolist())
+    tokens, finished, unsatisfiable, rows, score, normalized = _PINNED[case]
+    assert (" ".join(res.tokens), res.finished, res.unsatisfiable, matrix,
+            repr(res.score), repr(res.normalized_score)) == (
+        tokens, finished, unsatisfiable, rows, repr(score), repr(normalized))
+
+
 class TestBatchedSteps:
     @pytest.fixture
     def calls(self, monkeypatch):
