@@ -5,12 +5,13 @@ Both drive a FlagTracker alongside the model so every generated token
 updates the mention flags the next step conditions on. Each search step
 is one batched decoder call over every live hypothesis: the model
 caches each hypothesis's past positions, so the call forwards only the
-newest token with its current flag column. Trackers are cloned and
-stepped only for hypotheses that survive pruning, because ranking and
-banking never read flags. Scores sum the log-probabilities of every
-chosen token (the stop token included once a hypothesis finishes) and
-are compared after dividing by the number of chosen tokens raised to a
-configurable exponent.
+newest token with its current flag column. Candidates are ranked as
+tuples; only the survivors of pruning are built, with their own lists
+and tracker clones, since ranking and banking never read flags. Scores
+sum the log-probabilities of every chosen token (the stop token
+included once a hypothesis finishes) left to right as they are chosen,
+and are compared after dividing by the number of chosen tokens raised
+to a configurable exponent.
 
 The banked search follows grid beam search (Hokamp & Liu 2017) with the
 per-bank beams of dynamic beam allocation (Post & Vilar 2018). It is
@@ -26,9 +27,12 @@ failing.
 
 Plain beam search is the one-bank case: with no lists every hypothesis
 sits in bank 0, which is full coverage, so any may stop, and nothing is
-forced. It seeds its finished pool with the argmax trajectory, which
-makes the greedy result a floor for the returned normalized score, and
-at width 1 that trajectory is the whole search.
+forced. At width 1 the argmax trajectory is the whole search; wider, it
+is a shadow hypothesis that floors the returned normalized score. Each
+step it reads the row of the live hypothesis with its ids, or one extra
+row of the same call once the beam drops them; it is live for the early
+stop until it stops or is closed at budget. No row depends on the other
+rows of its call, so this is exactly a greedy pass.
 
 The search stops early, exactly (after Huang et al. 2017, "When to
 Finish?"): before each step, and before the closing at budget, it ends
@@ -54,7 +58,7 @@ from .flags import FlagTracker, SatisfierConfig
 from .model.transformer import Seq2SeqModel
 
 
-@dataclass
+@dataclass(eq=False)
 class Hypothesis:
     ids: list
     logps: list
@@ -64,15 +68,16 @@ class Hypothesis:
     finished: bool = False
     # row of the decoder cache that holds every position but the newest
     row: int = 0
+    # logps summed left to right; sum() is compensated from Python 3.12
+    score: float | None = None
+    bank: int = field(init=False)  # constraint tokens matched verbatim
 
-    @property
-    def score(self) -> float:
-        return float(sum(self.logps))
-
-    @property
-    def bank(self) -> int:
-        """Constraint tokens matched verbatim, summed over constraints."""
-        return sum(self.pointers)
+    def __post_init__(self):
+        if self.score is None:
+            self.score = 0.0
+            for lp in self.logps:
+                self.score += lp
+        self.bank = sum(self.pointers)
 
     def normalized(self, alpha: float) -> float:
         return self.score / max(1, len(self.logps)) ** alpha
@@ -100,12 +105,7 @@ class _Decoder:
 
     def __init__(self, model, x_tokens):
         self.model = model
-        self.root = model.begin_decode(model.encode(list(x_tokens)))
-        self.cache = self.root
-
-    def restart(self):
-        """Drop every cached position; the next step starts a new search."""
-        self.cache = self.root
+        self.cache = model.begin_decode(model.encode(list(x_tokens)))
 
     def logprobs(self, hyps):
         """(len(hyps), vocab) next-token log-probabilities, pad and start
@@ -172,6 +172,7 @@ def _greedy_hyp(model, decoder, tracker, max_len):
         lp = decoder.logprobs([hyp])[0]
         nxt = int(np.argmax(lp))
         hyp.logps.append(float(lp[nxt]))
+        hyp.score += hyp.logps[-1]
         if nxt == model.vocab.eos_id:
             hyp.finished = True
             break
@@ -195,7 +196,8 @@ def greedy_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
 def _finished(hyp, stop_logp):
     """Finished copy of a live hypothesis, its stop token's logp counted."""
     return Hypothesis(hyp.ids, hyp.logps + [stop_logp], hyp.tracker,
-                      hyp.pointers, finished=True)
+                      hyp.pointers, finished=True,
+                      score=hyp.score + stop_logp)
 
 
 def _closed(model, decoder, hyps):
@@ -219,15 +221,6 @@ def _advance(pointers, targets, token_id):
                      if seen[len(seen) - q:] == target[:q])
         out.append(p)
     return out
-
-
-def _step_trackers(model, hyps):
-    """Give each surviving child its own tracker, advanced by its newest
-    token."""
-    for hyp in hyps:
-        hyp.tracker = hyp.tracker.clone()
-        hyp.tracker.step(model.vocab.tokens[hyp.ids[-1]])
-    return hyps
 
 
 def _length_caps(alpha, max_len):
@@ -260,33 +253,40 @@ def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
         raise ValueError("beam_size must be >= 1")
     max_len = _clamp_budget(model, max_len, alpha)
     decoder = _Decoder(model, x_tokens)
+    tracker = _new_tracker(x_tokens, constraint_rows, config, scorer)
+    if beam_size == 1 and not targets:
+        # the argmax trajectory is the entire width-1 search
+        hyp = _greedy_hyp(model, decoder, tracker, max_len)
+        done = [hyp] if hyp.finished else _closed(model, decoder, [hyp])
+        return _result_from(model, done[0], alpha)
     eos = model.vocab.eos_id
     full = sum(len(t) for t in targets)
     done = []
-    if not targets:
-        seed = _greedy_hyp(model, decoder, _new_tracker(
-            x_tokens, constraint_rows, config, scorer), max_len)
-        done = [seed] if seed.finished else _closed(model, decoder, [seed])
-        if beam_size == 1:
-            # the seeded argmax trajectory is the entire width-1 search
-            return _result_from(model, done[0], alpha)
-        decoder.restart()
     # an unforced stop token takes a top-k slot, so it gets one more
     width = beam_size if targets else beam_size + 1
-    live = [Hypothesis([], [], _new_tracker(x_tokens, constraint_rows,
-                                            config, scorer),
-                       [0] * len(targets))]
+    live = [Hypothesis([], [], tracker, [0] * len(targets))]
+    # plain search carries the argmax trajectory: the live hypothesis
+    # with its ids, or an extra row of each call once the beam drops it
+    shadow = None if targets else live[0]
     caps = _length_caps(alpha, max_len)
     for step in range(max_len + 1):
-        if _decided(done, live, alpha, caps):
+        rows = live if shadow is None or shadow in live else live + [shadow]
+        if _decided(done, rows, alpha, caps):
             break
         if step == max_len:
             # budget exhausted: close fully covered survivors for the ranking
-            done += _closed(model, decoder, [h for h in live
+            done += _closed(model, decoder, [h for h in rows
                                              if h.bank >= full])
             break
+        lps = decoder.logprobs(rows)
+        if shadow is not None:
+            at = rows.index(shadow)
+            greedy = int(np.argmax(lps[at]))
+            if greedy == eos:
+                done.append(_finished(shadow, float(lps[at, eos])))
+                shadow = None
         banks = {}
-        for row, (hyp, lp) in enumerate(zip(live, decoder.logprobs(live))):
+        for row, (hyp, lp) in enumerate(zip(live, lps)):
             k = min(width, int(np.isfinite(lp).sum()))
             wanted = set(np.argpartition(-lp, k - 1)[:k].tolist())
             if targets:
@@ -294,22 +294,41 @@ def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
                 wanted.update(t[p] for t, p in zip(targets, hyp.pointers)
                               if p < len(t) and lp[t[p]] > -np.inf)
             may_stop = hyp.bank >= full
+            ids = tuple(hyp.ids)
             for nxt in sorted(wanted):
+                logp = float(lp[nxt])
                 if nxt == eos:
                     if may_stop:
-                        done.append(_finished(hyp, float(lp[nxt])))
+                        done.append(_finished(hyp, logp))
                     continue
-                child = Hypothesis(hyp.ids + [nxt],
-                                   hyp.logps + [float(lp[nxt])], hyp.tracker,
-                                   _advance(hyp.pointers, targets, nxt),
-                                   row=row)
-                banks.setdefault(child.bank, []).append(child)
-        if not banks:
+                pointers = (_advance(hyp.pointers, targets, nxt) if targets
+                            else hyp.pointers)
+                # a step's children share one length, so (parent ids,
+                # token) orders them as their own ids would
+                banks.setdefault(sum(pointers), []).append(
+                    (-(hyp.score + logp), ids, nxt, row, logp, pointers))
+        if not banks and shadow is None:
             break
-        live = []
-        for hyps in banks.values():
-            hyps.sort(key=lambda h: (-h.score, tuple(h.ids)))
-            live += _step_trackers(model, hyps[:beam_size])
+        parents, live = live, []
+        for ranked in banks.values():
+            ranked.sort()
+            for neg, _, nxt, row, logp, pointers in ranked[:beam_size]:
+                parent = parents[row]
+                tracker = parent.tracker.clone()
+                tracker.step(model.vocab.tokens[nxt])
+                live.append(Hypothesis(
+                    parent.ids + [nxt], parent.logps + [logp], tracker,
+                    pointers, row=row, score=-neg))
+        if shadow is not None:
+            twin = [h for h in live if h.row == at and h.ids[-1] == greedy]
+            if not twin:
+                tracker = shadow.tracker.clone()
+                tracker.step(model.vocab.tokens[greedy])
+                logp = float(lps[at, greedy])
+                twin = [Hypothesis(shadow.ids + [greedy],
+                                   shadow.logps + [logp], tracker, row=at,
+                                   score=shadow.score + logp)]
+            shadow = twin[0]
     if done:
         best = min(done, key=lambda h: (-h.normalized(alpha), tuple(h.ids)))
         return _result_from(model, best, alpha)
@@ -329,13 +348,14 @@ def beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
     """Length-normalized beam search: the banked search with no
     constraint tokens.
 
-    Live hypotheses are ranked by cumulative log-probability, finished
-    ones by score / chosen_tokens ** alpha; ties prefer the smallest
-    token id sequence. Width 1 returns the greedy loop's tokens; its
-    scores equal greedy's only when greedy stops within max_len. When
-    greedy runs out of budget instead, the width-1 result also counts
-    the stop token's log-probability and is marked finished. The greedy
-    trajectory is always among the scored candidates.
+    Live hypotheses are ranked by cumulative log-probability (summed
+    left to right), finished ones by score / chosen_tokens ** alpha;
+    ties prefer the smallest token id sequence. Width 1 returns the
+    greedy loop's tokens; its scores equal greedy's only when greedy
+    stops within max_len. When greedy runs out of budget instead, the
+    width-1 result also counts the stop token's log-probability and is
+    marked finished. Wider searches carry the greedy trajectory in their
+    own batched steps, so it is always among the scored candidates.
     """
     return _search(model, list(x_tokens), constraint_rows, config, scorer,
                    beam_size, alpha, max_len, [])

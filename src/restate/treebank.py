@@ -61,11 +61,14 @@ class ParseTree:
 
     def leaves(self) -> list[str]:
         """Tokens of this node's yield, left to right."""
-        if self.is_leaf():
-            return [self.token]
         out = []
-        for ch in self.children:
-            out.extend(ch.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.token is not None:
+                out.append(node.token)
+            else:
+                stack.extend(reversed(node.children))
         return out
 
     def sole_leaf(self) -> "ParseTree | None":
@@ -94,60 +97,76 @@ def parse_bracketed(text: str) -> ParseTree:
     toks = _BRACKET_TOKEN.findall(text)
     if not toks:
         raise UnbalancedParens("empty input")
-    pos = 0
+    if toks[0] != "(":
+        raise UnbalancedParens("expected '(' at token 0")
+    # an explicit stack of open nodes (label, atoms, kids), so nesting
+    # depth is bounded by memory rather than by the interpreter's stack
+    stack = []
     n_leaves = 0
-
-    def parse_node() -> ParseTree:
-        nonlocal pos, n_leaves
-        if pos >= len(toks) or toks[pos] != "(":
-            raise UnbalancedParens("expected '(' at token %d" % pos)
+    pos = 0
+    while pos < len(toks):
+        tok = toks[pos]
         pos += 1
-        label = ""
-        if pos < len(toks) and toks[pos] not in "()":
-            label = toks[pos]
-            pos += 1
-        atoms: list[str] = []
-        kids: list[ParseTree] = []
-        while pos < len(toks) and toks[pos] != ")":
-            if toks[pos] == "(":
-                kids.append(parse_node())
-            else:
-                atoms.append(toks[pos])
+        if tok == "(":
+            label = ""
+            if pos < len(toks) and toks[pos] not in "()":
+                label = toks[pos]
                 pos += 1
-        if pos >= len(toks):
-            raise UnbalancedParens("missing ')' for node '%s'" % label)
-        pos += 1  # consume ')'
-        if not label and not atoms and not kids:
-            raise EmptyNode("'()' node")
-        if label and not atoms and not kids:
-            raise TagWithoutContent("node '(%s)' has no content" % label)
-        if atoms and kids:
-            raise TagWithoutContent(
-                "node '%s' mixes bare tokens with subtrees" % label)
-        if len(atoms) > 1:
-            raise TagWithoutContent(
-                "preterminal '%s' holds %d tokens" % (label, len(atoms)))
-        if atoms:
-            n_leaves += 1
-            return ParseTree(label=label, token=atoms[0],
-                             start=n_leaves - 1, end=n_leaves)
-        return ParseTree(label=label, children=tuple(kids),
-                         start=kids[0].start, end=kids[-1].end)
-
-    tree = parse_node()
+            stack.append((label, [], []))
+        elif tok != ")":
+            stack[-1][1].append(tok)
+        else:
+            node = _closed_node(*stack.pop(), n_leaves)
+            if node.is_leaf():
+                n_leaves += 1
+            if not stack:
+                break
+            stack[-1][2].append(node)
+    if stack:
+        raise UnbalancedParens("missing ')' for node '%s'" % stack[-1][0])
     if pos != len(toks):
         raise UnbalancedParens("trailing content after tree")
-    return tree
+    return node
+
+
+def _closed_node(label, atoms, kids, n_leaves):
+    """The node a ')' closes, checked; a preterminal takes leaf n_leaves."""
+    if not label and not atoms and not kids:
+        raise EmptyNode("'()' node")
+    if label and not atoms and not kids:
+        raise TagWithoutContent("node '(%s)' has no content" % label)
+    if atoms and kids:
+        raise TagWithoutContent(
+            "node '%s' mixes bare tokens with subtrees" % label)
+    if len(atoms) > 1:
+        raise TagWithoutContent(
+            "preterminal '%s' holds %d tokens" % (label, len(atoms)))
+    if atoms:
+        return ParseTree(label=label, token=atoms[0], start=n_leaves,
+                         end=n_leaves + 1)
+    return ParseTree(label=label, children=tuple(kids),
+                     start=kids[0].start, end=kids[-1].end)
 
 
 def serialize(tree: ParseTree) -> str:
     """Write a tree back to single-line bracketed form; inverse of parse_bracketed."""
-    if tree.is_leaf():
-        return "(%s %s)" % (tree.label, tree.token)
-    inner = " ".join(serialize(ch) for ch in tree.children)
-    if tree.label:
-        return "(%s %s)" % (tree.label, inner)
-    return "( %s )" % inner
+    parts = []
+    # nodes still to write and the text between and after them
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.is_leaf():
+            parts.append("(%s %s)" % (item.label, item.token))
+        else:
+            parts.append("(%s " % item.label if item.label else "( ")
+            stack.append(")" if item.label else " )")
+            for i in range(len(item.children) - 1, -1, -1):
+                stack.append(item.children[i])
+                if i:
+                    stack.append(" ")
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

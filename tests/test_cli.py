@@ -188,6 +188,29 @@ class TestExtractConstraints:
         assert err.count("\n") == 1
         assert "answer_parse does not yield the tokens of its answer" in err
 
+    def test_deeply_nested_parse_ends_cleanly(self, workdir, tmp_path):
+        # 3,000 nested (S levels, far past the interpreter's recursion
+        # limit: a parse that does not yield its text is a usage error
+        # and one that does is extracted
+        rec = json.loads(
+            (workdir / "corpus" / "train.jsonl").read_text().splitlines()[0])
+        del rec["constraints"]
+        rec["question_parse"] = "(S " * 3000 + "(NN a)" + ")" * 3000
+        path = tmp_path / "deep.jsonl"
+        out = tmp_path / "o.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        argv = ["extract-constraints", "--input", str(path), "--out",
+                str(out)]
+        rc, err, _ = _run_quietly(argv)
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1
+        assert "question_parse does not yield the tokens" in err
+        rec["question"] = "a"
+        path.write_text(json.dumps(rec) + "\n")
+        assert _run_quietly(argv)[0] == EXIT_OK
+        [row] = read_jsonl(out)
+        assert row["constraints"]
+        assert {c["source"] for c in row["constraints"]} == {"answer"}
 
     @pytest.mark.parametrize("edit", [
         lambda c: c.update(tokens=["totally", "different"]),

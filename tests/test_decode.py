@@ -72,11 +72,13 @@ def exhaustive_best(model, x_tokens, max_len, alpha):
 class StubLM:
     """Hand-set next-token distributions keyed by the decoded prefix."""
 
-    def __init__(self, table, default=None):
+    def __init__(self, table, default=None, floor=-40.0):
         self.vocab = Vocabulary(["a", "b", "c"])
         self.table = {tuple(k): v for k, v in table.items()}
         self.default = default or {"a": 0.25, "b": 0.25, "c": 0.25,
                                    "<eos>": 0.25}
+        # log-probability of every token a distribution leaves out
+        self.floor = floor
 
     def encode(self, x_tokens):
         return np.zeros((len(x_tokens), 1))
@@ -84,7 +86,7 @@ class StubLM:
     def predict_next_from_states(self, henc, prefix_ids, m):
         toks = tuple(self.vocab.tokens[i] for i in prefix_ids)
         probs = self.table.get(toks, self.default)
-        lp = np.full(len(self.vocab), -40.0)
+        lp = np.full(len(self.vocab), self.floor)
         for tok, p in probs.items():
             tid = self.vocab.index[tok] if tok != "<eos>" else self.vocab.eos_id
             lp[tid] = math.log(p)
@@ -197,6 +199,43 @@ class TestBeam:
         g = greedy_decode(stub, ["x"], [], OFF, max_len=3)
         assert g.tokens != res.tokens
         assert res.tokens == ["a"]
+
+    @pytest.mark.parametrize("late, max_len, tokens, rows", [
+        # "b a" and "b b" can only stop, so the beam runs dry and
+        # greedy's "a a a" + stop finishes alone
+        ({("b", "a"): {"<eos>": 1.0}, ("b", "b"): {"<eos>": 1.0},
+          ("a", "a"): {"a": 1.0}, ("a", "a", "a"): {"<eos>": 1.0}}, 5,
+         ["a", "a", "a"], [1, 2, 3, 1]),
+        # the budget ends all three, and greedy's "a a" is closed in the
+        # beam's closing call
+        ({("b", "a"): {"a": 0.9, "<eos>": 0.1},
+          ("b", "b"): {"a": 0.9, "<eos>": 0.1},
+          ("a", "a"): {"<eos>": 1.0}}, 2, ["a", "a"], [1, 2, 3]),
+    ], ids=["beam-runs-dry", "closed-at-budget"])
+    def test_greedy_floor_outlives_the_beam(self, late, max_len, tokens,
+                                            rows):
+        # the beam drops greedy's "a a" for "b a" and "b b", whose
+        # endings score worse than greedy's own
+        stub = StubLM({(): {"a": 0.4, "b": 0.35, "c": 0.25},
+                       ("a",): {"a": 0.34, "b": 0.33, "c": 0.33},
+                       ("b",): {"a": 0.5, "b": 0.5}, **late}, floor=-np.inf)
+        g = greedy_decode(stub, ["a"], [(0,)], LEX, max_len=max_len)
+        calls = []
+        step = stub.decode_step
+
+        def counting(cache, parents, last_ids, columns):
+            calls.append(len(last_ids))
+            return step(cache, parents, last_ids, columns)
+
+        stub.decode_step = counting
+        res = beam_decode(stub, ["a"], [(0,)], LEX, beam_size=2,
+                          max_len=max_len)
+        assert res.tokens == g.tokens == tokens
+        assert repr(res.score) == repr(g.score)
+        assert np.array_equal(res.flag_matrix, g.flag_matrix)
+        # greedy rides along: in the beam's rows, then as an extra row
+        # beside them, then (when the beam has run dry) alone
+        assert calls == rows
 
     def test_wide_beam_matches_exhaustive_oracle_on_trained_model(
             self, copy_model):
@@ -634,8 +673,9 @@ class TestBatchedSteps:
         calls.clear()
         beam_decode(copy_model, SENTENCES[0], [], OFF, beam_size=4,
                     max_len=max_len)
-        # greedy seed (tokens + stop), max_len beam steps, one closing call
-        assert len(calls) <= len(g.tokens) + max_len + 2
+        # max_len steps and one closing call: the argmax trajectory rides
+        # in the beam's calls, here always as one of its own rows
+        assert len(calls) <= max_len + 1
         assert max(calls) <= 4
 
     def test_cbs_makes_one_call_per_search_step(self, copy_model, calls):
@@ -649,7 +689,7 @@ class TestBatchedSteps:
     # input, constraint rows, then (calls, rows) with the early stop and
     # without it; the budget of 48 clamps to the model's 31 positions
     @pytest.mark.parametrize("decoder, x, rows, stopped, full", [
-        ("beam", SENTENCES[2], [], (8, 17), (36, 129)),
+        ("beam", SENTENCES[2], [], (4, 13), (32, 125)),
         ("cbs", SENTENCES[2], [(1, 2)], (4, 25), (32, 353)),
         ("cbs", ["the", "cat", "brazil"], [(2,), (0,)], (14, 147),
          (32, 355)),
@@ -664,9 +704,9 @@ class TestBatchedSteps:
             counted.append((len(calls), sum(calls)))
             calls.clear()
         assert counted == [stopped, full]
-        # without the stop: beam's 4 greedy-seed calls, then 31 steps
-        # and one closing call either way
-        assert full[0] == (4 if decoder == "beam" else 0) + 31 + 1
+        # without the stop: 31 steps and one closing call, for beam and
+        # cbs alike, since beam's argmax trajectory rides in its steps
+        assert full[0] == 31 + 1
 
 
 class TestPlumbing:
@@ -677,6 +717,11 @@ class TestPlumbing:
         h = Hypothesis([1, 2], [-0.5, -0.25], res.tracker)
         assert h.score == pytest.approx(-0.75)
         assert h.normalized(0.7) == pytest.approx(-0.75 / 2 ** 0.7)
+        # the sum runs left to right, as the search adds each token's
+        # logp; a compensated sum (math.fsum, sum() from Python 3.12)
+        # of these ten gives -1.0
+        h = Hypothesis(list(range(10)), [-0.1] * 10, res.tracker)
+        assert repr(h.score) == "-0.9999999999999999"
 
     def test_run_decoder_dispatch(self, copy_model):
         for name in ("greedy", "beam", "cbs"):

@@ -53,6 +53,16 @@ def test_roundtrip_examples():
         assert parse_bracketed(serialize(t)) == t
 
 
+def test_deep_nesting_reads_and_writes_without_recursion():
+    depth = 3000  # past the interpreter's default recursion limit
+    s = "(S " * depth + "(NN a)" + ")" * depth
+    t = parse_bracketed(s)
+    assert t.leaves() == ["a"]
+    assert serialize(t) == s
+    with pytest.raises(UnbalancedParens, match="missing"):
+        parse_bracketed(s[:-1])
+
+
 def test_unbalanced_raises():
     for s in ["(S (NP", "", ")", "(NP (DT the) (NN box)", "(NN a)) "]:
         with pytest.raises(UnbalancedParens):
