@@ -474,8 +474,12 @@ class Seq2SeqModel:
         by the decoder input last_ids[r] (the start symbol first) under
         its current flag column columns[r], shape (Ls,). Returns (B, vocab)
         log-probabilities and the cache extended by these rows, in the
-        given order. Agrees with predict_next_from_states on the full
-        prefix and flag matrix up to rounding.
+        given order; cache itself is left as it was. When parents keeps
+        every cached row in place (greedy's [0] on every step), the
+        cached self-attention keys and values are read as they are
+        instead of gathered by index into a copy. Agrees with
+        predict_next_from_states on the full prefix and flag matrix up
+        to rounding.
         """
         cfg = self.config
         p = self.params
@@ -491,14 +495,14 @@ class Seq2SeqModel:
                                 % (columns.shape, ids.shape[0], ls))
         y = p["tok_emb"][ids][:, None] + p["pos_dec"][t]
         onehot = nn.flag_onehot(columns[:, :, None])
+        past = cache.self_kv
+        if past is not None and list(parents) != list(range(len(past[0][0]))):
+            past = tuple((k[parents], v[parents]) for k, v in past)
         self_kv = []
         for i in range(cfg.dec_layers):
-            past = None
-            if cache.self_kv is not None:
-                k, v = cache.self_kv[i]
-                past = (k[parents], v[parents])
             y, _, kv = self._decoder_layer(i, y, None, cache.cross[i], None,
-                                           onehot, past)
+                                           onehot,
+                                           None if past is None else past[i])
             self_kv.append(kv)
         lp = nn.log_softmax(self._output_logits(y)[0][:, 0])
         if np.isnan(lp).any():

@@ -42,12 +42,17 @@ _PRIORITY = {"NP": 0, "VP": 1}
 _BRACKET_TOKEN = re.compile(r"[()]|[^()\s]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ParseTree:
     """One node of a constituency tree.
 
     Leaves are preterminals: a POS label plus exactly one token.
     ``start``/``end`` index the node's yield in the sentence token list.
+
+    ``==``, ``hash()`` and ``repr()`` mean what the dataclass-generated
+    methods mean, but walk the tree with an explicit stack, so a tree
+    nested deeper than the interpreter's recursion limit, which
+    parse_bracketed accepts, can still be compared, hashed and printed.
     """
 
     label: str
@@ -55,6 +60,59 @@ class ParseTree:
     token: str | None = None
     start: int = 0
     end: int = 0
+
+    def _scalars(self):
+        return self.label, self.token, self.start, self.end
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.__class__ is not b.__class__
+                    or a._scalars() != b._scalars()
+                    or len(a.children) != len(b.children)):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        # post-order: a node is hashed once all its children are
+        hashes = {}
+        stack = [(self, False)]
+        while stack:
+            node, ready = stack.pop()
+            if ready:
+                hashes[id(node)] = hash((node._scalars(), tuple(
+                    hashes[id(kid)] for kid in node.children)))
+            elif id(node) not in hashes:
+                stack.append((node, True))
+                stack.extend((kid, False) for kid in node.children)
+        return hashes[id(self)]
+
+    def __repr__(self):
+        out = []
+        stack = [self]  # nodes still to write, and text to write as it is
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            kids = item.children
+            pieces = ["%s(label=%r, children=("
+                      % (item.__class__.__qualname__, item.label)]
+            for i, kid in enumerate(kids):
+                if i:
+                    pieces.append(", ")
+                pieces.append(kid)
+            pieces.append("%s), token=%r, start=%r, end=%r)"
+                          % ("," if len(kids) == 1 else "", item.token,
+                             item.start, item.end))
+            stack.extend(reversed(pieces))
+        return "".join(out)
 
     def is_leaf(self) -> bool:
         return self.token is not None

@@ -652,6 +652,86 @@ def test_results_are_pinned_to_the_byte(copy_model, case):
         tokens, finished, unsatisfiable, rows, repr(score), repr(normalized))
 
 
+# Every field of greedy results on the copy model, recorded before the
+# one-row decoder step moved its layer-norm statistics to Python floats
+# and stopped gathering the cache of an identity step.
+# (sentence, mode, max_len) -> tokens, finished, flag matrix rows,
+# score, normalized score; the constraint rows are _PINNED_ROWS.
+_PINNED_GREEDY = {
+    (0, "semantic", 48):
+        ("the cat sat", True, "1122/1122/1112",
+         -0.09609710613832398, -0.03641399394189143),
+    (0, "semantic", 2):
+        ("the cat", False, "112/112/111",
+         -0.04819955064768554, -0.029670303752816696),
+    (0, "lexical", 48):
+        ("the cat sat", True, "1122/1122/1112",
+         -0.09609710613832398, -0.03641399394189143),
+    (0, "lexical", 2):
+        ("the cat", False, "112/112/111",
+         -0.04819955064768554, -0.029670303752816696),
+    (0, "off", 48):
+        ("the cat sat", True, "0000/0000/0000",
+         -0.09537511034959169, -0.036140408697408366),
+    (0, "off", 2):
+        ("the cat", False, "000/000/000",
+         -0.0474933407000533, -0.02923558053697868),
+    (1, "semantic", 48):
+        ("the dog ran", True, "1122/1122/1112",
+         -0.09763155801689372, -0.03699544247510672),
+    (1, "semantic", 2):
+        ("the dog", False, "112/112/111",
+         -0.04935217261195643, -0.030379825798822074),
+    (1, "lexical", 48):
+        ("the dog ran", True, "1122/1122/1112",
+         -0.09763155801689372, -0.03699544247510672),
+    (1, "lexical", 2):
+        ("the dog", False, "112/112/111",
+         -0.04935217261195643, -0.030379825798822074),
+    (1, "off", 48):
+        ("the dog ran", True, "0000/0000/0000",
+         -0.09741566406858568, -0.03691363396659176),
+    (1, "off", 2):
+        ("the dog", False, "000/000/000",
+         -0.049157577173633255, -0.03026003825544508),
+    (2, "semantic", 48):
+        ("on the mat", True, "1122/1122/1112",
+         -0.09478968417011172, -0.03591857365773169),
+    (2, "semantic", 2):
+        ("on the", False, "112/112/111",
+         -0.04483897535506665, -0.02760162700425035),
+    (2, "lexical", 48):
+        ("on the mat", True, "1122/1122/1112",
+         -0.09478968417011172, -0.03591857365773169),
+    (2, "lexical", 2):
+        ("on the", False, "112/112/111",
+         -0.04483897535506665, -0.02760162700425035),
+    (2, "off", 48):
+        ("on the mat", True, "0000/0000/0000",
+         -0.09451088029595682, -0.03581292674501573),
+    (2, "off", 2):
+        ("on the", False, "000/000/000",
+         -0.04448243382878468, -0.027382149950146588),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_GREEDY),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_greedy_results_are_pinned_to_the_byte(copy_model, case):
+    sentence, mode, max_len = case
+    scorer = (SpanSimilarity(HashedNgramEmbedder()) if mode == "semantic"
+              else None)
+    res = greedy_decode(copy_model, SENTENCES[sentence], _PINNED_ROWS,
+                        SatisfierConfig(mode=mode), scorer=scorer,
+                        max_len=max_len)
+    matrix = "/".join("".join(map(str, row))
+                      for row in res.flag_matrix.tolist())
+    tokens, finished, rows, score, normalized = _PINNED_GREEDY[case]
+    assert (" ".join(res.tokens), res.finished, matrix, repr(res.score),
+            repr(res.normalized_score)) == (
+        tokens, finished, rows, repr(score), repr(normalized))
+
+
 class TestBatchedSteps:
     @pytest.fixture
     def calls(self, monkeypatch):

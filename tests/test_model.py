@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from restate.model import (Adam, CheckpointVersionMismatch, LengthOverflow,
                            ModelConfig, NonFiniteLoss, Seq2SeqModel,
@@ -376,48 +376,93 @@ class TestModelBehavior:
 
 # ------------------------------------------------------ incremental decoding
 
+_STEP_VOCAB = tiny_model().vocab  # every seed's vocabulary
+
+
+@st.composite
+def _step_plans(draw):
+    """A model seed, a source, and per decoder call the parent row, the
+    appended token (ignored on the first call) and the flag column of
+    each of its rows."""
+    seed = draw(st.integers(0, 2 ** 16), label="seed")
+    ls = draw(st.integers(1, 6), label="source length")
+    src = draw(st.lists(st.sampled_from(_STEP_VOCAB.tokens[5:]), min_size=ls,
+                        max_size=ls), label="source")
+    column = st.lists(st.integers(0, 2), min_size=ls, max_size=ls)
+    steps, width = [], 1
+    for _ in range(draw(st.integers(1, 6), label="steps")):
+        parents = draw(st.lists(st.integers(0, width - 1), min_size=1,
+                                max_size=4), label="parents")
+        width = len(parents)
+        steps.append([(parent,
+                       draw(st.integers(0, len(_STEP_VOCAB) - 1),
+                            label="token"),
+                       draw(column, label="column")) for parent in parents])
+    return seed, src, steps
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_cached_step_matches_full_prefix(data):
+@given(_step_plans())
+# every parent list the identity over the cached rows, so no call gathers
+# the cache: one row as in greedy decoding, and three rows
+@example((5, ["the", "cat", "sat"],
+          [[(0, 0, [0, 1, 2])], [(0, 6, [1, 1, 2])], [(0, 7, [1, 2, 0])],
+           [(0, 9, [2, 2, 0])]]))
+@example((9, ["dog", "ran"],
+          [[(0, 0, [0, 1]), (0, 0, [2, 1]), (0, 0, [1, 0])],
+           [(0, 5, [1, 1]), (1, 8, [0, 2]), (2, 6, [2, 2])],
+           [(0, 7, [1, 2]), (1, 7, [0, 0]), (2, 9, [2, 1])]]))
+def test_cached_step_matches_full_prefix(plan):
     """Each row of a batched cached step equals the uncached prediction on
     that row's whole prefix and flag matrix, whatever rows the parents
-    pick, in any order and with repeats."""
-    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    pick, in any order and with repeats. Branching an older cache with
+    other tokens leaves every cache's bytes, and stepping it again gives
+    the same bytes, so no step writes into arrays another cache holds."""
+    seed, src, steps = plan
     model = tiny_model(seed=seed)
     rng = np.random.default_rng(seed)
     for name, value in model.params.items():  # far from the near-uniform init
         model.params[name] = value + rng.normal(0.0, 0.5, value.shape)
     model.params["flag.ek"][0] = 0.0
     model.params["flag.ev"][0] = 0.0
-    words = model.vocab.tokens[5:]
-    ls = data.draw(st.integers(1, 6), label="source length")
-    src = data.draw(st.lists(st.sampled_from(words), min_size=ls,
-                             max_size=ls), label="source")
     henc = model.encode(src)
-    flag_column = st.lists(st.integers(0, 2), min_size=ls, max_size=ls)
     cache = model.begin_decode(henc)
     rows = [([], [])]  # (prefix ids, flag columns) per row of the last call
-    for t in range(data.draw(st.integers(1, 6), label="steps")):
-        parents = data.draw(st.lists(st.integers(0, len(rows) - 1),
-                                     min_size=1, max_size=4), label="parents")
+    calls = []
+    for t, step in enumerate(steps):
         new = []
-        for parent in parents:
+        for parent, token, column in step:
             prefix, history = rows[parent]
             if t:
-                prefix = prefix + [data.draw(
-                    st.integers(0, len(model.vocab) - 1), label="token")]
-            column = np.array(data.draw(flag_column, label="column"))
-            new.append((prefix, history + [column]))
+                prefix = prefix + [token]
+            new.append((prefix, history + [np.array(column)]))
+        parents = [parent for parent, _, _ in step]
         last = [prefix[-1] if prefix else model.vocab.bos_id
                 for prefix, _ in new]
-        lp, cache = model.decode_step(cache, parents, last,
-                                      np.stack([h[-1] for _, h in new]))
+        args = (parents, last, np.stack([h[-1] for _, h in new]))
+        lp, newer = model.decode_step(cache, *args)
+        calls.append((cache, args, lp, newer, _kv_bytes(newer)))
         assert lp.shape == (len(new), len(model.vocab))
         for row, (prefix, history) in enumerate(new):
             ref = model.predict_next_from_states(henc, prefix,
                                                  np.stack(history, axis=1))
             np.testing.assert_allclose(lp[row], ref, rtol=0.0, atol=1e-9)
-        rows = new
+        rows, cache = new, newer
+    # branch every cache with other tokens: a step that wrote into arrays
+    # another cache holds would change that cache's bytes or what a
+    # replay of an earlier call reads
+    for older, (parents, last, columns), _, _, _ in calls:
+        model.decode_step(older, parents,
+                          [(i + 1) % len(model.vocab) for i in last], columns)
+    for _, _, _, newer, kv in calls:
+        assert _kv_bytes(newer) == kv
+    for older, args, lp, _, kv in calls:
+        again_lp, again = model.decode_step(older, *args)
+        assert again_lp.tobytes() == lp.tobytes() and _kv_bytes(again) == kv
+
+
+def _kv_bytes(cache):
+    return [a.tobytes() for kv in cache.self_kv for a in kv]
 
 
 def test_cached_step_checks_columns_and_length():

@@ -6,7 +6,7 @@ the formulas they replace, so trained parameters and decodes do not move.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from restate.model import nn
 
@@ -92,6 +92,9 @@ def test_flagged_attention_matches_planned_einsum(b, h, lq, lk, dh, padded,
 @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=2),
        dim=st.integers(1, 70), offset=st.floats(-1e3, 1e3),
        spread=st.floats(1e-6, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+# one row, as in a greedy decoder step: layer_norm's scalar statistics
+@example(shape=[1], dim=64, offset=3.0, spread=0.5, seed=7)
+@example(shape=[1, 1], dim=17, offset=-250.0, spread=1e-3, seed=11)
 def test_layer_norm_matches_mean_var_formula(shape, dim, offset, spread,
                                              seed):
     rng = np.random.default_rng(seed)

@@ -63,6 +63,41 @@ def test_deep_nesting_reads_and_writes_without_recursion():
         parse_bracketed(s[:-1])
 
 
+def test_deep_trees_compare_hash_and_print_without_recursion():
+    depth = 3000  # past the interpreter's default recursion limit
+    s = "(S " * depth + "(NN a)" + ")" * depth
+    a, b = parse_bracketed(s), parse_bracketed(s)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_bracketed(s.replace("(NN a)", "(NN b)"))
+    assert repr(a) == ("ParseTree(label='S', children=(" * depth
+                       + "ParseTree(label='NN', children=(), token='a',"
+                         " start=0, end=1)"
+                       + ",), token=None, start=0, end=1)" * depth)
+
+
+def test_tree_equality_hash_and_repr_follow_the_fields():
+    t = parse_bracketed("(S (NP (DT the) (NN box)) (VP (VBZ ships)))")
+    assert repr(t) == (
+        "ParseTree(label='S', children=(ParseTree(label='NP', children=("
+        "ParseTree(label='DT', children=(), token='the', start=0, end=1), "
+        "ParseTree(label='NN', children=(), token='box', start=1, end=2)),"
+        " token=None, start=0, end=2), ParseTree(label='VP', children=("
+        "ParseTree(label='VBZ', children=(), token='ships', start=2,"
+        " end=3),), token=None, start=2, end=3)), token=None, start=0,"
+        " end=3)")
+    assert eval(repr(t), {"ParseTree": ParseTree}) == t
+    assert hash(eval(repr(t), {"ParseTree": ParseTree})) == hash(t)
+    np_, vp = t.children
+    for other in (ParseTree("S", (np_,), start=0, end=3),
+                  ParseTree("S", (vp, np_), start=0, end=3),
+                  ParseTree("SQ", (np_, vp), start=0, end=3),
+                  ParseTree("S", (np_, vp), start=0, end=4),
+                  ParseTree("S", (np_, vp), token="x", start=0, end=3)):
+        assert other != t and t != other
+    assert ParseTree("S", (np_, vp), start=0, end=3) == t
+    assert t != ("S", (np_, vp), None, 0, 3)
+
+
 def test_unbalanced_raises():
     for s in ["(S (NP", "", ")", "(NP (DT the) (NN box)", "(NN a)) "]:
         with pytest.raises(UnbalancedParens):
