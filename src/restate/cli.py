@@ -208,6 +208,13 @@ def cmd_extract_constraints(args):
 
 
 def cmd_train(args):
+    # both configs check their values before any record is read
+    model_cfg = ModelConfig(dim=args.dim, heads=args.heads,
+                            enc_layers=args.enc_layers,
+                            dec_layers=args.dec_layers, ff=args.ff,
+                            max_len=args.max_len, seed=args.seed)
+    train_cfg = TrainingConfig(lr=args.lr, batch_size=args.batch_size,
+                               epochs=args.epochs, seed=args.seed)
     instances = datagen.read_corpus(args.input)
     model_records = [datagen.model_record(inst)
                      for inst in _filter_split(instances, args.split)]
@@ -233,13 +240,7 @@ def cmd_train(args):
                                             rec["target_tokens"], None))
         else:
             examples.append(example_from_record(rec, config, scorer))
-    model_cfg = ModelConfig(dim=args.dim, heads=args.heads,
-                            enc_layers=args.enc_layers,
-                            dec_layers=args.dec_layers, ff=args.ff,
-                            max_len=args.max_len, seed=args.seed)
     model = Seq2SeqModel(model_cfg, vocab)
-    train_cfg = TrainingConfig(lr=args.lr, batch_size=args.batch_size,
-                               epochs=args.epochs, seed=args.seed)
     log_rows = train(model, examples, train_cfg)
     model.save(args.out)
     log_path = args.out + ".loss.txt"
@@ -247,13 +248,17 @@ def cmd_train(args):
         for epoch, step, loss in log_rows:
             fh.write("%d\t%d\t%.10f\n" % (epoch, step, loss))
     _snapshot(args, args.out + ".config.json")
-    final = log_rows[-1][2] if log_rows else float("nan")
     print("trained on %d examples, final mean loss %.4f -> %s"
-          % (len(examples), final, args.out))
+          % (len(examples), log_rows[-1][2], args.out))
     return EXIT_OK
 
 
 def cmd_rewrite(args):
+    # the decoders clamp a budget to the model's positional table; one
+    # below 1 is a usage error, not a budget of 1
+    if args.max_len < 1:
+        raise ValueError("--max-len must be at least 1, got %d"
+                         % args.max_len)
     model = Seq2SeqModel.load(args.checkpoint)
     instances = _filter_split(datagen.read_corpus(args.input), args.split)
     if not instances:

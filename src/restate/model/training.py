@@ -4,10 +4,22 @@ Batches are padded to the longest example; the per-example flag
 matrices are rebuilt offline from the gold target with replay_flags,
 so teacher forcing sees exactly the flag columns a decoder would have
 produced while emitting the reference.
+
+Heap policy: train pins glibc malloc's mmap threshold at 32 MiB and its
+trim threshold at 64 MiB. A step's attention maps, logits and flag
+one-hots are a few hundred KB each; under glibc's adaptive defaults
+they are mmapped or their heap top is handed back to the kernel when
+freed, so every step faulted about 10 MB of fresh zeroed pages back in.
+The setting holds for the whole process from the first call on, and
+only where the C library is glibc (elsewhere it does nothing). It
+changes no arithmetic. Its cost: up to 64 MiB of freed memory stays
+resident after a peak; the peak itself grows about 1% on the benchmark
+workloads.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +40,15 @@ BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# glibc mallopt parameters and the values train pins them to: the mmap
+# threshold at the highest value glibc's adaptive rule reaches on 64-bit
+# (DEFAULT_MMAP_THRESHOLD_MAX), the trim threshold at twice that, the
+# adaptive rule's own ratio.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
 
 @dataclass
 class TrainingConfig:
@@ -40,8 +61,12 @@ class TrainingConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size/epochs out of range")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1, got %r"
+                             % self.batch_size)
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1, got %r"
+                             % self.epochs)
 
 
 class Adam:
@@ -131,9 +156,25 @@ def assemble_batch(examples, vocab: Vocabulary):
     return src, tgt_in, tgt_out, m_batch
 
 
+def _keep_freed_heap():
+    """Pin glibc's malloc thresholds (see the module docstring) so that
+    the next step reuses the last step's freed temporaries instead of
+    faulting fresh pages in; a no-op where there is no mallopt.
+
+    Any mallopt call turns glibc's adaptive mmap threshold off, so both
+    thresholds are set, never the trim threshold alone."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def train(model: Seq2SeqModel, examples, config: TrainingConfig,
           log=None) -> list[tuple[int, int, float]]:
     """Run the full loop; returns [(epoch, step, loss), ...] log rows."""
+    _keep_freed_heap()
     opt = Adam(model.params, config)
     rng = np.random.default_rng(config.seed)
     rows = []

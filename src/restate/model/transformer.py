@@ -66,6 +66,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "heads", "ff", "enc_layers", "dec_layers",
+                     "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %r"
+                                 % (name, getattr(self, name)))
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
 

@@ -299,6 +299,25 @@ class TestTrain:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,field", [
+        (["--heads", "0"], "heads"), (["--heads", "-4"], "heads"),
+        (["--enc-layers", "-1"], "enc_layers"),
+        (["--enc-layers", "0"], "enc_layers"),
+        (["--dec-layers", "0"], "dec_layers"),
+        (["--dim", "0", "--heads", "1"], "dim"), (["--ff", "0"], "ff"),
+        (["--max-len", "0"], "max_len"), (["--epochs", "0"], "epochs")])
+    def test_size_below_one_is_usage_error(self, workdir, tmp_path, argv,
+                                           field):
+        out = tmp_path / "m.npz"
+        rc, err, n_warnings = _run_quietly(
+            ["train", "--input", str(workdir / "corpus" / "train.jsonl"),
+             "--out", str(out)] + argv)
+        assert rc == EXIT_USAGE
+        assert err == "error: %s must be at least 1, got %s\n" \
+            % (field, argv[1])
+        assert n_warnings == 0
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def decoded(workdir, tmp_path_factory):
@@ -410,7 +429,7 @@ class TestRewrite:
         "missing", "misshapen", "version", "no-vocab", "vocab-not-strings",
         "config-unknown-key", "config-missing-key", "meta-not-utf8",
         "meta-not-json", "not-npz", "vocab-swapped", "float32",
-        "config-heads"])
+        "config-heads", "config-no-layers"])
     def test_bad_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys,
                                              fault):
         with np.load(workdir / "model.npz") as data:
@@ -444,6 +463,8 @@ class TestRewrite:
             # no tensor shape depends on the head count
             assert meta["config"]["heads"] == 2
             meta["config"]["heads"] = 4
+        elif fault == "config-no-layers":
+            meta["config"]["enc_layers"] = 0
         if raw is None:
             raw = json.dumps(meta).encode()
         arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
@@ -461,6 +482,8 @@ class TestRewrite:
         assert err.startswith("error: ") and err.count("\n") == 1
         if fault in ("vocab-swapped", "float32", "config-heads"):
             assert "digest" in err
+        if fault == "config-no-layers":
+            assert "enc_layers must be at least 1" in err
 
     @pytest.mark.parametrize("rid", ["../escaped", "absolute"])
     def test_trace_id_outside_trace_dir_is_usage_error(self, workdir,
@@ -515,6 +538,19 @@ class TestRewrite:
         err = capsys.readouterr().err
         assert err.startswith("error: alpha %r " % float(alpha))
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_usage_error(self, workdir, tmp_path, capsys,
+                                             budget):
+        out = tmp_path / "out.jsonl"
+        rc = main(["rewrite", "--input",
+                   str(workdir / "corpus" / "test.jsonl"),
+                   "--checkpoint", str(workdir / "model.npz"),
+                   "--out", str(out), "--max-len", budget])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: --max-len must be at least 1, got %s\n" % budget
         assert not out.exists()
 
     def test_cbs_warnings_reach_stderr(self, workdir, tmp_path, capsys):

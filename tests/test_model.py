@@ -4,16 +4,21 @@ level, overfitting, determinism, and checkpointing."""
 
 import math
 import os
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import restate
 from restate.model import (Adam, CheckpointVersionMismatch, LengthOverflow,
                            ModelConfig, NonFiniteLoss, Seq2SeqModel,
                            ShapeMismatch, TrainingConfig, TrainingExample,
                            assemble_batch, build_flag_matrix_batch, train)
-from restate.model import nn
+from restate.model import nn, training
 from restate.vocab import Vocabulary
 
 
@@ -24,6 +29,10 @@ def tiny_model(seed=3, dim=16, heads=2, enc_layers=2, dec_layers=2, ff=24,
     cfg = ModelConfig(dim=dim, heads=heads, enc_layers=enc_layers,
                       dec_layers=dec_layers, ff=ff, max_len=32, seed=seed)
     return Seq2SeqModel(cfg, vocab)
+
+
+def _unloadable_libc(name):
+    raise OSError("no C library")
 
 
 def tiny_batch(vocab):
@@ -274,8 +283,69 @@ class TestTraining:
     def test_bad_training_config_rejected(self):
         with pytest.raises(ValueError):
             TrainingConfig(lr=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="batch_size"):
             TrainingConfig(batch_size=0)
+        with pytest.raises(ValueError, match="epochs"):
+            TrainingConfig(epochs=0)
+
+    @pytest.mark.parametrize("cdll", [_unloadable_libc,
+                                      lambda name: object()],
+                             ids=["unloadable", "without-mallopt"])
+    def test_rows_do_not_depend_on_mallopt(self, monkeypatch, cdll):
+        ex = TrainingExample(["the", "cat"], ["dog", "ran"],
+                             np.array([[0, 0, 0], [1, 2, 2]]))
+        cfg = TrainingConfig(lr=1e-3, batch_size=1, epochs=3, seed=4)
+
+        def run():
+            model = tiny_model(seed=5)
+            return repr(train(model, [ex], cfg)), model.params
+
+        rows, params = run()
+        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+        rows_without, params_without = run()
+        assert rows_without == rows
+        for k in params:
+            assert params_without[k].tobytes() == params[k].tobytes()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is glibc's mallopt")
+    def test_second_epoch_reuses_freed_heap(self):
+        # 4 steps of the default model shape; with glibc's adaptive
+        # thresholds each step faults its freed temporaries back in
+        # (about 12,000 minor faults for the epoch), with train's pinned
+        # thresholds they stay in the heap (under 100)
+        script = textwrap.dedent("""
+            import resource
+            from restate import datagen
+            from restate.flags import SatisfierConfig
+            from restate.model import (ModelConfig, Seq2SeqModel,
+                                       TrainingConfig, example_from_record,
+                                       train)
+            from restate.vocab import Vocabulary
+            recs = [datagen.model_record(inst)
+                    for inst in datagen.build_corpus(0, (64, 0, 0))]
+            vocab = Vocabulary.build([r[k] for r in recs
+                                      for k in ("x_tokens", "target_tokens")])
+            lexical = SatisfierConfig(mode="lexical")
+            examples = [example_from_record(r, lexical) for r in recs]
+            model = Seq2SeqModel(ModelConfig(), vocab)
+            cfg = TrainingConfig(batch_size=16, epochs=1)
+            train(model, examples, cfg)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(model, examples, cfg)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        # the directory holding the restate package under test
+        root = os.path.dirname(os.path.dirname(os.path.abspath(
+            restate.__file__)))
+        path = [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        faults = int(proc.stdout)
+        assert faults < 1000, faults
 
 
 # ------------------------------------------------------------- batch shapes
@@ -372,6 +442,15 @@ class TestModelBehavior:
     def test_dim_heads_divisibility_enforced(self):
         with pytest.raises(ValueError):
             ModelConfig(dim=10, heads=4)
+
+    @pytest.mark.parametrize("field", ["dim", "heads", "ff", "enc_layers",
+                                       "dec_layers", "max_len"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_sizes_below_one_rejected(self, field, value):
+        # heads=0 is checked before dim % heads can divide by it
+        with pytest.raises(ValueError, match="^%s must be at least 1"
+                           % field):
+            ModelConfig(**{field: value})
 
 
 # ------------------------------------------------------ incremental decoding
