@@ -23,8 +23,7 @@ from .decode import (DecodeResult, beam_decode, constrained_beam_decode,
 from .datagen import (PQAInstance, build_corpus, generate, gold_constraints,
                       model_record, read_corpus, write_corpus)
 from .evaluation import (EvalReport, bleu, build_report, corpus_rouge_l,
-                         correctness_audit, coverage_audit, rouge_l,
-                         text_table)
+                         coverage_audit, rouge_l, text_table)
 
 __all__ = [
     "Constraint", "InputLayout", "ParseTree", "concat_pqa",
@@ -38,6 +37,6 @@ __all__ = [
     "run_decoder", "PQAInstance", "build_corpus", "generate",
     "gold_constraints", "model_record", "read_corpus", "write_corpus",
     "EvalReport", "bleu", "build_report", "corpus_rouge_l",
-    "correctness_audit", "coverage_audit", "rouge_l", "text_table",
+    "coverage_audit", "rouge_l", "text_table",
     "__version__",
 ]

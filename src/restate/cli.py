@@ -334,8 +334,7 @@ def cmd_inspect_flags(args):
     if not output_tokens:
         raise ValueError("record has no target and no --output was given")
     config = _satisfier(args)
-    tracker = replay_flags(mr["x_tokens"],
-                           [tuple(r) for r in mr["constraint_rows"]],
+    tracker = replay_flags(mr["x_tokens"], mr["constraint_rows"],
                            output_tokens, config, scorer=_scorer_for(config))
     text = flag_trace(tracker, fmt=args.format)
     if args.out:

@@ -142,11 +142,6 @@ def _result_from(model, hyp, alpha, unsatisfiable=False, warnings=()):
     )
 
 
-def _new_tracker(x_tokens, constraint_rows, config, scorer):
-    return FlagTracker(list(x_tokens), [tuple(r) for r in constraint_rows],
-                       config, scorer=scorer)
-
-
 def _clamp_budget(model, max_len, alpha):
     """Keep prefix + stop inside the decoder's positional table, and
     reject an alpha whose length divisor overflows (or, negative,
@@ -188,8 +183,8 @@ def greedy_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
     end token or after max_len tokens."""
     max_len = _clamp_budget(model, max_len, alpha)
     hyp = _greedy_hyp(model, _Decoder(model, x_tokens),
-                      _new_tracker(x_tokens, constraint_rows, config, scorer),
-                      max_len)
+                      FlagTracker(x_tokens, constraint_rows, config,
+                                  scorer=scorer), max_len)
     return _result_from(model, hyp, alpha)
 
 
@@ -253,7 +248,7 @@ def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
         raise ValueError("beam_size must be >= 1")
     max_len = _clamp_budget(model, max_len, alpha)
     decoder = _Decoder(model, x_tokens)
-    tracker = _new_tracker(x_tokens, constraint_rows, config, scorer)
+    tracker = FlagTracker(x_tokens, constraint_rows, config, scorer=scorer)
     if beam_size == 1 and not targets:
         # the argmax trajectory is the entire width-1 search
         hyp = _greedy_hyp(model, decoder, tracker, max_len)

@@ -153,6 +153,41 @@ def _rate(num, den):
     return num / den if den else 0.0
 
 
+def _categories(instances):
+    """[(category, instance indices)], categories sorted."""
+    groups = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault(inst.category, []).append(i)
+    return sorted(groups.items())
+
+
+def _coverage_counts(toks, instances, config):
+    """Per instance: (constraints, lexical hits, semantic hits), by
+    replaying the flags in both modes against the aligned outputs."""
+    base = config if config is not None else SatisfierConfig()
+    lexical, semantic = (SatisfierConfig(threshold_a=base.threshold_a,
+                                         threshold_b=base.threshold_b,
+                                         mode=mode)
+                         for mode in ("lexical", "semantic"))
+    scorer = SpanSimilarity(HashedNgramEmbedder())
+    counts = []
+    for inst, out in zip(instances, toks):
+        rec = datagen.model_record(inst)
+        rows = rec["constraint_rows"]
+        lex = replay_flags(rec["x_tokens"], rows, out, lexical).satisfied
+        sem = replay_flags(rec["x_tokens"], rows, out, semantic,
+                           scorer=scorer).satisfied
+        counts.append((len(rows), sum(lex),
+                       sum(a or b for a, b in zip(lex, sem))))
+    return counts
+
+
+def _coverage(counts, idxs):
+    total, lex, sem = (sum(counts[i][k] for i in idxs) for k in range(3))
+    return {"lexical": _rate(lex, total), "semantic": _rate(sem, total),
+            "n_constraints": total}
+
+
 def coverage_audit(outputs, instances, config=None):
     """Fraction of gold constraints the outputs satisfy, by flag replay.
 
@@ -162,72 +197,11 @@ def coverage_audit(outputs, instances, config=None):
     as semantically covered too: the semantic replay's jump gate can
     hold back the flip of a long constraint copied word by word.
     """
-    toks = _aligned_outputs(outputs, instances)
-    base = config if config is not None else SatisfierConfig()
-    lexical, semantic = (SatisfierConfig(threshold_a=base.threshold_a,
-                                         threshold_b=base.threshold_b,
-                                         mode=mode)
-                         for mode in ("lexical", "semantic"))
-    scorer = SpanSimilarity(HashedNgramEmbedder())
-    hits = {"lexical": 0, "semantic": 0}
-    total = 0
-    per_cat = {}
-    for inst, out in zip(instances, toks):
-        rec = datagen.model_record(inst)
-        rows = [tuple(r) for r in rec["constraint_rows"]]
-        cat = per_cat.setdefault(inst.category,
-                                 {"total": 0, "lexical": 0, "semantic": 0})
-        total += len(rows)
-        cat["total"] += len(rows)
-        lex = replay_flags(rec["x_tokens"], rows, out, lexical).satisfied
-        sem = replay_flags(rec["x_tokens"], rows, out, semantic,
-                           scorer=scorer).satisfied
-        met = {"lexical": sum(lex),
-               "semantic": sum(a or b for a, b in zip(lex, sem))}
-        for mode, n in met.items():
-            hits[mode] += n
-            cat[mode] += n
-    return {
-        "lexical": _rate(hits["lexical"], total),
-        "semantic": _rate(hits["semantic"], total),
-        "n_constraints": total,
-        "per_category": {
-            c: {"lexical": _rate(v["lexical"], v["total"]),
-                "semantic": _rate(v["semantic"], v["total"]),
-                "n_constraints": v["total"]}
-            for c, v in sorted(per_cat.items())},
-    }
-
-
-def correctness_audit(outputs, instances):
-    """Leading-polarity, second-person framing, and context-mention rates."""
-    toks = _aligned_outputs(outputs, instances)
-    agg = {"polarity": 0, "style": 0, "context": 0}
-    per_cat = {}
-    for inst, out in zip(instances, toks):
-        cat = per_cat.setdefault(inst.category,
-                                 {"n": 0, "polarity": 0, "style": 0,
-                                  "context": 0})
-        cat["n"] += 1
-        checks = {
-            "polarity": bool(out) and out[0] == inst.polarity,
-            "style": not (set(out) & FIRST_PERSON),
-            "context": contains_contiguous(out, tokenize(inst.context)),
-        }
-        for key, ok in checks.items():
-            if ok:
-                agg[key] += 1
-                cat[key] += 1
-    n = len(instances)
-    return {
-        "polarity": _rate(agg["polarity"], n),
-        "style": _rate(agg["style"], n),
-        "context": _rate(agg["context"], n),
-        "n_instances": n,
-        "per_category": {
-            c: {k: _rate(v[k], v["n"]) for k in ("polarity", "style", "context")}
-            for c, v in sorted(per_cat.items())},
-    }
+    counts = _coverage_counts(_aligned_outputs(outputs, instances),
+                              instances, config)
+    return {**_coverage(counts, range(len(counts))),
+            "per_category": {c: _coverage(counts, idxs)
+                             for c, idxs in _categories(instances)}}
 
 
 # ---------------------------------------------------------------------------
@@ -254,50 +228,44 @@ class EvalReport:
     per_category: dict = field(default_factory=dict)
     bertscore: float | None = None
 
-    def to_dict(self):
-        return asdict(self)
-
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
+        return json.dumps(asdict(self), sort_keys=True, indent=2,
                           allow_nan=False)
 
 
 def build_report(outputs, instances, config=None):
-    """Score one system's outputs against gold instances."""
+    """Score one system's outputs against gold instances: every field
+    over all of them, then one per_category row per category."""
     toks = _aligned_outputs(outputs, instances)
     refs = [tokenize(inst.target) for inst in instances]
-    cov = coverage_audit(outputs, instances, config=config)
-    cor = correctness_audit(outputs, instances)
-    per_category = {}
-    by_cat = {}
-    for i, inst in enumerate(instances):
-        by_cat.setdefault(inst.category, []).append(i)
-    for cat, idxs in sorted(by_cat.items()):
+    for inst, ref in zip(instances, refs):
+        if not ref:
+            raise datagen.MalformedRecord("record %r has no target to score"
+                                          " against" % inst.id)
+    counts = _coverage_counts(toks, instances, config)
+    # leading polarity, second-person framing, context mention
+    checks = [(bool(out) and out[0] == inst.polarity,
+               not (set(out) & FIRST_PERSON),
+               contains_contiguous(out, tokenize(inst.context)))
+              for inst, out in zip(instances, toks)]
+
+    def scores(idxs):
         h = [toks[i] for i in idxs]
         r = [refs[i] for i in idxs]
-        per_category[cat] = {
-            "n": len(idxs),
-            "bleu": bleu(h, r),
-            "bleu_smoothed": bleu(h, r, smooth=True),
-            "rouge_l_f": corpus_rouge_l(h, r),
-            "coverage_lexical": cov["per_category"][cat]["lexical"],
-            "coverage_semantic": cov["per_category"][cat]["semantic"],
-            "polarity_accuracy": cor["per_category"][cat]["polarity"],
-            "style_accuracy": cor["per_category"][cat]["style"],
-            "context_accuracy": cor["per_category"][cat]["context"],
-        }
+        cov = _coverage(counts, idxs)
+        right = [_rate(sum(checks[i][k] for i in idxs), len(idxs))
+                 for k in range(3)]
+        return {"bleu": bleu(h, r), "bleu_smoothed": bleu(h, r, smooth=True),
+                "rouge_l_f": corpus_rouge_l(h, r),
+                "coverage_lexical": cov["lexical"],
+                "coverage_semantic": cov["semantic"],
+                "polarity_accuracy": right[0], "style_accuracy": right[1],
+                "context_accuracy": right[2]}
+
     return EvalReport(
-        n_instances=len(instances),
-        bleu=bleu(toks, refs),
-        bleu_smoothed=bleu(toks, refs, smooth=True),
-        rouge_l_f=corpus_rouge_l(toks, refs),
-        coverage_lexical=cov["lexical"],
-        coverage_semantic=cov["semantic"],
-        polarity_accuracy=cor["polarity"],
-        style_accuracy=cor["style"],
-        context_accuracy=cor["context"],
-        per_category=per_category,
-    )
+        n_instances=len(instances), **scores(range(len(instances))),
+        per_category={c: {"n": len(idxs), **scores(idxs)}
+                      for c, idxs in _categories(instances)})
 
 
 _COLUMNS = [

@@ -111,9 +111,8 @@ def example_from_record(rec, config: flags_mod.SatisfierConfig, scorer=None):
     Expects keys x_tokens, target_tokens, constraint_rows; the flag
     matrix is replayed against the gold target.
     """
-    rows = [tuple(r) for r in rec["constraint_rows"]]
-    m = flags_mod.replay_flags(rec["x_tokens"], rows, rec["target_tokens"],
-                               config, scorer=scorer)
+    m = flags_mod.replay_flags(rec["x_tokens"], rec["constraint_rows"],
+                               rec["target_tokens"], config, scorer=scorer)
     return TrainingExample(list(rec["x_tokens"]), list(rec["target_tokens"]),
                            m.matrix())
 
@@ -198,12 +197,7 @@ def train(model: Seq2SeqModel, examples, config: TrainingConfig,
                 scale = CLIP_NORM / gn
                 for k in grads:
                     grads[k] *= scale
-            # keep flag row 0 pinned whatever the optimizer state does
-            grads["flag.ek"][0] = 0.0
-            grads["flag.ev"][0] = 0.0
             opt.step(model.params, grads)
-            model.params["flag.ek"][0] = 0.0
-            model.params["flag.ev"][0] = 0.0
             step += 1
             epoch_loss += loss
             nb += 1

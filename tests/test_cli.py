@@ -6,6 +6,7 @@ runnable as a script.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -637,6 +638,27 @@ class TestEvaluate:
                    "--out", str(tmp_path / "r.json")])
         assert rc == EXIT_OK
         capsys.readouterr()
+
+    @pytest.mark.parametrize("output", ["gold", "empty"])
+    def test_gold_record_without_target_is_usage_error(self, tmp_path,
+                                                       capsys, output):
+        # whatever the output, there is no reference to score it against
+        insts = datagen.build_corpus(0, (0, 0, 6))
+        outs = [{"id": i.id, "output_tokens": i.target.split()}
+                for i in insts]
+        insts[2] = dataclasses.replace(insts[2], target="")
+        if output == "empty":
+            outs[2]["output_tokens"] = []
+        gold = tmp_path / "gold.jsonl"
+        datagen.write_corpus(insts, str(gold))
+        decoded = tmp_path / "decoded.jsonl"
+        decoded.write_text("".join(json.dumps(o) + "\n" for o in outs))
+        rc = main(["evaluate", "--outputs", str(decoded), "--gold",
+                   str(gold), "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: record %r has no target to score against\n" % insts[2].id
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestInspectFlags:

@@ -6,6 +6,9 @@ from a separate scorer written with different algorithmic choices
 this module existed.
 """
 
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -13,9 +16,8 @@ import pytest
 from restate import datagen as dg
 from restate.evaluation import (EmptyCorpus, EmptyInput, EvalReport,
                                 IdMismatch, bleu, build_report,
-                                correctness_audit, corpus_rouge_l,
-                                coverage_audit, lcs_length, rouge_l,
-                                rouge_l_scores, text_table)
+                                corpus_rouge_l, coverage_audit, lcs_length,
+                                rouge_l, rouge_l_scores, text_table)
 from restate.flags import SatisfierConfig
 from restate.vocab import tokenize
 
@@ -226,34 +228,80 @@ class TestCorrectnessAudit:
     def test_gold_outputs_score_perfect(self):
         insts = dg.build_corpus(6, (16, 0, 0))
         outs = outputs_for(insts, lambda i: tokenize(i.target))
-        cor = correctness_audit(outs, insts)
-        assert cor["polarity"] == 1.0
-        assert cor["style"] == 1.0
-        assert cor["context"] == 1.0
+        rep = build_report(outs, insts)
+        assert rep.polarity_accuracy == 1.0
+        assert rep.style_accuracy == 1.0
+        assert rep.context_accuracy == 1.0
 
     def test_wrong_polarity_detected(self):
         inst = cam_instance()
         toks = tokenize(inst.target)
         toks[0] = "no"
-        cor = correctness_audit([{"id": inst.id, "output_tokens": toks}],
-                                [inst])
-        assert cor["polarity"] == 0.0
-        assert cor["context"] == 1.0
+        rep = build_report([{"id": inst.id, "output_tokens": toks}], [inst])
+        assert rep.polarity_accuracy == 0.0
+        assert rep.context_accuracy == 1.0
 
     def test_first_person_output_fails_style(self):
         inst = cam_instance()
         toks = tokenize(inst.target) + ["i"]
-        cor = correctness_audit([{"id": inst.id, "output_tokens": toks}],
-                                [inst])
-        assert cor["style"] == 0.0
+        rep = build_report([{"id": inst.id, "output_tokens": toks}], [inst])
+        assert rep.style_accuracy == 0.0
 
     def test_missing_context_detected(self):
         inst = cam_instance()
-        cor = correctness_audit(
+        rep = build_report(
             [{"id": inst.id, "output_tokens": ["yes", ",", "it", "does", "."]}],
             [inst])
-        assert cor["context"] == 0.0
-        assert cor["polarity"] == 1.0
+        assert rep.context_accuracy == 0.0
+        assert rep.polarity_accuracy == 1.0
+
+
+# toy systems over a gold instance, and the satisfier configs they are
+# audited under
+SYSTEMS = {
+    "gold": lambda i: tokenize(i.target),
+    "every-second": lambda i: tokenize(i.target)[::2],
+    "polarity-context": lambda i: [i.polarity, ",", *i.context.split(), "."],
+    "constraints": lambda i: [t for c in i.constraints for t in c.tokens],
+}
+CONFIGS = [None, SatisfierConfig(threshold_b=0.0)]
+
+
+class TestCategoryRows:
+    @pytest.mark.parametrize("seed", [0, 3, 13])
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_row_is_the_report_of_its_category(self, seed, system):
+        insts = dg.build_corpus(seed, (16, 0, 0))
+        outs = outputs_for(insts, SYSTEMS[system])
+        rep = build_report(outs, insts)
+        assert set(rep.per_category) == {i.category for i in insts}
+        for cat, row in rep.per_category.items():
+            idxs = [k for k, i in enumerate(insts) if i.category == cat]
+            alone = dataclasses.asdict(build_report(
+                [outs[k] for k in idxs], [insts[k] for k in idxs]))
+            del alone["per_category"], alone["bertscore"]
+            assert row == {"n": alone.pop("n_instances"), **alone}
+
+
+# SHA-256 of every report and coverage audit below, frozen from the
+# implementation that scored each audit and each category separately
+REPORT_BYTES_SHA256 = (
+    "5075ec0e7219a09353a2276c2e415fa1f0bfad8a190f238c7debccd669027b92")
+
+
+def test_report_bytes_pinned():
+    digest = hashlib.sha256()
+    for seed in (0, 3, 13):
+        insts = dg.build_corpus(seed, (0, 0, 24))
+        for system in sorted(SYSTEMS):
+            outs = outputs_for(insts, SYSTEMS[system])
+            for config in CONFIGS:
+                digest.update(build_report(outs, insts,
+                                           config=config).to_json().encode())
+                digest.update(json.dumps(coverage_audit(outs, insts,
+                                                        config=config),
+                                         sort_keys=True).encode())
+    assert digest.hexdigest() == REPORT_BYTES_SHA256
 
 
 @pytest.fixture(scope="module")
