@@ -18,8 +18,7 @@ from .flags import (FlagTracker, SatisfierConfig, candidate_spans,
 from .vocab import Vocabulary, tokenize
 from .model import (ModelConfig, Seq2SeqModel, TrainingConfig,
                     TrainingExample, example_from_record, train)
-from .decode import (DecodeResult, beam_decode, constrained_beam_decode,
-                     greedy_decode, run_decoder)
+from .decode import DecodeResult, run_decoder
 from .datagen import (PQAInstance, build_corpus, generate, gold_constraints,
                       model_record, read_corpus, write_corpus)
 from .evaluation import (EvalReport, bleu, build_report, corpus_rouge_l,
@@ -33,8 +32,7 @@ __all__ = [
     "SatisfierConfig", "candidate_spans", "replay_flags", "trace",
     "Vocabulary", "tokenize", "ModelConfig", "Seq2SeqModel",
     "TrainingConfig", "TrainingExample", "example_from_record", "train",
-    "DecodeResult", "beam_decode", "constrained_beam_decode", "greedy_decode",
-    "run_decoder", "PQAInstance", "build_corpus", "generate",
+    "DecodeResult", "run_decoder", "PQAInstance", "build_corpus", "generate",
     "gold_constraints", "model_record", "read_corpus", "write_corpus",
     "EvalReport", "bleu", "build_report", "corpus_rouge_l",
     "coverage_audit", "rouge_l", "text_table",

@@ -52,18 +52,28 @@ def _finite(text):
     raise argparse.ArgumentTypeError("%r is not a finite number" % text)
 
 
-def _env(option, fallback, cast=str):
-    """Default for an option, overridable via RESTATE_<OPTION>."""
-    raw = os.environ.get(ENV_PREFIX + option.upper().replace("-", "_"))
+def _env(option, fallback, cast=str, choices=None):
+    """Default for an option, overridable via RESTATE_<OPTION>. argparse
+    checks no default against the option's choices, so this does."""
+    name = ENV_PREFIX + option.upper().replace("-", "_")
+    raw = os.environ.get(name)
     if raw is None:
         return fallback
+    if choices is not None and raw not in choices:
+        raise ValueError("environment override %s=%r is not one of %s"
+                         % (name, raw, ", ".join(choices)))
     try:
         return cast(raw)
     except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError("environment override %s%s=%r is not a valid %s"
-                         % (ENV_PREFIX, option.upper().replace("-", "_"),
-                            raw, "number" if cast is _finite
+        raise ValueError("environment override %s=%r is not a valid %s"
+                         % (name, raw, "number" if cast is _finite
                             else cast.__name__))
+
+
+def _add_choice(p, option, choices, fallback, **kwargs):
+    """A choice option whose RESTATE_<OPTION> default obeys choices."""
+    p.add_argument("--" + option, choices=choices,
+                   default=_env(option, fallback, choices=choices), **kwargs)
 
 
 def _write_jsonl(records, path):
@@ -97,22 +107,19 @@ def _scorer_for(config):
 
 
 def _add_satisfier_args(p):
-    p.add_argument("--mode", choices=("semantic", "lexical", "off"),
-                   default=_env("mode", "semantic"),
-                   help="constraint satisfaction rule (default %(default)s)")
+    _add_choice(p, "mode", ("semantic", "lexical", "off"), "semantic",
+                help="constraint satisfaction rule (default %(default)s)")
     p.add_argument("--threshold-a", type=_finite,
                    default=_env("threshold-a", 0.8, _finite),
                    help="similarity floor a flip must exceed")
     p.add_argument("--threshold-b", type=_finite,
                    default=_env("threshold-b", 0.3, _finite),
                    help="similarity jump a flip must exceed")
-    p.add_argument("--style", choices=("on", "off"),
-                   default=_env("style", "off"),
-                   help="track narrative-style flags (default %(default)s)")
-    p.add_argument("--style-trigger",
-                   choices=("first_person", "second_person"),
-                   default=_env("style-trigger", "first_person"),
-                   help="pronoun lexicon that drops style flags when emitted")
+    _add_choice(p, "style", ("on", "off"), "off",
+                help="track narrative-style flags (default %(default)s)")
+    _add_choice(p, "style-trigger", ("first_person", "second_person"),
+                "first_person",
+                help="pronoun lexicon that drops style flags when emitted")
 
 
 def _add_seed_arg(p):
@@ -329,10 +336,13 @@ def cmd_inspect_flags(args):
     mr = datagen.model_record(match[0])
     if args.output:
         output_tokens = tokenize(args.output)
+        if not output_tokens:
+            raise ValueError("--output %r holds no tokens" % args.output)
     else:
         output_tokens = mr["target_tokens"]
-    if not output_tokens:
-        raise ValueError("record has no target and no --output was given")
+        if not output_tokens:
+            raise ValueError("record has no target and no --output was"
+                             " given")
     config = _satisfier(args)
     tracker = replay_flags(mr["x_tokens"], mr["constraint_rows"],
                            output_tokens, config, scorer=_scorer_for(config))
@@ -404,8 +414,7 @@ def build_parser():
     p.add_argument("--split", default="",
                    help="restrict to one split (default: every record)")
     _add_satisfier_args(p)
-    p.add_argument("--decoder", choices=("greedy", "beam", "cbs"),
-                   default=_env("decoder", "greedy"))
+    _add_choice(p, "decoder", ("greedy", "beam", "cbs"), "greedy")
     p.add_argument("--beam", type=int, default=_env("beam", 4, int),
                    help="beam width for beam/cbs decoding")
     p.add_argument("--alpha", type=_finite, default=0.7,

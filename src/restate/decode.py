@@ -1,11 +1,13 @@
-"""Decoding strategies: greedy search, and one banked beam search that
-serves both plain and constrained beam decoding.
+"""Decoding: run_decoder is the one entry point. It picks greedy search,
+plain beam search or constrained beam search (CBS) by name, builds one
+decoder cache and one FlagTracker, and hands them to the argmax loop or
+to one banked beam search that serves both beam decoders.
 
-Both drive a FlagTracker alongside the model so every generated token
-updates the mention flags the next step conditions on. Each search step
-is one batched decoder call over every live hypothesis: the model
-caches each hypothesis's past positions, so the call forwards only the
-newest token with its current flag column. Candidates are ranked as
+Both loops drive the tracker alongside the model so every generated
+token updates the mention flags the next step conditions on. Each
+search step is one batched decoder call over every live hypothesis:
+the model caches each hypothesis's past positions, so the call forwards
+only the newest token with its current flag column. Candidates are ranked as
 tuples; only the survivors of pruning are built, with their own lists
 and tracker clones, since ranking and banking never read flags. Scores
 sum the log-probabilities of every chosen token (the stop token
@@ -27,12 +29,14 @@ failing.
 
 Plain beam search is the one-bank case: with no lists every hypothesis
 sits in bank 0, which is full coverage, so any may stop, and nothing is
-forced. At width 1 the argmax trajectory is the whole search; wider, it
-is a shadow hypothesis that floors the returned normalized score. Each
-step it reads the row of the live hypothesis with its ids, or one extra
-row of the same call once the beam drops them; it is live for the early
-stop until it stops or is closed at budget. No row depends on the other
-rows of its call, so this is exactly a greedy pass.
+forced. At width 1 the argmax trajectory is the whole search, so greedy
+and width-1 plain beam are one branch, the argmax loop, which only beam
+closes at budget. Wider, the trajectory is a shadow hypothesis that
+floors the returned normalized score. Each step it reads the row of
+the live hypothesis with its ids, or one extra row of the same call
+once the beam drops them; it is live for the early stop until it stops
+or is closed at budget. No row depends on the other rows of its call,
+so this is exactly a greedy pass.
 
 The search stops early, exactly (after Huang et al. 2017, "When to
 Finish?"): before each step, and before the closing at budget, it ends
@@ -54,33 +58,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flags import FlagTracker, SatisfierConfig
-from .model.transformer import Seq2SeqModel
+from .flags import FlagTracker
 
 
 @dataclass(eq=False)
 class Hypothesis:
     ids: list
-    logps: list
     tracker: FlagTracker
     # per constraint, the length of its longest prefix that ends ids
     pointers: list = field(default_factory=list)
+    bank: int = 0  # constraint tokens matched verbatim: sum(pointers)
     finished: bool = False
     # row of the decoder cache that holds every position but the newest
     row: int = 0
-    # logps summed left to right; sum() is compensated from Python 3.12
-    score: float | None = None
-    bank: int = field(init=False)  # constraint tokens matched verbatim
-
-    def __post_init__(self):
-        if self.score is None:
-            self.score = 0.0
-            for lp in self.logps:
-                self.score += lp
-        self.bank = sum(self.pointers)
+    # the chosen tokens' logps (the stop token's once finished), summed
+    # left to right as they are chosen
+    score: float = 0.0
 
     def normalized(self, alpha: float) -> float:
-        return self.score / max(1, len(self.logps)) ** alpha
+        return self.score / max(1, len(self.ids) + self.finished) ** alpha
 
 
 @dataclass
@@ -127,8 +123,8 @@ def _result_from(model, hyp, alpha, unsatisfiable=False, warnings=()):
     normalized = hyp.normalized(alpha)
     if not math.isfinite(normalized):
         raise ValueError("alpha %r length-normalizes score %r over %d tokens"
-                         " to %r" % (alpha, hyp.score, len(hyp.logps),
-                                     normalized))
+                         " to %r" % (alpha, hyp.score,
+                                     len(hyp.ids) + hyp.finished, normalized))
     return DecodeResult(
         tokens=[model.vocab.tokens[i] for i in hyp.ids],
         token_ids=list(hyp.ids),
@@ -162,12 +158,11 @@ def _clamp_budget(model, max_len, alpha):
 def _greedy_hyp(model, decoder, tracker, max_len):
     """Run the argmax loop. Returns the raw hypothesis; finished means
     the stop token was the argmax within budget (its logp is counted)."""
-    hyp = Hypothesis([], [], tracker)
+    hyp = Hypothesis([], tracker)
     for _ in range(max_len):
         lp = decoder.logprobs([hyp])[0]
         nxt = int(np.argmax(lp))
-        hyp.logps.append(float(lp[nxt]))
-        hyp.score += hyp.logps[-1]
+        hyp.score += float(lp[nxt])
         if nxt == model.vocab.eos_id:
             hyp.finished = True
             break
@@ -176,23 +171,18 @@ def _greedy_hyp(model, decoder, tracker, max_len):
     return hyp
 
 
-def greedy_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
-                  config: SatisfierConfig, scorer=None, max_len: int = 48,
-                  alpha: float = 0.7) -> DecodeResult:
-    """Pick the argmax token every step (ties: smallest id); stop at the
-    end token or after max_len tokens."""
-    max_len = _clamp_budget(model, max_len, alpha)
-    hyp = _greedy_hyp(model, _Decoder(model, x_tokens),
-                      FlagTracker(x_tokens, constraint_rows, config,
-                                  scorer=scorer), max_len)
-    return _result_from(model, hyp, alpha)
-
-
 def _finished(hyp, stop_logp):
     """Finished copy of a live hypothesis, its stop token's logp counted."""
-    return Hypothesis(hyp.ids, hyp.logps + [stop_logp], hyp.tracker,
-                      hyp.pointers, finished=True,
-                      score=hyp.score + stop_logp)
+    return Hypothesis(hyp.ids, hyp.tracker, hyp.pointers, hyp.bank,
+                      finished=True, score=hyp.score + stop_logp)
+
+
+def _child(model, parent, token, logp, row, pointers, bank):
+    """Live hypothesis extending parent by token, with its own tracker."""
+    tracker = parent.tracker.clone()
+    tracker.step(model.vocab.tokens[token])
+    return Hypothesis(parent.ids + [token], tracker, pointers, bank, row=row,
+                      score=parent.score + logp)
 
 
 def _closed(model, decoder, hyps):
@@ -236,30 +226,19 @@ def _decided(done, live, alpha, caps):
     if not done:
         return False
     best = max(h.normalized(alpha) for h in done)
-    return all(best > h.score / caps[len(h.logps)] for h in live)
+    return all(best > h.score / caps[len(h.ids)] for h in live)
 
 
-def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
-            alpha, max_len, targets):
+def _search(model, decoder, tracker, beam_size, alpha, max_len, targets):
     """The banked beam search of the module docstring. targets holds
     the token-id lists every finished result must contain; with none it
     is plain beam search."""
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
-    max_len = _clamp_budget(model, max_len, alpha)
-    decoder = _Decoder(model, x_tokens)
-    tracker = FlagTracker(x_tokens, constraint_rows, config, scorer=scorer)
-    if beam_size == 1 and not targets:
-        # the argmax trajectory is the entire width-1 search
-        hyp = _greedy_hyp(model, decoder, tracker, max_len)
-        done = [hyp] if hyp.finished else _closed(model, decoder, [hyp])
-        return _result_from(model, done[0], alpha)
     eos = model.vocab.eos_id
     full = sum(len(t) for t in targets)
     done = []
     # an unforced stop token takes a top-k slot, so it gets one more
     width = beam_size if targets else beam_size + 1
-    live = [Hypothesis([], [], tracker, [0] * len(targets))]
+    live = [Hypothesis([], tracker, [0] * len(targets))]
     # plain search carries the argmax trajectory: the live hypothesis
     # with its ids, or an extra row of each call once the beam drops it
     shadow = None if targets else live[0]
@@ -305,25 +284,16 @@ def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
         if not banks and shadow is None:
             break
         parents, live = live, []
-        for ranked in banks.values():
+        for bank, ranked in banks.items():
             ranked.sort()
-            for neg, _, nxt, row, logp, pointers in ranked[:beam_size]:
-                parent = parents[row]
-                tracker = parent.tracker.clone()
-                tracker.step(model.vocab.tokens[nxt])
-                live.append(Hypothesis(
-                    parent.ids + [nxt], parent.logps + [logp], tracker,
-                    pointers, row=row, score=-neg))
+            for _, _, nxt, row, logp, pointers in ranked[:beam_size]:
+                live.append(_child(model, parents[row], nxt, logp, row,
+                                   pointers, bank))
         if shadow is not None:
             twin = [h for h in live if h.row == at and h.ids[-1] == greedy]
-            if not twin:
-                tracker = shadow.tracker.clone()
-                tracker.step(model.vocab.tokens[greedy])
-                logp = float(lps[at, greedy])
-                twin = [Hypothesis(shadow.ids + [greedy],
-                                   shadow.logps + [logp], tracker, row=at,
-                                   score=shadow.score + logp)]
-            shadow = twin[0]
+            shadow = twin[0] if twin else _child(
+                model, shadow, greedy, float(lps[at, greedy]), at,
+                shadow.pointers, shadow.bank)
     if done:
         best = min(done, key=lambda h: (-h.normalized(alpha), tuple(h.ids)))
         return _result_from(model, best, alpha)
@@ -337,59 +307,48 @@ def _search(model, x_tokens, constraint_rows, config, scorer, beam_size,
                         warnings=[warn])
 
 
-def beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
-                config: SatisfierConfig, scorer=None, beam_size: int = 4,
-                alpha: float = 0.7, max_len: int = 48) -> DecodeResult:
-    """Length-normalized beam search: the banked search with no
-    constraint tokens.
-
-    Live hypotheses are ranked by cumulative log-probability (summed
-    left to right), finished ones by score / chosen_tokens ** alpha;
-    ties prefer the smallest token id sequence. Width 1 returns the
-    greedy loop's tokens; its scores equal greedy's only when greedy
-    stops within max_len. When greedy runs out of budget instead, the
-    width-1 result also counts the stop token's log-probability and is
-    marked finished. Wider searches carry the greedy trajectory in their
-    own batched steps, so it is always among the scored candidates.
-    """
-    return _search(model, list(x_tokens), constraint_rows, config, scorer,
-                   beam_size, alpha, max_len, [])
-
-
-def constrained_beam_decode(model: Seq2SeqModel, x_tokens, constraint_rows,
-                            config: SatisfierConfig, scorer=None,
-                            beam_size: int = 4, alpha: float = 0.7,
-                            max_len: int = 48) -> DecodeResult:
-    """Banked beam search keyed by verbatim constraint progress.
-
-    Every finished result contains each constraint verbatim and in
-    token order. If the budget runs out first, the closest partial is
-    returned with unsatisfiable=True and a warning. Without constraint
-    rows this is beam_decode.
-    """
-    x_tokens = list(x_tokens)
-    vocab = model.vocab
-    # a token outside the vocabulary maps to pad, which is never emitted
-    targets = [[vocab.index.get(x_tokens[i], vocab.pad_id) for i in row]
-               for row in constraint_rows]
-    return _search(model, x_tokens, constraint_rows, config, scorer,
-                   beam_size, alpha, max_len, targets)
-
-
 def run_decoder(name: str, model, x_tokens, constraint_rows, config,
                 scorer=None, beam_size: int = 4, alpha: float = 0.7,
                 max_len: int = 48) -> DecodeResult:
-    """Dispatch by decoder name: 'greedy', 'beam', or 'cbs'."""
-    if name == "greedy":
-        return greedy_decode(model, x_tokens, constraint_rows, config,
-                             scorer=scorer, max_len=max_len, alpha=alpha)
-    if name == "beam":
-        return beam_decode(model, x_tokens, constraint_rows, config,
-                           scorer=scorer, beam_size=beam_size, alpha=alpha,
-                           max_len=max_len)
+    """Decode one input with the decoder named 'greedy', 'beam' or 'cbs'.
+
+    greedy picks the argmax token every step (ties: smallest id) and
+    stops at the end token or after max_len tokens; it ignores
+    beam_size. beam is length-normalized beam search: live hypotheses
+    are ranked by cumulative log-probability (summed left to right),
+    finished ones by score / chosen_tokens ** alpha, and ties prefer the
+    smallest token id sequence. Width 1 returns greedy's tokens; its
+    scores equal greedy's only when greedy stops within max_len. When
+    greedy runs out of budget instead, the width-1 result is closed at
+    budget: it also counts the stop token's log-probability and is
+    marked finished. Wider searches carry the greedy trajectory in their
+    own batched steps, so it is always among the scored candidates.
+
+    cbs is beam search banked by verbatim constraint progress: every
+    finished result contains each constraint row's input tokens
+    verbatim and in token order. If the budget runs out first, the
+    closest partial is returned with unsatisfiable=True and a warning.
+    Without constraint rows it is beam.
+    """
+    if name not in ("greedy", "beam", "cbs"):
+        raise ValueError("unknown decoder %r" % name)
+    if name != "greedy" and beam_size < 1:
+        raise ValueError("beam_size must be >= 1")
+    max_len = _clamp_budget(model, max_len, alpha)
+    x_tokens = list(x_tokens)
+    decoder = _Decoder(model, x_tokens)
+    # the tracker checks every row against the input before it is read
+    tracker = FlagTracker(x_tokens, constraint_rows, config, scorer=scorer)
+    targets = []
     if name == "cbs":
-        return constrained_beam_decode(model, x_tokens, constraint_rows,
-                                       config, scorer=scorer,
-                                       beam_size=beam_size, alpha=alpha,
-                                       max_len=max_len)
-    raise ValueError("unknown decoder %r" % name)
+        vocab = model.vocab
+        # a token outside the vocabulary maps to pad, which is never emitted
+        targets = [[vocab.index.get(x_tokens[i], vocab.pad_id) for i in row]
+                   for row in constraint_rows]
+    if name == "greedy" or (beam_size == 1 and not targets):
+        hyp = _greedy_hyp(model, decoder, tracker, max_len)
+        if name != "greedy" and not hyp.finished:
+            hyp = _closed(model, decoder, [hyp])[0]
+        return _result_from(model, hyp, alpha)
+    return _search(model, decoder, tracker, beam_size, alpha, max_len,
+                   targets)

@@ -688,6 +688,16 @@ class TestInspectFlags:
         assert text.startswith("x\\y")
         assert (tmp_path / "trace.tsv.config.json").exists()
 
+    def test_blank_output_is_named(self, workdir, capsys):
+        # an --output that tokenizes to nothing is not a missing one
+        src = workdir / "corpus" / "train.jsonl"
+        inst = datagen.read_corpus(str(src))[0]
+        rc = main(["inspect-flags", "--input", str(src), "--id", inst.id,
+                   "--output", "   "])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: --output '   ' holds no tokens\n"
+
     def test_unknown_id_is_usage_error(self, workdir, capsys):
         rc = main(["inspect-flags", "--input",
                    str(workdir / "corpus" / "train.jsonl"),
@@ -762,6 +772,24 @@ class TestEnvOverrides:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert "RESTATE_THRESHOLD_B='nan' is not a valid number" in err
+
+    @pytest.mark.parametrize("variable, value, choices", [
+        ("RESTATE_MODE", "bogus", "semantic, lexical, off"),
+        ("RESTATE_STYLE", "ON", "on, off"),
+        ("RESTATE_STYLE_TRIGGER", "third", "first_person, second_person"),
+        ("RESTATE_DECODER", "sampling", "greedy, beam, cbs"),
+    ], ids=["mode", "style", "style-trigger", "decoder"])
+    def test_env_value_outside_choices_is_usage_error(
+            self, tmp_path, monkeypatch, capsys, variable, value, choices):
+        monkeypatch.setenv(variable, value)
+        # neither file exists: the value is rejected before either is read
+        rc = main(["rewrite", "--input", str(tmp_path / "in.jsonl"),
+                   "--checkpoint", str(tmp_path / "m.npz"),
+                   "--out", str(tmp_path / "out.jsonl")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: environment override %s=%r is not one of %s\n"
+            % (variable, value, choices))
 
     def test_invalid_env_value_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("RESTATE_SEED", "not-a-number")

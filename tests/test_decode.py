@@ -11,10 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from restate import decode
-from restate.decode import (DecodeResult, Hypothesis, _advance, beam_decode,
-                            constrained_beam_decode, greedy_decode,
-                            run_decoder)
-from restate.flags import SatisfierConfig, contains_contiguous, replay_flags
+from restate.decode import DecodeResult, Hypothesis, _advance, run_decoder
+from restate.flags import (IndexOutOfRange, SatisfierConfig,
+                           contains_contiguous, replay_flags)
 from restate.model import ModelConfig, Seq2SeqModel, TrainingConfig, train
 from restate.model.training import TrainingExample
 from restate.similarity import HashedNgramEmbedder, SpanSimilarity
@@ -120,24 +119,25 @@ def stub_adversarial():
 class TestGreedy:
     def test_overfit_model_emits_memorized_target(self, copy_model):
         for s in SENTENCES:
-            res = greedy_decode(copy_model, s, [], OFF)
+            res = run_decoder("greedy", copy_model, s, [], OFF)
             assert res.tokens == s
             assert res.finished
 
     def test_max_len_one_gives_one_token(self, copy_model):
-        res = greedy_decode(copy_model, SENTENCES[0], [], OFF, max_len=1)
+        res = run_decoder("greedy", copy_model, SENTENCES[0], [], OFF,
+                          max_len=1)
         assert len(res.tokens) == 1
         assert not res.finished
 
     def test_deterministic(self, copy_model):
-        a = greedy_decode(copy_model, SENTENCES[0], [(1,)], LEX)
-        b = greedy_decode(copy_model, SENTENCES[0], [(1,)], LEX)
+        a = run_decoder("greedy", copy_model, SENTENCES[0], [(1,)], LEX)
+        b = run_decoder("greedy", copy_model, SENTENCES[0], [(1,)], LEX)
         assert a.tokens == b.tokens
         assert a.score == b.score
         assert np.array_equal(a.flag_matrix, b.flag_matrix)
 
     def test_score_sums_chosen_logps(self, copy_model):
-        res = greedy_decode(copy_model, SENTENCES[0], [], OFF)
+        res = run_decoder("greedy", copy_model, SENTENCES[0], [], OFF)
         # finished: one logp per emitted token plus the stop token
         assert res.finished
         assert res.score <= 0.0
@@ -146,8 +146,8 @@ class TestGreedy:
 
     def test_semantic_mode_requires_scorer(self, copy_model):
         with pytest.raises(ValueError):
-            greedy_decode(copy_model, SENTENCES[0], [(1,)],
-                          SatisfierConfig(mode="semantic"))
+            run_decoder("greedy", copy_model, SENTENCES[0], [(1,)],
+                        SatisfierConfig(mode="semantic"))
 
     def test_alpha_that_underflows_the_normalization_is_named(self):
         # (48 + 1) ** 182 is finite, so the budget check lets alpha
@@ -155,20 +155,20 @@ class TestGreedy:
         # the budget-length score -221.05 normalizes to -inf
         stub = StubLM({}, {"a": 0.01, "b": 0.01, "c": 0.01, "<eos>": 1e-9})
         with pytest.raises(ValueError, match="alpha -182"):
-            greedy_decode(stub, ["x"], [], OFF, alpha=-182, max_len=48)
+            run_decoder("greedy", stub, ["x"], [], OFF, alpha=-182, max_len=48)
 
 
 class TestBeam:
     def test_width_one_equals_greedy_tokens(self, copy_model):
         inputs = SENTENCES + [["the", "cat", "brazil"], ["mat", "mat"]]
         for x in inputs:
-            g = greedy_decode(copy_model, x, [], OFF)
-            b = beam_decode(copy_model, x, [], OFF, beam_size=1)
+            g = run_decoder("greedy", copy_model, x, [], OFF)
+            b = run_decoder("beam", copy_model, x, [], OFF, beam_size=1)
             assert b.tokens == g.tokens, x
 
     def test_width_one_matches_greedy_score_when_finished(self, copy_model):
-        g = greedy_decode(copy_model, SENTENCES[1], [], OFF)
-        b = beam_decode(copy_model, SENTENCES[1], [], OFF, beam_size=1)
+        g = run_decoder("greedy", copy_model, SENTENCES[1], [], OFF)
+        b = run_decoder("beam", copy_model, SENTENCES[1], [], OFF, beam_size=1)
         assert g.finished
         assert b.score == pytest.approx(g.score, abs=1e-12)
         assert b.normalized_score == pytest.approx(g.normalized_score,
@@ -176,14 +176,15 @@ class TestBeam:
 
     def test_returned_score_floor_is_greedy(self, copy_model):
         for x in SENTENCES + [["brazil", "cat"]]:
-            g = greedy_decode(copy_model, x, [], OFF)
+            g = run_decoder("greedy", copy_model, x, [], OFF)
             for width in (1, 2, 4):
-                b = beam_decode(copy_model, x, [], OFF, beam_size=width)
+                b = run_decoder("beam", copy_model, x, [], OFF,
+                                beam_size=width)
                 assert b.normalized_score >= g.normalized_score - 1e-12
 
     def test_monotone_in_width(self, copy_model):
         for x in SENTENCES:
-            scores = [beam_decode(copy_model, x, [], OFF,
+            scores = [run_decoder("beam", copy_model, x, [], OFF,
                                   beam_size=w).normalized_score
                       for w in (1, 2, 4)]
             assert scores[0] <= scores[1] + 1e-12
@@ -192,11 +193,11 @@ class TestBeam:
     def test_beam2_matches_exhaustive_oracle_on_handset_logits(self):
         stub = stub_adversarial()
         norm, ids, total = exhaustive_best(stub, ["x"], 3, 0.7)
-        res = beam_decode(stub, ["x"], [], OFF, beam_size=2, max_len=3)
+        res = run_decoder("beam", stub, ["x"], [], OFF, beam_size=2, max_len=3)
         assert tuple(res.token_ids) == ids
         assert res.normalized_score == pytest.approx(norm, abs=1e-12)
         # and the point of the test: greedy alone gets this wrong
-        g = greedy_decode(stub, ["x"], [], OFF, max_len=3)
+        g = run_decoder("greedy", stub, ["x"], [], OFF, max_len=3)
         assert g.tokens != res.tokens
         assert res.tokens == ["a"]
 
@@ -219,7 +220,7 @@ class TestBeam:
         stub = StubLM({(): {"a": 0.4, "b": 0.35, "c": 0.25},
                        ("a",): {"a": 0.34, "b": 0.33, "c": 0.33},
                        ("b",): {"a": 0.5, "b": 0.5}, **late}, floor=-np.inf)
-        g = greedy_decode(stub, ["a"], [(0,)], LEX, max_len=max_len)
+        g = run_decoder("greedy", stub, ["a"], [(0,)], LEX, max_len=max_len)
         calls = []
         step = stub.decode_step
 
@@ -228,7 +229,7 @@ class TestBeam:
             return step(cache, parents, last_ids, columns)
 
         stub.decode_step = counting
-        res = beam_decode(stub, ["a"], [(0,)], LEX, beam_size=2,
+        res = run_decoder("beam", stub, ["a"], [(0,)], LEX, beam_size=2,
                           max_len=max_len)
         assert res.tokens == g.tokens == tokens
         assert repr(res.score) == repr(g.score)
@@ -241,23 +242,29 @@ class TestBeam:
             self, copy_model):
         for x in (SENTENCES[0], ["brazil", "the"]):
             norm, ids, total = exhaustive_best(copy_model, x, 2, 0.7)
-            res = beam_decode(copy_model, x, [], OFF, beam_size=150,
+            res = run_decoder("beam", copy_model, x, [], OFF, beam_size=150,
                               max_len=2)
             assert tuple(res.token_ids) == ids, x
             assert res.normalized_score == pytest.approx(norm, abs=1e-12)
 
     def test_rejects_zero_width(self, copy_model):
-        with pytest.raises(ValueError):
-            beam_decode(copy_model, SENTENCES[0], [], OFF, beam_size=0)
+        for name in ("beam", "cbs"):
+            with pytest.raises(ValueError, match="beam_size"):
+                run_decoder(name, copy_model, SENTENCES[0], [], OFF,
+                            beam_size=0)
+        # greedy has no width to check
+        res = run_decoder("greedy", copy_model, SENTENCES[0], [], OFF,
+                          beam_size=0)
+        assert res.tokens == SENTENCES[0]
 
 
 class TestConstrainedBeam:
     def test_forces_token_model_never_emits(self, copy_model):
         x = ["the", "cat", "brazil"]
-        g = greedy_decode(copy_model, x, [(2,)], LEX)
+        g = run_decoder("greedy", copy_model, x, [(2,)], LEX)
         assert "brazil" not in g.tokens  # the model alone skips it
-        res = constrained_beam_decode(copy_model, x, [(2,)], LEX,
-                                      beam_size=2)
+        res = run_decoder("cbs", copy_model, x, [(2,)], LEX,
+                          beam_size=2)
         assert "brazil" in res.tokens
         assert res.finished
         assert not res.unsatisfiable
@@ -265,23 +272,23 @@ class TestConstrainedBeam:
 
     def test_multi_token_constraint_in_order(self, copy_model):
         x = ["on", "the", "mat"]
-        res = constrained_beam_decode(copy_model, x, [(1, 2)], LEX,
-                                      beam_size=2)
+        res = run_decoder("cbs", copy_model, x, [(1, 2)], LEX,
+                          beam_size=2)
         assert res.finished
         joined = " ".join(res.tokens)
         assert "the mat" in joined
 
     def test_empty_constraints_identical_to_beam(self, copy_model):
         for x in SENTENCES:
-            a = constrained_beam_decode(copy_model, x, [], OFF, beam_size=3)
-            b = beam_decode(copy_model, x, [], OFF, beam_size=3)
+            a = run_decoder("cbs", copy_model, x, [], OFF, beam_size=3)
+            b = run_decoder("beam", copy_model, x, [], OFF, beam_size=3)
             assert a.tokens == b.tokens
             assert a.score == b.score
 
     def test_unsatisfiable_budget_returns_flagged_partial(self, copy_model):
-        res = constrained_beam_decode(copy_model, ["the", "cat", "sat"],
-                                      [(0,), (1,)], LEX, beam_size=2,
-                                      max_len=1)
+        res = run_decoder("cbs", copy_model, ["the", "cat", "sat"],
+                          [(0,), (1,)], LEX, beam_size=2,
+                          max_len=1)
         assert res.unsatisfiable
         assert not res.finished
         assert res.warnings and "partial" in res.warnings[0]
@@ -295,8 +302,8 @@ class TestConstrainedBeam:
                  (["on", "the", "mat"], [(0, 1, 2)]),
                  (["the", "cat", "brazil"], [(2,), (0,)])]
         for x, rows in cases:
-            res = constrained_beam_decode(copy_model, x, rows, LEX,
-                                          beam_size=2)
+            res = run_decoder("cbs", copy_model, x, rows, LEX,
+                              beam_size=2)
             if not res.finished:
                 continue
             joined = " " + " ".join(res.tokens) + " "
@@ -316,8 +323,8 @@ class TestConstrainedBeam:
                                    "<eos>": 0.9},
             ("a", "a", "b"): {"a": 0.5, "b": 0.2, "c": 0.25, "<eos>": 0.05},
         })
-        res = constrained_beam_decode(stub, ["a", "a", "b"], [(0, 1, 2)],
-                                      LEX, beam_size=1, max_len=5)
+        res = run_decoder("cbs", stub, ["a", "a", "b"], [(0, 1, 2)],
+                          LEX, beam_size=1, max_len=5)
         assert res.tokens == ["a", "a", "a", "b"]
         assert res.finished and not res.unsatisfiable
 
@@ -325,8 +332,8 @@ class TestConstrainedBeam:
             self, copy_model):
         # "zebra" can never be emitted; once the single beam's only
         # continuation is the stop token, the search ends with a partial
-        res = constrained_beam_decode(copy_model, ["the", "zebra"], [(1,)],
-                                      LEX, beam_size=1)
+        res = run_decoder("cbs", copy_model, ["the", "zebra"], [(1,)],
+                          LEX, beam_size=1)
         assert res.unsatisfiable and not res.finished
         assert "partial (0/1" in res.warnings[0]
 
@@ -344,15 +351,15 @@ class TestFlagConsistency:
 
     def test_copy_output_satisfies_semantic_constraint(self, copy_model):
         scorer = SpanSimilarity(HashedNgramEmbedder())
-        res = greedy_decode(copy_model, SENTENCES[0], [(1,)],
-                            SatisfierConfig(mode="semantic"), scorer=scorer)
+        res = run_decoder("greedy", copy_model, SENTENCES[0], [(1,)],
+                          SatisfierConfig(mode="semantic"), scorer=scorer)
         assert res.tokens == SENTENCES[0]
         assert res.satisfied == [True]
         # row 1 flips exactly after "cat" is emitted (column 2)
         assert res.flag_matrix[1].tolist() == [1, 1, 2, 2]
 
     def test_matrix_has_one_column_per_emitted_token(self, copy_model):
-        res = greedy_decode(copy_model, SENTENCES[2], [(0,)], LEX)
+        res = run_decoder("greedy", copy_model, SENTENCES[2], [(0,)], LEX)
         assert res.flag_matrix.shape == (3, len(res.tokens) + 1)
 
 
@@ -389,8 +396,8 @@ def _search_inputs(draw):
 @given(_search_inputs())
 def test_finished_cbs_contains_every_constraint(copy_model, case):
     x, rows, width, max_len = case
-    res = constrained_beam_decode(copy_model, x, rows, LEX, beam_size=width,
-                                  max_len=max_len)
+    res = run_decoder("cbs", copy_model, x, rows, LEX, beam_size=width,
+                      max_len=max_len)
     assert res.finished != res.unsatisfiable
     if res.finished:
         for row in rows:
@@ -401,12 +408,12 @@ def test_finished_cbs_contains_every_constraint(copy_model, case):
 @given(_search_inputs())
 def test_beam_score_is_at_least_greedy(copy_model, case):
     x, rows, width, max_len = case
-    g = greedy_decode(copy_model, x, rows, LEX, max_len=max_len)
+    g = run_decoder("greedy", copy_model, x, rows, LEX, max_len=max_len)
     if not g.finished:  # greedy left out the stop token the beam must pay
-        g = beam_decode(copy_model, x, rows, LEX, beam_size=1,
+        g = run_decoder("beam", copy_model, x, rows, LEX, beam_size=1,
                         max_len=max_len)
         assert g.finished
-    b = beam_decode(copy_model, x, rows, LEX, beam_size=width,
+    b = run_decoder("beam", copy_model, x, rows, LEX, beam_size=width,
                     max_len=max_len)
     assert b.normalized_score >= g.normalized_score
 
@@ -419,13 +426,13 @@ def _fields(res):
 
 
 def _same_without_stop(model, x, rows, width, alpha, max_len):
-    for decoder in (beam_decode, constrained_beam_decode):
-        got = decoder(model, x, rows, LEX, beam_size=width, alpha=alpha,
-                      max_len=max_len)
+    for name in ("beam", "cbs"):
+        got = run_decoder(name, model, x, rows, LEX, beam_size=width,
+                          alpha=alpha, max_len=max_len)
         with mock.patch.object(decode, "_decided", lambda *args: False):
-            full = decoder(model, x, rows, LEX, beam_size=width, alpha=alpha,
-                           max_len=max_len)
-        assert _fields(got) == _fields(full), decoder.__name__
+            full = run_decoder(name, model, x, rows, LEX, beam_size=width,
+                               alpha=alpha, max_len=max_len)
+        assert _fields(got) == _fields(full), name
 
 
 # next-token distributions with exact ties and certain (logp 0) tokens,
@@ -721,9 +728,9 @@ def test_greedy_results_are_pinned_to_the_byte(copy_model, case):
     sentence, mode, max_len = case
     scorer = (SpanSimilarity(HashedNgramEmbedder()) if mode == "semantic"
               else None)
-    res = greedy_decode(copy_model, SENTENCES[sentence], _PINNED_ROWS,
-                        SatisfierConfig(mode=mode), scorer=scorer,
-                        max_len=max_len)
+    res = run_decoder("greedy", copy_model, SENTENCES[sentence], _PINNED_ROWS,
+                      SatisfierConfig(mode=mode), scorer=scorer,
+                      max_len=max_len)
     matrix = "/".join("".join(map(str, row))
                       for row in res.flag_matrix.tolist())
     tokens, finished, rows, score, normalized = _PINNED_GREEDY[case]
@@ -748,10 +755,11 @@ class TestBatchedSteps:
 
     def test_beam_makes_one_call_per_search_step(self, copy_model, calls):
         max_len = 10
-        g = greedy_decode(copy_model, SENTENCES[0], [], OFF, max_len=max_len)
+        g = run_decoder("greedy", copy_model, SENTENCES[0], [], OFF,
+                        max_len=max_len)
         assert g.finished and len(calls) == len(g.tokens) + 1
         calls.clear()
-        beam_decode(copy_model, SENTENCES[0], [], OFF, beam_size=4,
+        run_decoder("beam", copy_model, SENTENCES[0], [], OFF, beam_size=4,
                     max_len=max_len)
         # max_len steps and one closing call: the argmax trajectory rides
         # in the beam's calls, here always as one of its own rows
@@ -760,9 +768,9 @@ class TestBatchedSteps:
 
     def test_cbs_makes_one_call_per_search_step(self, copy_model, calls):
         max_len = 10
-        constrained_beam_decode(copy_model, ["the", "cat", "brazil"],
-                                [(2,), (0,)], LEX, beam_size=2,
-                                max_len=max_len)
+        run_decoder("cbs", copy_model, ["the", "cat", "brazil"],
+                    [(2,), (0,)], LEX, beam_size=2,
+                    max_len=max_len)
         # every bank shares one call per step, plus one closing call
         assert len(calls) <= max_len + 1
 
@@ -791,24 +799,36 @@ class TestBatchedSteps:
 
 class TestPlumbing:
     def test_hypothesis_invariants(self, copy_model):
-        res = beam_decode(copy_model, SENTENCES[0], [(1,)], LEX, beam_size=2)
+        res = run_decoder("beam", copy_model, SENTENCES[0], [(1,)], LEX,
+                          beam_size=2)
         assert isinstance(res.score, float) and res.score <= 0.0
         assert len(res.satisfied) == 1
-        h = Hypothesis([1, 2], [-0.5, -0.25], res.tracker)
-        assert h.score == pytest.approx(-0.75)
+        h = Hypothesis([1, 2], res.tracker, score=-0.75)
+        assert (h.score, h.bank, h.finished) == (-0.75, 0, False)
+        # live: one chosen token per id
         assert h.normalized(0.7) == pytest.approx(-0.75 / 2 ** 0.7)
-        # the sum runs left to right, as the search adds each token's
-        # logp; a compensated sum (math.fsum, sum() from Python 3.12)
-        # of these ten gives -1.0
-        h = Hypothesis(list(range(10)), [-0.1] * 10, res.tracker)
-        assert repr(h.score) == "-0.9999999999999999"
+        # finished: the stop token is one chosen token more
+        h = Hypothesis([1, 2], res.tracker, score=-0.75, finished=True)
+        assert h.normalized(0.7) == pytest.approx(-0.75 / 3 ** 0.7)
+        # nothing chosen yet divides by 1, not 0
+        assert Hypothesis([], res.tracker).normalized(0.7) == 0.0
 
     def test_run_decoder_dispatch(self, copy_model):
         for name in ("greedy", "beam", "cbs"):
             res = run_decoder(name, copy_model, SENTENCES[0], [], OFF)
             assert isinstance(res, DecodeResult)
-        with pytest.raises(ValueError):
-            run_decoder("sampling", copy_model, SENTENCES[0], [], OFF)
+        # an unknown name is rejected before the input is encoded
+        with mock.patch.object(copy_model, "encode") as encode:
+            with pytest.raises(ValueError, match="unknown decoder"):
+                run_decoder("sampling", copy_model, SENTENCES[0], [], OFF)
+        encode.assert_not_called()
+
+    @pytest.mark.parametrize("name", ["greedy", "beam", "cbs"])
+    @pytest.mark.parametrize("row", [(5,), (-1,)])
+    def test_out_of_range_row_is_named(self, copy_model, name, row):
+        # the tracker checks the rows before CBS reads them as targets
+        with pytest.raises(IndexOutOfRange, match="outside input"):
+            run_decoder(name, copy_model, ["the", "cat"], [row], LEX)
 
     def test_decode_deterministic_across_runs(self, copy_model):
         a = run_decoder("beam", copy_model, SENTENCES[1], [(1,)], LEX,
