@@ -266,6 +266,10 @@ def cmd_rewrite(args):
     if args.max_len < 1:
         raise ValueError("--max-len must be at least 1, got %d"
                          % args.max_len)
+    # greedy ignores the width
+    if args.decoder != "greedy" and args.beam < 1:
+        raise ValueError("--beam must be at least 1 for the %s decoder,"
+                         " got %d" % (args.decoder, args.beam))
     model = Seq2SeqModel.load(args.checkpoint)
     instances = _filter_split(datagen.read_corpus(args.input), args.split)
     if not instances:

@@ -5,7 +5,7 @@ from .training import (Adam, NonFiniteLoss, TrainingConfig, TrainingExample,
                        assemble_batch, example_from_record, train)
 from .transformer import (CheckpointMismatch, CheckpointVersionMismatch,
                           LengthOverflow, ModelConfig, NonFiniteLogProbs,
-                          Seq2SeqModel, build_flag_matrix_batch)
+                          Seq2SeqModel, Workers, build_flag_matrix_batch)
 
 __all__ = [
     "Adam",
@@ -19,6 +19,7 @@ __all__ = [
     "ShapeMismatch",
     "TrainingConfig",
     "TrainingExample",
+    "Workers",
     "assemble_batch",
     "build_flag_matrix_batch",
     "example_from_record",

@@ -14,6 +14,12 @@ the attention mass per flag are two explicit batched matmuls
 (flag_select, flag_mass), the same reshapes and matmul numpy's einsum
 planner picks for these contractions, so the backward pass stays a few
 matmuls instead of a scatter loop and no call pays for planning.
+
+Each backward splits along the batch: the *_bwd functions return only
+gradients into their inputs, which are per example, and the gradients
+of the parameters are separate reductions over every position of the
+batch (linear_dw, row_sum, flag_table_grad), so a batch can run its
+per-example work in blocks and each reduction once over the whole.
 """
 
 from __future__ import annotations
@@ -29,10 +35,19 @@ class ShapeMismatch(ValueError):
     """Raised when attention inputs disagree on their shared dimensions."""
 
 
-def linear_bwd(x, w, dy):
-    dx = dy @ w.T
-    dw = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-    return dx, dw
+def linear_bwd(w, dy):
+    """Gradient into the input of x @ w."""
+    return dy @ w.T
+
+
+def linear_dw(x, dy):
+    """Gradient of w in x @ w: one product over every position."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
+def row_sum(x):
+    """Sum over every position: a bias's gradient, (..., n) -> (n,)."""
+    return x.reshape(-1, x.shape[-1]).sum(axis=0)
 
 
 def relu(x):
@@ -65,14 +80,13 @@ def layer_norm(x, g, b, eps=1e-5):
 
 
 def layer_norm_bwd(cache, dy):
+    """Gradient into layer_norm's input; g's is row_sum(dy * xhat), b's
+    row_sum(dy)."""
     xhat, inv, g = cache
     dxhat = dy * g
-    dg = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dg, db
+    return inv * (dxhat - m1 - xhat * m2)
 
 
 def softmax(x, axis=-1):
@@ -177,8 +191,10 @@ def flagged_attention(q, k, v, onehot, ek3, ev3, mask=None):
 
 
 def flagged_attention_bwd(cache, dctx):
+    """dq, dk, dv and dtf, the gradient of the per-flag query terms.
+    The tables' gradients are flag_table_grad(dtf, q) for E_k and
+    flag_table_grad(amass, dctx) for E_v."""
     q, k, v, onehot, ek3, ev3, alpha, amass, scale = cache
-    dev3 = np.einsum("bhjf,bhjd->fhd", amass, dctx)
     damass = np.einsum("bhjd,fhd->bhjf", dctx, ev3)
     dalpha = dctx @ v.swapaxes(-1, -2) + flag_select(damass, onehot)
     dv = alpha.swapaxes(-1, -2) @ dctx
@@ -187,26 +203,30 @@ def flagged_attention_bwd(cache, dctx):
     dtf = flag_mass(draw, onehot)
     dq = draw @ k + np.einsum("bhjf,fhd->bhjd", dtf, ek3)
     dk = draw.swapaxes(-1, -2) @ q
-    dek3 = np.einsum("bhjf,bhjd->fhd", dtf, q)
-    return dq, dk, dv, dek3, dev3
+    return dq, dk, dv, dtf
 
 
-def cross_entropy(logits, targets, mask):
-    """Mean negative log-likelihood of the targets over masked positions,
-    plus dlogits.
+def flag_table_grad(t, x):
+    """Gradient of a (3, H, Dh) flag table whose rows entered as
+    t (B,H,Lq,3) . table: the contraction over every query position."""
+    return np.einsum("bhjf,bhjd->fhd", t, x)
+
+
+def cross_entropy_terms(logits, targets, mask, n):
+    """Per-position masked negative log-likelihoods of the targets and
+    dlogits of their mean, the loss: their sum over the batch divided by
+    n, the batch's count of masked positions.
 
     logits: (B,L,V); targets: (B,L) int; mask: (B,L) float 0/1.
     """
-    logp = log_softmax(logits)
-    n = mask.sum()
     if n == 0:
         raise ValueError("loss mask selects no positions")
+    logp = log_softmax(logits)
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    loss = float((-picked * mask).sum() / n)
     onehot = np.zeros_like(logits)
     np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
     dlogits = (np.exp(logp) - onehot) * mask[..., None] / n
-    return loss, dlogits
+    return -picked * mask, dlogits
 
 
 def causal_mask(l):

@@ -5,6 +5,21 @@ matrices are rebuilt offline from the gold target with replay_flags,
 so teacher forcing sees exactly the flag columns a decoder would have
 produced while emitting the reference.
 
+Each step runs on every core it may, byte for byte. loss_and_grads
+splits the padded batch into contiguous blocks of two examples or more,
+at most one per worker thread, and runs the per-example work (forward,
+loss gradient, backward chain of input gradients) of each block on its
+own thread, with the batch's padded lengths. Every cross-example
+reduction (weight products, bias and layer-norm sums, flag-table
+contractions, positional sums, embedding scatters, the loss sum) runs
+once over the blocks concatenated in batch order and adds into the
+gradients in program order. So the trained bytes do not depend on the
+worker count. worker_count() gives one worker per CPU this process may
+use, divided by BLAS's own thread count, which OpenBLAS takes from its
+environment variables and otherwise sets to one thread per CPU. So an
+unpinned BLAS gets one worker: on 2 cores, two workers above two BLAS
+threads made training slower.
+
 Heap policy: train pins glibc malloc's mmap threshold at 32 MiB and its
 trim threshold at 64 MiB. A step's attention maps, logits and flag
 one-hots are a few hundred KB each; under glibc's adaptive defaults
@@ -20,6 +35,8 @@ workloads.
 from __future__ import annotations
 
 import ctypes
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +44,7 @@ import numpy as np
 from .. import flags as flags_mod
 from ..vocab import Vocabulary
 from . import nn
-from .transformer import Seq2SeqModel, build_flag_matrix_batch
+from .transformer import Seq2SeqModel, Workers, build_flag_matrix_batch
 
 
 class NonFiniteLoss(FloatingPointError):
@@ -39,6 +56,10 @@ CLIP_NORM = 1.0
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# The variables OpenBLAS takes its thread count from, in its order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
 
 # glibc mallopt parameters and the values train pins them to: the mmap
 # threshold at the highest value glibc's adaptive rule reaches on 64-bit
@@ -59,14 +80,18 @@ class TrainingConfig:
     log_every: int = 0  # 0: log once per epoch
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be a positive finite number, got %r"
+                             % self.lr)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1, got %r"
                              % self.batch_size)
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1, got %r"
                              % self.epochs)
+        if self.log_every < 0:
+            raise ValueError("log_every must be at least 0, got %r"
+                             % self.log_every)
 
 
 class Adam:
@@ -170,9 +195,37 @@ def _keep_freed_heap():
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+def worker_count():
+    """Threads a training step runs on: one per CPU this process may use
+    that BLAS's own threads leave free.
+
+    The BLAS thread count is read as OpenBLAS reads it; where none of its
+    variables holds a positive count, BLAS runs a thread on every CPU
+    and a step runs on one worker."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ[var])
+        except (KeyError, ValueError):
+            continue
+        if blas >= 1:
+            return max(1, cpus // blas)
+    return 1
+
+
 def train(model: Seq2SeqModel, examples, config: TrainingConfig,
           log=None) -> list[tuple[int, int, float]]:
-    """Run the full loop; returns [(epoch, step, loss), ...] log rows."""
+    """Run the full loop; returns [(epoch, step, loss), ...] log rows.
+    Every step runs on worker_count() workers, whose threads end with
+    the call."""
+    with Workers(worker_count()) as workers:
+        return _train(model, examples, config, log, workers)
+
+
+def _train(model, examples, config, log, workers):
     _keep_freed_heap()
     opt = Adam(model.params, config)
     rng = np.random.default_rng(config.seed)
@@ -188,7 +241,8 @@ def train(model: Seq2SeqModel, examples, config: TrainingConfig,
         for start in range(0, n, config.batch_size):
             batch = [examples[j] for j in order[start:start + config.batch_size]]
             src, tgt_in, tgt_out, m_batch = assemble_batch(batch, model.vocab)
-            loss, grads = model.loss_and_grads(src, tgt_in, tgt_out, m_batch)
+            loss, grads = model.loss_and_grads(src, tgt_in, tgt_out, m_batch,
+                                               workers)
             if not np.isfinite(loss):
                 raise NonFiniteLoss("loss became %r at epoch %d step %d"
                                     % (loss, epoch, step))

@@ -13,6 +13,14 @@ Transformer: the encoder layers and the decoder's self-attention and
 feed-forward run one forward/backward pair per sublayer (_self_attn,
 _feed_forward), keyed by parameter-name prefix.
 
+Training splits loss_and_grads in two. The per-example work (the
+forward, the loss gradient and the backward chain of input gradients)
+runs on contiguous blocks of the padded batch, one per worker thread;
+the backward functions hand every cross-example reduction of a
+parameter gradient to a reduce callback instead of computing it, and
+each reduction runs once over the blocks concatenated in batch order.
+The gradients are the same bytes for any number of workers.
+
 Teacher forcing and inference share one decoder-layer function.
 Inference is incremental: begin_decode computes every layer's
 cross-attention keys and values once per input, and decode_step
@@ -22,10 +30,14 @@ self-attention keys and values cached for its earlier positions.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
+import itertools
 import json
+import threading
 import zipfile
 import zlib
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -116,6 +128,117 @@ def _flag_onehot(m_batch, b, ls, lt):
     return nn.flag_onehot(m_batch)
 
 
+class Workers:
+    """Threads that run the blocks of a training batch.
+
+    map runs its first item in the calling thread and each other item on
+    one of n - 1 pool threads, so one worker starts no thread. A pooled
+    item runs in a copy of the caller's context: numpy 2 keeps its error
+    state (np.errstate) in a context variable, which new threads do not
+    inherit. Leaving the context manager joins the threads.
+    """
+
+    def __init__(self, n):
+        if n < 1:
+            raise ValueError("workers must be at least 1, got %r" % n)
+        self.n = n
+        self._pool = ThreadPoolExecutor(n - 1) if n > 1 else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def map(self, fn, items):
+        """[fn(x) for x in items], for at most n items. Waits for every
+        item, then raises the first failure in item order."""
+        futures = [self._pool.submit(contextvars.copy_context().run, fn, x)
+                   for x in items[1:]]
+        try:
+            first = fn(items[0])
+        finally:
+            wait(futures)
+        return [first] + [f.result() for f in futures]
+
+
+_SERIAL = Workers(1)
+
+# Cross-example reductions of loss_and_grads: kind -> the value of a
+# reduction from its operands, each over the whole batch.
+_REDUCE = {
+    "matmul": nn.linear_dw,
+    "sum": nn.row_sum,
+    "gain": lambda dy, xhat: nn.row_sum(dy * xhat),
+    "flag": nn.flag_table_grad,
+    "position": lambda dy: dy.sum(axis=0),
+    "embed": lambda ids, dy: (ids, dy),  # scattered by np.add.at
+}
+
+
+def _cat(blocks):
+    """An operand over the whole batch: its blocks concatenated in batch
+    order (np.concatenate keeps their memory order), or the one block."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+class _Reductions:
+    """The cross-example reductions of one batch of k blocks.
+
+    Each block hands in its operands of every reduction in program
+    order, through its own reduce(kind, parameter, *operands). The block
+    that hands in the last operands of a reduction computes its value
+    from every block's operands concatenated in batch order and drops
+    them, so no block waits and operands live only until the slowest
+    block reaches them. add_into then adds the values into the
+    gradients in program order.
+    """
+
+    def __init__(self, k):
+        self._k = k
+        self._lock = threading.Lock()
+        self._slots = []  # [kind, name, operands per block, missing, value]
+
+    def block(self, i):
+        """The reduce of block i."""
+        order = itertools.count()
+
+        def reduce(kind, name, *operands):
+            j = next(order)
+            with self._lock:
+                if j == len(self._slots):
+                    self._slots.append([kind, name, [None] * self._k,
+                                        self._k, None])
+                slot = self._slots[j]
+                slot[2][i] = operands
+                slot[3] -= 1
+                last = slot[3] == 0
+            if last:
+                blocks, slot[2] = slot[2], None
+                slot[4] = _REDUCE[kind](*map(_cat, zip(*blocks)))
+
+        return reduce
+
+    def add_into(self, grads):
+        for kind, name, _, _, value in self._slots:
+            g = grads[name]
+            if kind == "embed":
+                np.add.at(g, *value)
+            elif kind == "position":
+                g[:len(value)] += value
+            else:
+                g += value.reshape(g.shape)
+
+
+def _layer_norm_bwd(ln, cache, dy, reduce):
+    """Gradient into layer norm ln's input; hands the reductions of its
+    gain and shift to reduce."""
+    reduce("gain", ln + ".g", dy, cache[0])  # cache[0]: xhat
+    reduce("sum", ln + ".b", dy)
+    return nn.layer_norm_bwd(cache, dy)
+
+
 class Seq2SeqModel:
     """Transformer rewriter; owns its vocabulary and parameters."""
 
@@ -203,23 +326,21 @@ class Seq2SeqModel:
         mo = nn.merge_heads(ctx)
         return x + mo @ p[att + ".wo"], (h, cln, catt, mo), (k, v)
 
-    def _self_attn_bwd(self, ln, att, cache, dout, grads):
-        """Gradient into the self-attention sublayer's input."""
+    def _self_attn_bwd(self, ln, att, cache, dout, reduce):
+        """Gradient into the self-attention sublayer's input; its
+        parameters' reductions go to reduce."""
         p = self.params
         h, cln, catt, mo = cache
-        dmo, dwo = nn.linear_bwd(mo, p[att + ".wo"], dout)
-        grads[att + ".wo"] += dwo
-        dctx = nn.split_heads(dmo, self.config.heads)
+        reduce("matmul", att + ".wo", mo, dout)
+        dctx = nn.split_heads(nn.linear_bwd(p[att + ".wo"], dout),
+                              self.config.heads)
         dq, dk, dv = nn.attention_bwd(catt, dctx)
         dh = np.zeros_like(h)
         for nm, d in (("wq", dq), ("wk", dk), ("wv", dv)):
-            dhp, dw = nn.linear_bwd(h, p[att + "." + nm], nn.merge_heads(d))
-            grads[att + "." + nm] += dw
-            dh += dhp
-        dx, dg, db = nn.layer_norm_bwd(cln, dh)
-        grads[ln + ".g"] += dg
-        grads[ln + ".b"] += db
-        return dout + dx
+            d = nn.merge_heads(d)
+            reduce("matmul", att + "." + nm, h, d)
+            dh += nn.linear_bwd(p[att + "." + nm], d)
+        return dout + _layer_norm_bwd(ln, cln, dh, reduce)
 
     def _feed_forward(self, ln, ff, x):
         """Pre-LN feed-forward sublayer: layer norm ln, ff.w1, relu,
@@ -230,21 +351,18 @@ class Seq2SeqModel:
         r = nn.relu(z1)
         return x + r @ p[ff + ".w2"] + p[ff + ".b2"], (h, cln, z1, r)
 
-    def _feed_forward_bwd(self, ln, ff, cache, dout, grads):
-        """Gradient into the feed-forward sublayer's input."""
+    def _feed_forward_bwd(self, ln, ff, cache, dout, reduce):
+        """Gradient into the feed-forward sublayer's input; its
+        parameters' reductions go to reduce."""
         p = self.params
         h, cln, z1, r = cache
-        dr, dw2 = nn.linear_bwd(r, p[ff + ".w2"], dout)
-        grads[ff + ".w2"] += dw2
-        grads[ff + ".b2"] += dout.reshape(-1, dout.shape[-1]).sum(axis=0)
-        dz1 = nn.relu_bwd(z1, dr)
-        dh, dw1 = nn.linear_bwd(h, p[ff + ".w1"], dz1)
-        grads[ff + ".w1"] += dw1
-        grads[ff + ".b1"] += dz1.reshape(-1, dz1.shape[-1]).sum(axis=0)
-        dx, dg, db = nn.layer_norm_bwd(cln, dh)
-        grads[ln + ".g"] += dg
-        grads[ln + ".b"] += db
-        return dout + dx
+        reduce("matmul", ff + ".w2", r, dout)
+        reduce("sum", ff + ".b2", dout)
+        dz1 = nn.relu_bwd(z1, nn.linear_bwd(p[ff + ".w2"], dout))
+        reduce("matmul", ff + ".w1", h, dz1)
+        reduce("sum", ff + ".b1", dz1)
+        dh = nn.linear_bwd(p[ff + ".w1"], dz1)
+        return dout + _layer_norm_bwd(ln, cln, dh, reduce)
 
     # ------------------------------------------------------------ encoder
     def _encode_ids(self, src, src_real):
@@ -265,20 +383,18 @@ class Seq2SeqModel:
         henc, clnf = nn.layer_norm(x, p["enc.lnf.g"], p["enc.lnf.b"])
         return henc, (src, layer_caches, clnf)
 
-    def _encode_bwd(self, cache, dhenc, grads):
+    def _encode_bwd(self, cache, dhenc, reduce):
         src, layer_caches, clnf = cache
-        dx, dg, db = nn.layer_norm_bwd(clnf, dhenc)
-        grads["enc.lnf.g"] += dg
-        grads["enc.lnf.b"] += db
+        dx = _layer_norm_bwd("enc.lnf", clnf, dhenc, reduce)
         for i in reversed(range(self.config.enc_layers)):
             pre = "enc%d" % i
-            cattn, cff = layer_caches[i]
+            cattn, cff = layer_caches.pop()
             dx = self._feed_forward_bwd(pre + ".ln2", pre + ".ff", cff, dx,
-                                        grads)
+                                        reduce)
             dx = self._self_attn_bwd(pre + ".ln1", pre + ".attn", cattn, dx,
-                                     grads)
-        np.add.at(grads["tok_emb"], src, dx)
-        grads["pos_enc"][:src.shape[1]] += dx.sum(axis=0)
+                                     reduce)
+        reduce("embed", "tok_emb", src, dx)
+        reduce("position", "pos_enc", dx)
 
     # ------------------------------------------------------------ decoder
     def _cross_kv(self, i, henc):
@@ -342,86 +458,127 @@ class Seq2SeqModel:
         cache = (tgt_in, layer_caches, clnf, hdec, onehot is not None)
         return logits, cache
 
-    def _decode_bwd(self, cache, dlogits, henc, grads):
+    def _decode_bwd(self, cache, dlogits, henc, reduce):
         """Returns dhenc accumulated over all decoder layers."""
         cfg = self.config
         p = self.params
         tgt_in, layer_caches, clnf, hdec, flagged = cache
-        dhdec, dow = nn.linear_bwd(hdec, p["out.w"], dlogits)
-        grads["out.w"] += dow
-        grads["out.b"] += dlogits.reshape(-1, dlogits.shape[-1]).sum(axis=0)
-        dy, dg, db = nn.layer_norm_bwd(clnf, dhdec)
-        grads["dec.lnf.g"] += dg
-        grads["dec.lnf.b"] += db
+        reduce("matmul", "out.w", hdec, dlogits)
+        reduce("sum", "out.b", dlogits)
+        dy = _layer_norm_bwd("dec.lnf", clnf,
+                             nn.linear_bwd(p["out.w"], dlogits), reduce)
         dhenc = np.zeros_like(henc)
-        dek3, dev3 = (np.zeros_like(t) for t in self._flag_tables())
         for i in reversed(range(cfg.dec_layers)):
             pre = "dec%d" % i
-            cself, (h, cln, catt, mo), cff = layer_caches[i]
+            cself, (h, cln, catt, mo), cff = layer_caches.pop()
             dy = self._feed_forward_bwd(pre + ".ln3", pre + ".ff", cff, dy,
-                                        grads)
+                                        reduce)
             # cross-attention residual
-            dmo, dwo = nn.linear_bwd(mo, p[pre + ".cross.wo"], dy)
-            grads[pre + ".cross.wo"] += dwo
-            dctx = nn.split_heads(dmo, cfg.heads)
+            reduce("matmul", pre + ".cross.wo", mo, dy)
+            dctx = nn.split_heads(nn.linear_bwd(p[pre + ".cross.wo"], dy),
+                                  cfg.heads)
             if flagged:
-                dq, dk, dv, dek, dev = nn.flagged_attention_bwd(catt, dctx)
-                dek3 += dek
-                dev3 += dev
+                dq, dk, dv, dtf = nn.flagged_attention_bwd(catt, dctx)
+                reduce("flag", "flag.ek", dtf, catt[0])  # catt[0]: q
+                reduce("flag", "flag.ev", catt[7], dctx)  # amass
             else:
                 dq, dk, dv = nn.attention_bwd(catt, dctx)
-            dh, dwq = nn.linear_bwd(h, p[pre + ".cross.wq"], nn.merge_heads(dq))
-            grads[pre + ".cross.wq"] += dwq
-            dhe, dwk = nn.linear_bwd(henc, p[pre + ".cross.wk"], nn.merge_heads(dk))
-            grads[pre + ".cross.wk"] += dwk
-            dhenc += dhe
-            dhe, dwv = nn.linear_bwd(henc, p[pre + ".cross.wv"], nn.merge_heads(dv))
-            grads[pre + ".cross.wv"] += dwv
-            dhenc += dhe
-            dx, dg, db = nn.layer_norm_bwd(cln, dh)
-            dy = dy + dx
-            grads[pre + ".ln2.g"] += dg
-            grads[pre + ".ln2.b"] += db
+            dq = nn.merge_heads(dq)
+            reduce("matmul", pre + ".cross.wq", h, dq)
+            dh = nn.linear_bwd(p[pre + ".cross.wq"], dq)
+            for nm, d in (("wk", dk), ("wv", dv)):
+                d = nn.merge_heads(d)
+                reduce("matmul", pre + ".cross." + nm, henc, d)
+                dhenc += nn.linear_bwd(p[pre + ".cross." + nm], d)
+            dy = dy + _layer_norm_bwd(pre + ".ln2", cln, dh, reduce)
             dy = self._self_attn_bwd(pre + ".ln1", pre + ".self", cself, dy,
-                                     grads)
-        grads["flag.ek"] += dek3.reshape(3, cfg.dim)
-        grads["flag.ev"] += dev3.reshape(3, cfg.dim)
-        np.add.at(grads["tok_emb"], tgt_in, dy)
-        grads["pos_dec"][:tgt_in.shape[1]] += dy.sum(axis=0)
+                                     reduce)
+        reduce("embed", "tok_emb", tgt_in, dy)
+        reduce("position", "pos_dec", dy)
         return dhenc
 
     # ------------------------------------------------------------- public
-    def logits_batch(self, src, tgt_in, m_batch, want_cache=False):
+    def _forward(self, src, tgt_in, onehot):
+        """Teacher-forced logits of ids src and tgt_in with their
+        backward cache; onehot as from _flag_onehot."""
+        src_real = src != self.vocab.pad_id
+        tgt_real = tgt_in != self.vocab.pad_id
+        henc, ecache = self._encode_ids(src, src_real)
+        logits, dcache = self._decode_ids(tgt_in, tgt_real, henc, src_real,
+                                          onehot)
+        return logits, (ecache, dcache, henc)
+
+    def logits_batch(self, src, tgt_in, m_batch):
         """Teacher-forced logits. m_batch: (B, Ls, Lt) int flags or None;
         pad ids in src and tgt_in mark padding."""
         src = np.asarray(src)
         tgt_in = np.asarray(tgt_in)
-        src_real = src != self.vocab.pad_id
-        tgt_real = tgt_in != self.vocab.pad_id
         onehot = _flag_onehot(m_batch, src.shape[0], src.shape[1],
                               tgt_in.shape[1])
-        henc, ecache = self._encode_ids(src, src_real)
-        logits, dcache = self._decode_ids(tgt_in, tgt_real, henc, src_real, onehot)
-        if want_cache:
-            return logits, (ecache, dcache, henc)
-        return logits
+        return self._forward(src, tgt_in, onehot)[0]
 
-    def backward(self, cache, dlogits):
-        ecache, dcache, henc = cache
+    def _block_loss_and_grads(self, src, tgt_in, tgt_out, onehot, mask, n,
+                              reduce):
+        """The per-example work on one block of the batch: the forward,
+        the loss gradient and the backward chain of input gradients, the
+        reductions' operands handed to reduce. Returns the block's masked
+        per-position losses."""
+        logits, (ecache, dcache, henc) = self._forward(src, tgt_in, onehot)
+        nll, dlogits = nn.cross_entropy_terms(logits, tgt_out, mask, n)
+        # the backward pops each layer's cache once it is done with it,
+        # so that a layer's arrays outlive it only as reduction operands
+        del logits
+        dhenc = self._decode_bwd(dcache, dlogits, henc, reduce)
+        self._encode_bwd(ecache, dhenc, reduce)
+        return nll
+
+    def loss_and_grads(self, src, tgt_in, tgt_out, m_batch, workers=None):
+        """Mean masked cross-entropy of a padded batch and its gradient
+        for every parameter.
+
+        Two phases. The per-example work (the forward, the loss gradient
+        and the backward chain of input gradients) runs on contiguous
+        blocks of the batch, one per worker and two examples or more
+        each (workers: a Workers; None runs the batch as one block in the
+        calling thread). Every block
+        keeps the batch's padded lengths and numpy runs one product per
+        batch element, so an example's arithmetic does not depend on its
+        block. Each cross-example reduction runs once over the whole
+        batch: the loss mask's count before the blocks; the weight
+        products, bias and layer-norm sums, the flag tables'
+        contractions, the positional sums and the embedding scatters on
+        the blocks' operands concatenated in batch order, as soon as the
+        last block hands them in (_Reductions), adding into the gradients
+        in program order; the loss sum after the blocks. So the result is
+        the same bytes for any number of workers.
+        """
+        workers = workers or _SERIAL
+        src, tgt_in, tgt_out = map(np.asarray, (src, tgt_in, tgt_out))
+        b = src.shape[0]
+        onehot = _flag_onehot(m_batch, b, src.shape[1], tgt_in.shape[1])
+        mask = (tgt_out != self.vocab.pad_id).astype(np.float64)
+        n = mask.sum()
+        # blocks of two examples or more: on a block of one, the reshapes
+        # in nn.flag_select and nn.flag_mass that merge the batch axis
+        # into the next give views instead of copies, and BLAS reads
+        # those in another layout and rounds differently
+        k = max(1, min(workers.n, b // 2))
+        cuts = [b * i // k for i in range(k + 1)]
+        reductions = _Reductions(k)
+
+        def block(i):
+            s = slice(cuts[i], cuts[i + 1])
+            return self._block_loss_and_grads(
+                src[s], tgt_in[s], tgt_out[s],
+                None if onehot is None else onehot[s], mask[s], n,
+                reductions.block(i))
+
+        loss = float(_cat(workers.map(block, range(k))).sum() / n)
         grads = self.zero_grads()
-        dhenc = self._decode_bwd(dcache, dlogits, henc, grads)
-        self._encode_bwd(ecache, dhenc, grads)
+        reductions.add_into(grads)
         # row 0 of the flag tables is pinned at zero
         grads["flag.ek"][0] = 0.0
         grads["flag.ev"][0] = 0.0
-        return grads
-
-    def loss_and_grads(self, src, tgt_in, tgt_out, m_batch):
-        tgt_out = np.asarray(tgt_out)
-        logits, cache = self.logits_batch(src, tgt_in, m_batch, want_cache=True)
-        mask = (tgt_out != self.vocab.pad_id).astype(np.float64)
-        loss, dlogits = nn.cross_entropy(logits, tgt_out, mask)
-        grads = self.backward(cache, dlogits)
         return loss, grads
 
     def encode(self, x_tokens) -> np.ndarray:

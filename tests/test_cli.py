@@ -554,6 +554,31 @@ class TestRewrite:
             "error: --max-len must be at least 1, got %s\n" % budget
         assert not out.exists()
 
+    @pytest.mark.parametrize("decoder", ["beam", "cbs"])
+    def test_width_below_one_is_usage_error(self, tmp_path, capsys,
+                                            monkeypatch, decoder):
+        # neither the checkpoint nor the input exists: the width is
+        # checked before either is read
+        out = tmp_path / "out.jsonl"
+        argv = ["rewrite", "--input", str(tmp_path / "missing.jsonl"),
+                "--checkpoint", str(tmp_path / "missing.npz"),
+                "--out", str(out), "--decoder", decoder]
+        message = "error: --beam must be at least 1 for the %s decoder," \
+                  " got %s\n"
+        assert main(argv + ["--beam", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == message % (decoder, "0")
+        monkeypatch.setenv("RESTATE_BEAM", "-1")
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == message % (decoder, "-1")
+        assert not out.exists()
+
+    def test_greedy_ignores_the_width(self, tmp_path, capsys):
+        rc = main(["rewrite", "--input", str(tmp_path / "missing.jsonl"),
+                   "--checkpoint", str(tmp_path / "missing.npz"),
+                   "--out", str(tmp_path / "out.jsonl"), "--beam", "0"])
+        assert rc == EXIT_RUNTIME
+        assert "missing.npz" in capsys.readouterr().err
+
     def test_cbs_warnings_reach_stderr(self, workdir, tmp_path, capsys):
         out = tmp_path / "cbs.jsonl"
         rc = main(["rewrite", "--input",

@@ -2,22 +2,21 @@
 gradient checks over every parameter family, vanilla-equivalence at the bit
 level, overfitting, determinism, and checkpointing."""
 
+import json
 import math
 import os
 import platform
-import subprocess
-import sys
-import textwrap
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import restate
 from restate.model import (Adam, CheckpointVersionMismatch, LengthOverflow,
                            ModelConfig, NonFiniteLoss, Seq2SeqModel,
                            ShapeMismatch, TrainingConfig, TrainingExample,
-                           assemble_batch, build_flag_matrix_batch, train)
+                           Workers, assemble_batch, build_flag_matrix_batch,
+                           train)
 from restate.model import nn, training
 from restate.vocab import Vocabulary
 
@@ -215,9 +214,10 @@ class TestGradients:
                                                             "ran"],
                               np.array([[0] * 4] * 4))
         src, tgt_in, tgt_out, mb = assemble_batch([ex1, ex2], vocab)
-        logits, cache = model.logits_batch(src, tgt_in, mb, want_cache=True)
+        logits = model.logits_batch(src, tgt_in, mb)
         mask = (tgt_out != vocab.pad_id).astype(float)
-        loss, dlogits = nn.cross_entropy(logits, tgt_out, mask)
+        _, dlogits = nn.cross_entropy_terms(logits, tgt_out, mask,
+                                            mask.sum())
         # rows behind the loss mask contribute nothing
         assert np.all(dlogits[0, 2:] == 0.0)
 
@@ -288,6 +288,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="epochs"):
             TrainingConfig(epochs=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", float("-inf")),
+        ("lr", -1e-3), ("log_every", -1)])
+    def test_bad_training_config_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match="^%s must be " % field):
+            TrainingConfig(**{field: value})
+
     @pytest.mark.parametrize("cdll", [_unloadable_libc,
                                       lambda name: object()],
                              ids=["unloadable", "without-mallopt"])
@@ -309,12 +316,12 @@ class TestTraining:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap policy is glibc's mallopt")
-    def test_second_epoch_reuses_freed_heap(self):
+    def test_second_epoch_reuses_freed_heap(self, run_pinned):
         # 4 steps of the default model shape; with glibc's adaptive
         # thresholds each step faults its freed temporaries back in
         # (about 12,000 minor faults for the epoch), with train's pinned
         # thresholds they stay in the heap (under 100)
-        script = textwrap.dedent("""
+        faults = int(run_pinned("""
             import resource
             from restate import datagen
             from restate.flags import SatisfierConfig
@@ -334,18 +341,138 @@ class TestTraining:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             train(model, examples, cfg)
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        """)
-        # the directory holding the restate package under test
-        root = os.path.dirname(os.path.dirname(os.path.abspath(
-            restate.__file__)))
-        path = [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(path))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        faults = int(proc.stdout)
+        """))
         assert faults < 1000, faults
+
+
+# ------------------------------------------------------------- workers
+
+def _failure(model, batch, workers):
+    """Type and message of what loss_and_grads raises on batch."""
+    with Workers(workers) as pool, pytest.raises(Exception) as info:
+        model.loss_and_grads(*batch, pool)
+    return type(info.value), str(info.value)
+
+
+class TestWorkers:
+    def test_worker_count_does_not_change_bytes(self, run_pinned):
+        # the CLI's default shape (dim 64): a short target's decoder
+        # products have at most 18 rows, BLAS's small-matrix kernels
+        out = json.loads(run_pinned("""
+            import hashlib, json
+            from restate import datagen
+            from restate.flags import SatisfierConfig
+            from restate.model import (ModelConfig, Seq2SeqModel,
+                                       TrainingConfig, TrainingExample,
+                                       Workers, assemble_batch,
+                                       example_from_record, train, training)
+            from restate.similarity import HashedNgramEmbedder, SpanSimilarity
+            from restate.vocab import Vocabulary
+
+            def digest(arrays):
+                h = hashlib.sha256()
+                for name in sorted(arrays):
+                    h.update(name.encode())
+                    h.update(arrays[name].tobytes())
+                return h.hexdigest()
+
+            recs = [datagen.model_record(inst)
+                    for inst in datagen.build_corpus(0, (64, 0, 0))]
+            recs.sort(key=lambda r: len(r["target_tokens"]))
+            recs = recs[:8] + recs[-7:]  # 8 short targets, 7 long ones
+            vocab = Vocabulary.build([r[k] for r in recs
+                                      for k in ("x_tokens", "target_tokens")])
+            semantic = SatisfierConfig(mode="semantic")
+            scorer = SpanSimilarity(HashedNgramEmbedder())
+            modes = {
+                "off": [TrainingExample(r["x_tokens"], r["target_tokens"])
+                        for r in recs],
+                "semantic": [example_from_record(r, semantic, scorer)
+                             for r in recs],
+            }
+            out = {}
+            for mode, examples in modes.items():
+                for workers in (1, 2, 3):
+                    training.worker_count = lambda: workers
+                    model = Seq2SeqModel(ModelConfig(), vocab)
+                    # 15 examples in batches of 7, 7 and 1
+                    rows = train(model, examples,
+                                 TrainingConfig(batch_size=7, epochs=2,
+                                                log_every=1))
+                    steps = []
+                    with Workers(workers) as pool:
+                        # short targets only, long ones only, one example
+                        for part in (examples[:5], examples[-5:],
+                                     examples[7:8]):
+                            loss, grads = model.loss_and_grads(
+                                *assemble_batch(part, vocab), pool)
+                            steps.append([repr(loss), digest(grads)])
+                    out["%s/%d" % (mode, workers)] = [
+                        repr(rows), digest(model.params), steps]
+            print(json.dumps(out))
+        """))
+        for mode in ("off", "semantic"):
+            assert out[mode + "/2"] == out[mode + "/1"]
+            assert out[mode + "/3"] == out[mode + "/1"]
+
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+        ({"GOTO_NUM_THREADS": "many", "OMP_NUM_THREADS": "3"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1)])
+    def test_worker_count_leaves_blas_its_threads(self, monkeypatch, env,
+                                                  workers):
+        for var in training.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(training.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        assert training.worker_count() == workers
+
+    def test_no_thread_outlives_train(self, monkeypatch):
+        monkeypatch.setattr(training, "worker_count", lambda: 3)
+        before = set(threading.enumerate())
+        extra = []
+        exs = [TrainingExample(["the", "cat"], ["dog", "ran"]),
+               TrainingExample(["on", "the", "mat"], ["sat"]),
+               TrainingExample(["dog"], ["the", "cat", "sat"])] * 2
+        train(tiny_model(), exs, TrainingConfig(batch_size=6, epochs=1,
+                                                log_every=1),
+              log=lambda _: extra.append(
+                  len(set(threading.enumerate()) - before)))
+        assert max(extra) in (1, 2)  # pool threads, reused once idle
+        assert set(threading.enumerate()) == before
+        overflow = TrainingExample(["the"] * 40, ["cat"])
+        with pytest.raises(LengthOverflow):
+            train(tiny_model(), [overflow] * 6,
+                  TrainingConfig(batch_size=6, epochs=1))
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_block_failure_matches_one_worker(self, workers):
+        model = tiny_model()
+        batch = assemble_batch([TrainingExample(["the"] * 40, ["cat"])] * 6,
+                               model.vocab)
+        assert _failure(model, batch, workers) == \
+            _failure(model, batch, 1) == \
+            (LengthOverflow, "source length 40 > max_len 32")
+
+    def test_blocks_run_under_the_callers_error_state(self):
+        # only the last example holds the token whose embedding is
+        # infinite, so with 3 workers only a pool thread computes the
+        # inf - inf of its first layer norm
+        model = tiny_model(extra=("boom",))
+        model.params["tok_emb"][model.vocab.encode(["boom"])] = np.inf
+        batch = assemble_batch(
+            [TrainingExample(["the", "cat"], ["sat"])] * 5
+            + [TrainingExample(["boom", "ran"], ["cat"])], model.vocab)
+        with np.errstate(invalid="raise"):
+            assert _failure(model, batch, 3) == _failure(model, batch, 1) \
+                == (FloatingPointError, "invalid value encountered in"
+                    " subtract")
 
 
 # ------------------------------------------------------------- batch shapes

@@ -83,7 +83,10 @@ def test_flagged_attention_matches_planned_einsum(b, h, lq, lk, dh, padded,
                                                   mask)
     assert same_bytes(ctx, ref_ctx)
     assert all(same_bytes(x, y) for x, y in zip(cache, ref_cache))
-    grads = nn.flagged_attention_bwd(cache, dctx)
+    dq, dk, dv, dtf = nn.flagged_attention_bwd(cache, dctx)
+    amass = cache[7]
+    grads = (dq, dk, dv, nn.flag_table_grad(dtf, q),
+             nn.flag_table_grad(amass, dctx))
     ref_grads = einsum_flagged_attention_bwd(ref_cache, dctx)
     assert all(same_bytes(x, y) for x, y in zip(grads, ref_grads))
 
