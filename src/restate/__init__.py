@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .treebank import (Constraint, InputLayout, ParseTree, concat_pqa,
                        constraint_token_rows, extract_constraints,
                        parse_bracketed, serialize)
-from .similarity import (HashedNgramEmbedder, InjectedTableSimilarity,
-                         SpanSimilarity, cosine)
+from .similarity import HashedNgramEmbedder, SpanSimilarity, cosine
 from .flags import (FlagTracker, SatisfierConfig, candidate_spans,
                     replay_flags, trace)
 from .vocab import Vocabulary, tokenize
@@ -27,8 +26,8 @@ from .evaluation import (EvalReport, bleu, build_report, corpus_rouge_l,
 __all__ = [
     "Constraint", "InputLayout", "ParseTree", "concat_pqa",
     "constraint_token_rows", "extract_constraints", "parse_bracketed",
-    "serialize", "HashedNgramEmbedder",
-    "InjectedTableSimilarity", "SpanSimilarity", "cosine", "FlagTracker",
+    "serialize", "HashedNgramEmbedder", "SpanSimilarity", "cosine",
+    "FlagTracker",
     "SatisfierConfig", "candidate_spans", "replay_flags", "trace",
     "Vocabulary", "tokenize", "ModelConfig", "Seq2SeqModel",
     "TrainingConfig", "TrainingExample", "example_from_record", "train",

@@ -52,6 +52,14 @@ def _finite(text):
     raise argparse.ArgumentTypeError("%r is not a finite number" % text)
 
 
+def _rate(text):
+    """argparse type of a probability: a finite number in [0, 1]."""
+    value = _finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError("%r is not in [0, 1]" % text)
+    return value
+
+
 def _env(option, fallback, cast=str, choices=None):
     """Default for an option, overridable via RESTATE_<OPTION>. argparse
     checks no default against the option's choices, so this does."""
@@ -303,7 +311,7 @@ def cmd_rewrite(args):
             "id": inst.id,
             "output_tokens": result.tokens,
             "score": result.score,
-            "constraints_satisfied": int(sum(result.satisfied)),
+            "constraints_satisfied": int(sum(result.tracker.satisfied)),
             "flag_trace_path": trace_path,
             "normalized_score": result.normalized_score,
             "finished": result.finished,
@@ -384,7 +392,9 @@ def build_parser():
     p.add_argument("--test-size", type=int, default=400)
     p.add_argument("--mix", default="",
                    help="category shares, e.g. explanation=0.4,condition=0.6")
-    p.add_argument("--first-person-rate", type=_finite, default=0.3)
+    p.add_argument("--first-person-rate", type=_rate, default=0.3,
+                   help="share of answers written in first person"
+                        " (default %(default)s)")
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("extract-constraints",

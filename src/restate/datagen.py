@@ -7,6 +7,9 @@ gold constraints come straight from the extraction algorithm with no
 parser dependency. Four answer shapes are covered: a bare explanation,
 a complement clause ("also , ..."), a conditional clause ("if it is
 ..."), and a negative answer naming an alternative ("but ... instead").
+Each answer's sentence subjects may be first person ("mine has ...",
+"i can ..."), drawn per instance while the corpus is generated; the
+target keeps its second-person framing.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .treebank import (Constraint, concat_pqa, constraint_token_rows,
-                       extract_constraints, parse_bracketed, serialize)
+                       extract_constraints, parse_bracketed)
 from .vocab import tokenize
 
 CATEGORIES = ("explanation", "complement", "condition", "alternative")
@@ -150,6 +153,8 @@ def _np_this(kind):
 
 _NP_IT = "(NP (PRP it))"
 _NP_YOU = "(NP (PRP you))"
+_NP_MINE = "(NP (PRP mine))"
+_NP_I = "(NP (PRP i))"
 _COND_SBAR = ("(SBAR (IN if) (S (NP (PRP it)) (VP (VBZ is)%s "
               "(NP (DT the) (NN %s) (NN model)))))")
 
@@ -208,14 +213,15 @@ def _question(family, qstyle, product, feature, verb, thing, prep):
 
 
 def _answer(family, category, polarity, feature, feature2, verb, verb2,
-            thing, thing2, prep, variant):
-    """Build (parse, declared constraint texts) for the answer."""
+            thing, thing2, prep, variant, first_person):
+    """Build (parse, declared constraint texts) for the answer; with
+    first_person, each sentence's subject is "mine" or "i"."""
     lead = _LEAD_YES if polarity == "yes" else _LEAD_NO
     if family == "have":
         first_vp = _vp_have(feature, polarity)
         first_text = ("has " + feature if polarity == "yes"
                       else "does not have " + feature)
-        subject = _NP_IT
+        subject = _NP_MINE if first_person else _NP_IT
         second_map = {
             "complement": (_LEAD_ALSO, _vp_have(feature2, polarity), "",
                            "has " + feature2 if polarity == "yes"
@@ -226,7 +232,7 @@ def _answer(family, category, polarity, feature, feature2, verb, verb2,
     else:
         first_vp = _vp_can(verb, thing, prep, polarity)
         first_text = "%s %s %s it" % (verb, thing, prep)
-        subject = _NP_YOU
+        subject = _NP_I if first_person else _NP_YOU
         second_map = {
             "complement": (_LEAD_ALSO, _vp_can(verb2, thing2, prep, polarity),
                            "", "%s %s %s it" % (verb2, thing2, prep)),
@@ -281,7 +287,8 @@ def _target(family, category, polarity, product, feature, feature2,
 
 
 def make_instance(iid, category, polarity, domain, product, family, qstyle,
-                  feature, feature2, verb, verb2, thing, thing2, variant):
+                  feature, feature2, verb, verb2, thing, thing2, variant,
+                  first_person=False):
     """Deterministic instance kernel; generate() samples the arguments."""
     if category not in CATEGORIES:
         raise InvalidMix("unknown category %r" % category)
@@ -289,7 +296,8 @@ def make_instance(iid, category, polarity, domain, product, family, qstyle,
     q_parse, q_decl = _question(family, qstyle, product, feature, verb,
                                 thing, prep)
     a_parse, a_decl = _answer(family, category, polarity, feature, feature2,
-                              verb, verb2, thing, thing2, prep, variant)
+                              verb, verb2, thing, thing2, prep, variant,
+                              first_person)
     target = _target(family, category, polarity, product, feature, feature2,
                      verb, verb2, thing, thing2, prep, variant)
     q_tree = _parse(q_parse)
@@ -316,7 +324,7 @@ def make_instance(iid, category, polarity, domain, product, family, qstyle,
     )
 
 
-def _sample_instance(iid, category, rng):
+def _sample_instance(iid, category, rng, first_person):
     domain = rng.choice(sorted(DOMAINS))
     inv = DOMAINS[domain]
     product = rng.choice(inv["products"])
@@ -331,7 +339,7 @@ def _sample_instance(iid, category, rng):
     variant = rng.choice(inv["variants"])
     return make_instance(iid, category, polarity, domain, product, family,
                          qstyle, feature, feature2, verb, verb2, thing, thing2,
-                         variant)
+                         variant, first_person)
 
 
 def _quotas(mix, n):
@@ -359,21 +367,28 @@ def _check_mix(mix, n):
         raise InvalidMix("mix sums to %g, expected 1" % total)
 
 
-def generate(seed, n, category_mix=None):
+def generate(seed, n, category_mix=None, first_person_rate=0.0):
     """Produce n instances with category frequencies matching the mix.
 
     Counts are apportioned exactly (largest remainder), instances are
     shuffled, and all sampling flows from the one seed, so the same
-    call always returns the same corpus.
+    call always returns the same corpus. Each answer is first person
+    with probability first_person_rate, drawn in instance order from a
+    stream of its own, so the rate moves no other draw.
     """
     if category_mix is None:
         category_mix = {cat: 1.0 / len(CATEGORIES) for cat in CATEGORIES}
     _check_mix(category_mix, n)
+    if not (0.0 <= first_person_rate <= 1.0):
+        raise ValueError("first_person_rate must lie in [0, 1], got %r"
+                         % first_person_rate)
     quotas = _quotas(category_mix, n)
     slots = [cat for cat in CATEGORIES for _ in range(quotas[cat])]
     rng = random.Random(seed)
     rng.shuffle(slots)
-    return [_sample_instance("pqa-%05d" % i, cat, rng)
+    style_rng = random.Random("%s:style" % seed)
+    return [_sample_instance("pqa-%05d" % i, cat, rng,
+                             style_rng.random() < first_person_rate)
             for i, cat in enumerate(slots)]
 
 
@@ -381,64 +396,6 @@ def gold_constraints(instance):
     """Re-extract the constraint list from the instance's stored parses."""
     return extract_constraints(_parse(instance.question_parse),
                                _parse(instance.answer_parse))
-
-
-# ---------------------------------------------------------------------------
-# first-person style variants
-
-
-_SUBJECT_SWAP = {"it": "mine", "you": "i"}
-
-
-def _sentence_nodes(root):
-    kids = [c for c in root.children if not c.is_leaf() and c.label == "S"]
-    return kids if kids else [root]
-
-
-def _swap_tokens(node, pos_map):
-    if node.is_leaf():
-        new = pos_map.get(node.start)
-        return replace(node, token=new) if new else node
-    return replace(node, children=tuple(_swap_tokens(c, pos_map)
-                                        for c in node.children))
-
-
-def first_person_variants(instance, rate, rng=None):
-    """Rewrite the answer's sentence subjects into first person.
-
-    With probability rate the answer's subject pronouns become
-    first-person ("it has ..." -> "mine has ...", "you can ..." ->
-    "i can ..."), while the target keeps its second-person framing.
-    The answer parse and gold constraints are rebuilt to match.
-    """
-    if not (0.0 <= rate <= 1.0):
-        raise ValueError("rate must lie in [0, 1]")
-    if rng is None:
-        rng = random.Random("fp:" + instance.id)
-    if rng.random() >= rate:
-        return instance
-    tree = _parse(instance.answer_parse)
-    swaps = {}
-    for sent in _sentence_nodes(tree):
-        for child in sent.children:
-            if child.is_leaf() or child.label != "NP":
-                continue
-            leaf = child.sole_leaf()
-            if leaf is not None and leaf.label == "PRP":
-                new = _SUBJECT_SWAP.get(leaf.token)
-                if new:
-                    swaps[leaf.start] = new
-            break  # only the first NP of each sentence is its subject
-    if not swaps:
-        return instance
-    new_tree = _swap_tokens(tree, swaps)
-    new_parse = serialize(new_tree)
-    q_tree = _parse(instance.question_parse)
-    constraints = tuple(extract_constraints(q_tree, new_tree))
-    return replace(instance,
-                   answer=" ".join(new_tree.leaves()),
-                   answer_parse=new_parse,
-                   constraints=constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +410,9 @@ def build_corpus(seed, split_sizes=DEFAULT_SPLIT_SIZES, category_mix=None,
     if min(split_sizes) < 0:
         raise InvalidMix("split sizes must not be negative, got %s"
                          % list(split_sizes))
-    style_rng = random.Random("%s:style" % seed)
     try:
-        instances = [first_person_variants(inst, first_person_rate, style_rng)
-                     for inst in generate(seed, sum(split_sizes),
-                                          category_mix)]
+        instances = generate(seed, sum(split_sizes), category_mix,
+                             first_person_rate)
     finally:
         # the parsed trees live only as long as the corpus build
         _parse.cache_clear()
@@ -573,8 +528,7 @@ def vocabulary_tokens():
     unknown token regardless of which instances a seed happens to pick.
     """
     pool = set(FUNCTION_WORDS)
-    pool.update(_SUBJECT_SWAP.values())
-    pool.update(["yes", "no", "model", "mine"])
+    pool.update(["yes", "no", "model", "mine", "i"])
     for inv in DOMAINS.values():
         pool.add(inv["prep"])
         for name, kind in inv["products"]:

@@ -82,11 +82,9 @@ class Hypothesis:
 @dataclass
 class DecodeResult:
     tokens: list
-    token_ids: list
     score: float
     normalized_score: float
     tracker: FlagTracker
-    satisfied: list
     finished: bool
     unsatisfiable: bool = False
     warnings: list = field(default_factory=list)
@@ -127,11 +125,9 @@ def _result_from(model, hyp, alpha, unsatisfiable=False, warnings=()):
                                      len(hyp.ids) + hyp.finished, normalized))
     return DecodeResult(
         tokens=[model.vocab.tokens[i] for i in hyp.ids],
-        token_ids=list(hyp.ids),
         score=hyp.score,
         normalized_score=normalized,
         tracker=hyp.tracker,
-        satisfied=list(hyp.tracker.satisfied),
         finished=hyp.finished,
         unsatisfiable=unsatisfiable,
         warnings=list(warnings),

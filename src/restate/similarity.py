@@ -1,9 +1,8 @@
 """Sentence similarity behind semantic constraint satisfaction.
 
-Two interchangeable scorers: SpanSimilarity over a hashed
-character-3-gram bag (fully self-contained), and an injected lookup
-table for replaying fixed similarity sequences in tests. Both are
-deterministic.
+One scorer, SpanSimilarity, over a hashed character-3-gram bag (fully
+self-contained and deterministic). Any object with its score method
+can stand in for it.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ class ZeroVector(ValueError):
 
 class DimensionMismatch(ValueError):
     """Raised by cosine on vectors of different lengths."""
-
-
-class MissingEntry(KeyError):
-    """Raised when an injected similarity table lacks a requested key."""
 
 
 _FNV_OFFSET = 14695981039346656037
@@ -174,20 +169,3 @@ class SpanSimilarity:
                 self._scores.clear()
             self._scores[key] = best
         return best
-
-
-class InjectedTableSimilarity:
-    """Replay scorer: similarity values come from a fixture table keyed
-    by "constraint_id:prefix_len"."""
-
-    def __init__(self, table: dict):
-        self.table = {str(k): float(v) for k, v in table.items()}
-
-    def sim_lookup(self, constraint_id: str, prefix_len: int) -> float:
-        key = "%s:%d" % (constraint_id, prefix_len)
-        if key not in self.table:
-            raise MissingEntry(key)
-        return self.table[key]
-
-    def score(self, constraint_id: str, constraint_tokens, prefix_tokens) -> float:
-        return self.sim_lookup(constraint_id, len(prefix_tokens))

@@ -130,6 +130,16 @@ class TestDatagen:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "n").exists()
 
+    @pytest.mark.parametrize("rate", ["1.5", "-0.25"])
+    def test_rate_outside_unit_interval_names_option_and_value(
+            self, tmp_path, capsys, rate):
+        rc = main(["datagen", "--out", str(tmp_path / "r"),
+                   "--first-person-rate", rate])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --first-person-rate" in err and repr(rate) in err
+        assert not (tmp_path / "r").exists()
+
     def test_mix_shapes_category_counts(self, tmp_path, capsys):
         out = tmp_path / "mixed"
         rc = main(["datagen", "--out", str(out), "--seed", "1",

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import random
 from collections import Counter
 from dataclasses import asdict
 
@@ -196,18 +195,21 @@ class TestDeclaredConstraints:
 
 
 class TestFirstPersonVariants:
-    def base(self):
-        return dg.make_instance(
-            "v1", "explanation", "yes", "electronics", ELEC, "have", "it",
+    ARGS = ("explanation", "yes", "electronics", ELEC, "have", "it",
             "a camera", "bluetooth", "install", "run", "snapchat", "twitter",
             "pro")
 
+    def base(self, first_person=False):
+        return dg.make_instance("v1", *self.ARGS, first_person=first_person)
+
     def test_rate_zero_unchanged(self):
-        inst = self.base()
-        assert dg.first_person_variants(inst, 0.0) is inst
+        assert self.base() == dg.make_instance("v1", *self.ARGS)
+        insts = dg.generate(4, 60, first_person_rate=0.0)
+        assert jsonify(insts) == jsonify(dg.generate(4, 60))
+        assert not any(set(tokenize(i.answer)) & FIRST_PERSON for i in insts)
 
     def test_rate_one_swaps_subject(self):
-        inst = dg.first_person_variants(self.base(), 1.0)
+        inst = self.base(first_person=True)
         assert inst.answer == "yes , mine has a camera ."
         assert inst.target == self.base().target
         assert parse_bracketed(inst.answer_parse).leaves() == \
@@ -216,31 +218,36 @@ class TestFirstPersonVariants:
                                                       "has a camera"]
 
     def test_verb_family_subject_becomes_i(self):
-        base = dg.make_instance(
+        inst = dg.make_instance(
             "v2", "complement", "no", "electronics", ELEC, "verb", "it",
             "a camera", "bluetooth", "install", "stream", "snapchat",
-            "netflix", "pro")
-        inst = dg.first_person_variants(base, 1.0)
+            "netflix", "pro", first_person=True)
         assert inst.answer == ("no , i can not install snapchat on it ."
                                " also , i can not stream netflix on it .")
         assert not set(tokenize(inst.target)) & FIRST_PERSON
 
     def test_condition_inner_subject_untouched(self):
-        base = dg.make_instance(
+        inst = dg.make_instance(
             "v3", "condition", "yes", "electronics", ELEC, "have", "it",
             "a camera", "bluetooth", "install", "run", "snapchat", "twitter",
-            "pro")
-        inst = dg.first_person_variants(base, 1.0)
+            "pro", first_person=True)
         assert inst.answer == "yes , mine has a camera if it is the pro model ."
 
     def test_deterministic_given_rng(self):
-        a = dg.first_person_variants(self.base(), 0.5, random.Random(9))
-        b = dg.first_person_variants(self.base(), 0.5, random.Random(9))
-        assert asdict(a) == asdict(b)
+        a = dg.generate(9, 60, first_person_rate=0.5)
+        assert jsonify(a) == jsonify(dg.generate(9, 60, first_person_rate=0.5))
+        # the style draws leave every other field as the rate-0 corpus has it
+        plain = dg.generate(9, 60)
+        styled = [i for i in a if set(tokenize(i.answer)) & FIRST_PERSON]
+        assert 0 < len(styled) < len(a)
+        assert [i.target for i in a] == [i.target for i in plain]
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            dg.first_person_variants(self.base(), 1.5)
+        with pytest.raises(ValueError, match="first_person_rate .* 1.5"):
+            dg.generate(0, 5, first_person_rate=1.5)
+        # the mix is checked first, as build_corpus always did
+        with pytest.raises(dg.InvalidMix):
+            dg.generate(0, 0, first_person_rate=1.5)
 
 
 class TestModelRecord:

@@ -194,7 +194,7 @@ class TestBeam:
         stub = stub_adversarial()
         norm, ids, total = exhaustive_best(stub, ["x"], 3, 0.7)
         res = run_decoder("beam", stub, ["x"], [], OFF, beam_size=2, max_len=3)
-        assert tuple(res.token_ids) == ids
+        assert tuple(stub.vocab.encode(res.tokens)) == ids
         assert res.normalized_score == pytest.approx(norm, abs=1e-12)
         # and the point of the test: greedy alone gets this wrong
         g = run_decoder("greedy", stub, ["x"], [], OFF, max_len=3)
@@ -244,7 +244,7 @@ class TestBeam:
             norm, ids, total = exhaustive_best(copy_model, x, 2, 0.7)
             res = run_decoder("beam", copy_model, x, [], OFF, beam_size=150,
                               max_len=2)
-            assert tuple(res.token_ids) == ids, x
+            assert tuple(copy_model.vocab.encode(res.tokens)) == ids, x
             assert res.normalized_score == pytest.approx(norm, abs=1e-12)
 
     def test_rejects_zero_width(self, copy_model):
@@ -268,7 +268,7 @@ class TestConstrainedBeam:
         assert "brazil" in res.tokens
         assert res.finished
         assert not res.unsatisfiable
-        assert res.satisfied == [True]
+        assert res.tracker.satisfied == [True]
 
     def test_multi_token_constraint_in_order(self, copy_model):
         x = ["on", "the", "mat"]
@@ -354,7 +354,7 @@ class TestFlagConsistency:
         res = run_decoder("greedy", copy_model, SENTENCES[0], [(1,)],
                           SatisfierConfig(mode="semantic"), scorer=scorer)
         assert res.tokens == SENTENCES[0]
-        assert res.satisfied == [True]
+        assert res.tracker.satisfied == [True]
         # row 1 flips exactly after "cat" is emitted (column 2)
         assert res.flag_matrix[1].tolist() == [1, 1, 2, 2]
 
@@ -802,7 +802,7 @@ class TestPlumbing:
         res = run_decoder("beam", copy_model, SENTENCES[0], [(1,)], LEX,
                           beam_size=2)
         assert isinstance(res.score, float) and res.score <= 0.0
-        assert len(res.satisfied) == 1
+        assert len(res.tracker.satisfied) == 1
         h = Hypothesis([1, 2], res.tracker, score=-0.75)
         assert (h.score, h.bank, h.finished) == (-0.75, 0, False)
         # live: one chosen token per id

@@ -1,4 +1,5 @@
-"""Flag tracker initialization, updates, clones, traces, and invariants."""
+"""Flag tracker initialization, updates, clones, traces, and invariants,
+replayed through a fixture table of similarities."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import assume, given, strategies as st
 from restate.flags import (FIRST_PERSON, FlagTracker, IndexOutOfRange,
                            SatisfierConfig, candidate_spans,
                            contains_contiguous, replay_flags, trace)
-from restate.similarity import (HashedNgramEmbedder, InjectedTableSimilarity,
-                                SpanSimilarity)
+from restate.similarity import HashedNgramEmbedder, SpanSimilarity
 
 SCREEN_X = ["The", "screen", "has", "full", "touchscreen", "function"]
 SCREEN_ROW = [(2, 3, 4, 5)]
@@ -19,6 +19,27 @@ SHIP_X = ["We", "can", "ship", "to", "Brazil"]
 SHIP_OUT = ["Dell", "XPS", "can", "be", "shipped", "by", "us", "to", "Brazil", "."]
 
 
+class MissingEntry(KeyError):
+    """Raised when an injected similarity table lacks a requested key."""
+
+
+class InjectedTableSimilarity:
+    """Replay scorer: similarity values come from a fixture table keyed
+    by "constraint_id:prefix_len"."""
+
+    def __init__(self, table: dict):
+        self.table = {str(k): float(v) for k, v in table.items()}
+
+    def sim_lookup(self, constraint_id: str, prefix_len: int) -> float:
+        key = "%s:%d" % (constraint_id, prefix_len)
+        if key not in self.table:
+            raise MissingEntry(key)
+        return self.table[key]
+
+    def score(self, constraint_id: str, constraint_tokens, prefix_tokens) -> float:
+        return self.sim_lookup(constraint_id, len(prefix_tokens))
+
+
 def screen_table():
     return InjectedTableSimilarity(
         {"c0:%d" % (i + 1): s for i, s in enumerate(SCREEN_SIMS)})
@@ -26,6 +47,16 @@ def screen_table():
 
 def semantic_cfg(**kw):
     return SatisfierConfig(mode="semantic", **kw)
+
+
+# -------------------------------------------------------------------- table
+
+def test_injected_table_lookup_and_missing():
+    t = InjectedTableSimilarity({"c0:6": 0.85, "c0:7": 0.76})
+    assert t.sim_lookup("c0", 6) == 0.85
+    assert t.score("c0", ("any",), ["a"] * 7) == 0.76
+    with pytest.raises(MissingEntry):
+        t.sim_lookup("c0", 1)
 
 
 # ------------------------------------------------------------------- init

@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 from restate import similarity
 from restate.flags import SatisfierConfig, candidate_spans, replay_flags
 from restate.similarity import (DimensionMismatch, EmptyInput,
-                                HashedNgramEmbedder, InjectedTableSimilarity,
-                                MissingEntry, SpanSimilarity, ZeroVector,
-                                cosine)
+                                HashedNgramEmbedder, SpanSimilarity,
+                                ZeroVector, cosine)
 
 
 # Independent re-implementation of the hash embedding, used as an oracle.
@@ -113,14 +112,6 @@ def test_span_similarity_window_limits_span_length():
 def test_span_similarity_empty_prefix_is_zero():
     sim = SpanSimilarity(HashedNgramEmbedder())
     assert sim.score("c0", ("a", "camera"), []) == 0.0
-
-
-def test_injected_table_lookup_and_missing():
-    t = InjectedTableSimilarity({"c0:6": 0.85, "c0:7": 0.76})
-    assert t.sim_lookup("c0", 6) == 0.85
-    assert t.score("c0", ("any",), ["a"] * 7) == 0.76
-    with pytest.raises(MissingEntry):
-        t.sim_lookup("c0", 1)
 
 
 class CountingEmbedder(HashedNgramEmbedder):
