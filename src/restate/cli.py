@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -29,9 +30,9 @@ from .decode import run_decoder
 from .evaluation import build_report, text_table
 from .flags import SatisfierConfig, replay_flags
 from .flags import trace as flag_trace
-from .model import (CheckpointMismatch, ModelConfig, NonFiniteLoss,
-                    Seq2SeqModel, TrainingConfig, TrainingExample,
-                    example_from_record, train)
+from .model import (CheckpointMismatch, LengthOverflow, ModelConfig,
+                    NonFiniteLoss, Seq2SeqModel, TrainingConfig,
+                    TrainingExample, example_from_record, train)
 from .similarity import HashedNgramEmbedder, SpanSimilarity
 from .vocab import Vocabulary, tokenize
 
@@ -239,6 +240,16 @@ def cmd_train(args):
         if not mr["target_tokens"]:
             raise datagen.MalformedRecord("record %r has no target to train"
                                           " on" % mr["id"])
+        # the decoder reads the start symbol before the target
+        if len(mr["x_tokens"]) > args.max_len:
+            raise LengthOverflow("record %r: source length %d > --max-len %d"
+                                 % (mr["id"], len(mr["x_tokens"]),
+                                    args.max_len))
+        if len(mr["target_tokens"]) + 1 > args.max_len:
+            raise LengthOverflow("record %r: target length %d + 1 (start"
+                                 " symbol) > --max-len %d"
+                                 % (mr["id"], len(mr["target_tokens"]),
+                                    args.max_len))
     # the vocabulary covers the whole file, not just the training split,
     # so later rewriting of held-out records never meets an unknown token
     pool_lists = []
@@ -256,7 +267,7 @@ def cmd_train(args):
         else:
             examples.append(example_from_record(rec, config, scorer))
     model = Seq2SeqModel(model_cfg, vocab)
-    log_rows = train(model, examples, train_cfg)
+    log_rows = train(model, examples, train_cfg, log=_EpochLog())
     model.save(args.out)
     log_path = args.out + ".loss.txt"
     with open(log_path, "w") as fh:
@@ -266,6 +277,20 @@ def cmd_train(args):
     print("trained on %d examples, final mean loss %.4f -> %s"
           % (len(examples), log_rows[-1][2], args.out))
     return EXIT_OK
+
+
+class _EpochLog:
+    """train's log callback for the CLI: each epoch's line (epoch, step,
+    mean loss) on stderr with the seconds since the last line. The loss
+    file is written from train's rows, so it keeps its bytes."""
+
+    def __init__(self):
+        self.last = time.perf_counter()
+
+    def __call__(self, line):
+        now = time.perf_counter()
+        print("%s seconds %.2f" % (line, now - self.last), file=sys.stderr)
+        self.last = now
 
 
 def cmd_rewrite(args):
@@ -282,15 +307,21 @@ def cmd_rewrite(args):
     instances = _filter_split(datagen.read_corpus(args.input), args.split)
     if not instances:
         raise ValueError("no records to rewrite in split %r" % args.split)
+    records = [datagen.model_record(inst) for inst in instances]
+    for inst, mr in zip(instances, records):
+        if len(mr["x_tokens"]) > model.config.max_len:
+            raise LengthOverflow("record %s: source length %d > the"
+                                 " checkpoint's max_len %d"
+                                 % (inst.id, len(mr["x_tokens"]),
+                                    model.config.max_len))
     config = _satisfier(args)
     scorer = _scorer_for(config)
     trace_dir = args.out + ".traces" if args.trace else None
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
     reports = []
-    for inst in instances:
+    for inst, mr in zip(instances, records):
         trace_path = _trace_path(trace_dir, inst.id) if trace_dir else None
-        mr = datagen.model_record(inst)
         try:
             # non-finite weights end in NaN log-probabilities, reported
             # once below, not in numpy warnings on the way there

@@ -4,10 +4,29 @@ decoder cache and one FlagTracker, and hands them to the argmax loop or
 to one banked beam search that serves both beam decoders.
 
 Both loops drive the tracker alongside the model so every generated
-token updates the mention flags the next step conditions on. Each
-search step is one batched decoder call over every live hypothesis:
-the model caches each hypothesis's past positions, so the call forwards
-only the newest token with its current flag column. Candidates are ranked as
+token updates the mention flags the next step conditions on. The model
+caches each hypothesis's past positions, so a call forwards only the
+newest tokens with the current flag column.
+
+The argmax loop drafts (speculative decoding, Leviathan et al. 2023,
+with drafts taken from earlier outputs instead of a second model, as
+in REST, He et al. 2023). The model's DraftTable maps the last two
+output ids to the id that followed them in the model's earlier argmax
+outputs; a successor seen twice in a row is drafted, up to MAX_DRAFT
+tokens and never past the budget. One decoder call scores the newest
+token and every drafted token at consecutive positions, all under the
+tracker's current flag column, each row attending to exactly its own
+prefix. The rows are read in order: the argmax is chosen, scored and
+stepped through the tracker, and the next row is read only while its
+drafted token is that argmax (so not the stop token) and the step left
+the flag column as it was. Then the cache is cut back to the rows read.
+Each row read is, to the byte, the row the one-token call would have
+computed at that position, so no token, score, flag or cache byte can
+move; a row not read is not checked for NaN either. With nothing
+drafted the call is the one-row step.
+
+Each search step is one batched decoder call over every live
+hypothesis on its newest token. Candidates are ranked as
 tuples; only the survivors of pruning are built, with their own lists
 and tracker clones, since ranking and banking never read flags. Scores
 sum the log-probabilities of every chosen token (the stop token
@@ -59,6 +78,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flags import FlagTracker
+from .model.transformer import check_logprobs
+
+# Tokens the argmax loop guesses ahead for one decoder call, at most.
+MAX_DRAFT = 8
+# Contexts a draft table holds before it is cleared.
+DRAFT_CAP = 4096
 
 
 @dataclass(eq=False)
@@ -94,6 +119,58 @@ class DecodeResult:
         return self.tracker.matrix()
 
 
+class DraftTable:
+    """A model's guesses of the argmax loop's next tokens, learned from
+    its own earlier argmax outputs (drafts from earlier outputs, after
+    REST, He et al. 2023).
+
+    Maps the last two token ids of an output (the start symbol standing
+    in before the first tokens) to the id that followed them last, with
+    how many times in a row it did. A guess follows only successors
+    seen at least twice in a row, emittable ones (not pad, start or
+    stop symbol), MAX_DRAFT of them at most. The table holds at most
+    DRAFT_CAP contexts and is cleared when full. No guess changes a
+    result, only the number of decoder calls.
+    """
+
+    def __init__(self):
+        self.next: dict[tuple, tuple] = {}  # (id, id) -> (id, run length)
+
+    def learn(self, vocab, ids, finished):
+        """Record the successors of one argmax output's contexts."""
+        seq = [vocab.bos_id, vocab.bos_id] + ids
+        if finished:
+            seq.append(vocab.eos_id)
+        table = self.next
+        for context, nxt in zip(zip(seq, seq[1:]), seq[2:]):
+            seen, run = table.get(context, (None, 0))
+            if seen is None and len(table) >= DRAFT_CAP:
+                table.clear()
+            table[context] = (nxt, run + 1 if seen == nxt else 1)
+
+    def guess(self, vocab, ids, limit):
+        """Up to limit guessed ids to follow the output ids."""
+        a, b = ([vocab.bos_id, vocab.bos_id] + ids[-2:])[-2:]
+        out = []
+        while len(out) < min(limit, MAX_DRAFT):
+            nxt, run = self.next.get((a, b), (None, 0))
+            if (run < 2 or not 0 <= nxt < len(vocab)
+                    or nxt in (vocab.pad_id, vocab.bos_id, vocab.eos_id)):
+                break
+            out.append(nxt)
+            a, b = b, nxt
+        return out
+
+
+def draft_table(model) -> DraftTable:
+    """The draft table of model, made on its first argmax decode, so
+    every later decode with the same model object reuses it."""
+    table = getattr(model, "drafts", None)
+    if table is None:
+        table = model.drafts = DraftTable()
+    return table
+
+
 class _Decoder:
     """One input's decoder cache, advanced by one batched call per step."""
 
@@ -101,15 +178,17 @@ class _Decoder:
         self.model = model
         self.cache = model.begin_decode(model.encode(list(x_tokens)))
 
-    def logprobs(self, hyps):
+    def logprobs(self, hyps, draft=()):
         """(len(hyps), vocab) next-token log-probabilities, pad and start
         symbol masked out. Every hypothesis has the cache's length, and
-        hyp.row indexes the rows of the previous call."""
+        hyp.row indexes the rows of the previous call. A draft (one
+        hypothesis only) adds a row per drafted token, as in
+        decode_step."""
         vocab = self.model.vocab
         last = [h.ids[-1] if h.ids else vocab.bos_id for h in hyps]
         columns = np.stack([h.tracker.current for h in hyps])
         lp, self.cache = self.model.decode_step(
-            self.cache, [h.row for h in hyps], last, columns)
+            self.cache, [h.row for h in hyps], last, columns, draft)
         lp[:, vocab.pad_id] = -np.inf
         lp[:, vocab.bos_id] = -np.inf
         return lp
@@ -153,17 +232,37 @@ def _clamp_budget(model, max_len, alpha):
 
 def _greedy_hyp(model, decoder, tracker, max_len):
     """Run the argmax loop. Returns the raw hypothesis; finished means
-    the stop token was the argmax within budget (its logp is counted)."""
+    the stop token was the argmax within budget (its logp is counted).
+
+    Each call checks a guess of the next tokens (the model's
+    DraftTable) along with the newest token: the rows are read in order
+    while the guess holds, exactly as one call per token would have
+    computed them, and the cache is cut back to the rows read."""
+    vocab = model.vocab
+    drafts = draft_table(model)
     hyp = Hypothesis([], tracker)
-    for _ in range(max_len):
-        lp = decoder.logprobs([hyp])[0]
-        nxt = int(np.argmax(lp))
-        hyp.score += float(lp[nxt])
-        if nxt == model.vocab.eos_id:
-            hyp.finished = True
-            break
-        hyp.ids.append(nxt)
-        hyp.tracker.step(model.vocab.tokens[nxt])
+    while len(hyp.ids) < max_len and not hyp.finished:
+        # a row at the budget's last position is the last one computed
+        length = len(hyp.ids)  # positions cached
+        draft = drafts.guess(vocab, hyp.ids, max_len - 1 - length)
+        column = tracker.current.copy()
+        for r, lp in enumerate(decoder.logprobs([hyp], draft)):
+            if r:
+                check_logprobs(lp)
+            nxt = int(np.argmax(lp))
+            hyp.score += float(lp[nxt])
+            if nxt == vocab.eos_id:
+                hyp.finished = True
+                break
+            hyp.ids.append(nxt)
+            tracker.step(vocab.tokens[nxt])
+            # the next row holds the guessed token under this column
+            if (r == len(draft) or draft[r] != nxt
+                    or not np.array_equal(tracker.current, column)):
+                break
+        if r < len(draft):
+            decoder.cache = decoder.cache.cut(length + r + 1)
+    drafts.learn(vocab, hyp.ids, hyp.finished)
     return hyp
 
 
@@ -310,15 +409,19 @@ def run_decoder(name: str, model, x_tokens, constraint_rows, config,
 
     greedy picks the argmax token every step (ties: smallest id) and
     stops at the end token or after max_len tokens; it ignores
-    beam_size. beam is length-normalized beam search: live hypotheses
-    are ranked by cumulative log-probability (summed left to right),
-    finished ones by score / chosen_tokens ** alpha, and ties prefer the
-    smallest token id sequence. Width 1 returns greedy's tokens; its
-    scores equal greedy's only when greedy stops within max_len. When
-    greedy runs out of budget instead, the width-1 result is closed at
-    budget: it also counts the stop token's log-probability and is
-    marked finished. Wider searches carry the greedy trajectory in their
-    own batched steps, so it is always among the scored candidates.
+    beam_size. It checks tokens drafted from the model's earlier greedy
+    outputs in the same decoder call as the newest token (module
+    docstring), so it makes one call per chosen token only while no
+    draft holds; the result is the same to the byte. beam is
+    length-normalized beam search: live hypotheses are ranked by
+    cumulative log-probability (summed left to right), finished ones by
+    score / chosen_tokens ** alpha, and ties prefer the smallest token
+    id sequence. Width 1 returns greedy's tokens; its scores equal
+    greedy's only when greedy stops within max_len. When greedy runs out
+    of budget instead, the width-1 result is closed at budget: it also
+    counts the stop token's log-probability and is marked finished.
+    Wider searches carry the greedy trajectory in their own batched
+    steps, so it is always among the scored candidates.
 
     cbs is beam search banked by verbatim constraint progress: every
     finished result contains each constraint row's input tokens

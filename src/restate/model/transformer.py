@@ -25,7 +25,10 @@ Teacher forcing and inference share one decoder-layer function.
 Inference is incremental: begin_decode computes every layer's
 cross-attention keys and values once per input, and decode_step
 forwards only the newest position of each hypothesis, reusing the
-self-attention keys and values cached for its earlier positions.
+self-attention keys and values cached for its earlier positions. For
+one hypothesis it can also forward drafted positions after the newest
+one in the same call; each row attends to exactly its own prefix, and
+DecoderCache.cut drops the positions of rows the caller does not keep.
 """
 
 from __future__ import annotations
@@ -62,6 +65,13 @@ class CheckpointVersionMismatch(CheckpointMismatch):
 
 class NonFiniteLogProbs(FloatingPointError):
     """Raised when a decoding step yields NaN log-probabilities."""
+
+
+def check_logprobs(lp):
+    """Raise NonFiniteLogProbs when decoder log-probabilities hold a NaN."""
+    if np.isnan(lp).any():
+        raise NonFiniteLogProbs("decoder log-probabilities are NaN"
+                                " (non-finite model weights?)")
 
 
 CHECKPOINT_VERSION = 3
@@ -101,6 +111,13 @@ class DecoderCache:
     cross: tuple
     self_kv: tuple | None
     length: int
+
+    def cut(self, length) -> "DecoderCache":
+        """This cache holding only its first length positions (>= 1)."""
+        return DecoderCache(self.cross, tuple((k[:, :, :length],
+                                               v[:, :, :length])
+                                              for k, v in self.self_kv),
+                            length)
 
 
 def build_flag_matrix_batch(ms, lenc, ldec):
@@ -308,21 +325,38 @@ class Seq2SeqModel:
                      for name in ("flag.ek", "flag.ev"))
 
     # ------------------------------------------------------- shared sublayers
-    def _self_attn(self, ln, att, x, mask, past=None):
+    def _self_attn(self, ln, att, x, mask, past=None, chain=False):
         """Pre-LN self-attention sublayer: layer norm ln, projections
         att.wq/.wk/.wv/.wo, residual. past: (k, v) of the positions
         before x, (B, H, Lp, Dh), or None when x holds them all. Returns
-        the output, the backward cache and the (k, v) of every position."""
+        the output, the backward cache and the (k, v) of every position.
+
+        chain: x, (B, 1, dim), holds B consecutive positions of one
+        prefix, one per row, and past has one row. Row r attends to past
+        and rows 0..r, over those keys alone, laid out contiguously as
+        a one-row step lays them out; the (k, v) returned have one row
+        of Lp + B positions and the backward cache is None."""
         p = self.params
         heads = self.config.heads
         h, cln = nn.layer_norm(x, p[ln + ".g"], p[ln + ".b"])
         q = nn.split_heads(h @ p[att + ".wq"], heads)
         k = nn.split_heads(h @ p[att + ".wk"], heads)
         v = nn.split_heads(h @ p[att + ".wv"], heads)
+        if chain:
+            k, v = (a.transpose(2, 1, 0, 3) for a in (k, v))
         if past is not None:
             k = np.concatenate([past[0], k], axis=2)
             v = np.concatenate([past[1], v], axis=2)
-        ctx, catt = nn.attention(q, k, v, mask)
+        if chain:
+            # without past, k and v are still transposed views
+            k, v = np.ascontiguousarray(k), np.ascontiguousarray(v)
+            n = k.shape[2] - len(x) + 1  # keys of row 0
+            ctx = np.concatenate([
+                nn.attention(q[r:r + 1], k[:, :, :n + r], v[:, :, :n + r])[0]
+                for r in range(len(x))])
+            catt = None
+        else:
+            ctx, catt = nn.attention(q, k, v, mask)
         mo = nn.merge_heads(ctx)
         return x + mo @ p[att + ".wo"], (h, cln, catt, mo), (k, v)
 
@@ -406,18 +440,18 @@ class Seq2SeqModel:
                 nn.split_heads(henc @ p[pre + ".cross.wv"], heads))
 
     def _decoder_layer(self, i, y, self_mask, cross_kv, cross_mask, onehot,
-                       past=None):
+                       past=None, chain=False):
         """Decoder layer i over queries y: (B, Lq, dim).
 
         past: self-attention (k, v) of the positions before the queries,
-        (B, H, Lp, Dh), or None when y holds the whole prefix. Returns
-        the layer output, its backward cache and the self-attention
-        (k, v) of every position up to the last query.
+        (B, H, Lp, Dh), or None when y holds the whole prefix; chain as
+        in _self_attn. Returns the layer output, its backward cache and
+        the self-attention (k, v) of every position up to the last query.
         """
         p = self.params
         pre = "dec%d" % i
         y, cself, kv = self._self_attn(pre + ".ln1", pre + ".self", y,
-                                       self_mask, past)
+                                       self_mask, past, chain)
         # flag-aware cross-attention, the one sublayer the encoder lacks
         h, cln = nn.layer_norm(y, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
         q = nn.split_heads(h @ p[pre + ".cross.wq"], self.config.heads)
@@ -628,7 +662,8 @@ class Seq2SeqModel:
                                   for i in range(self.config.dec_layers)),
                             None, 0)
 
-    def decode_step(self, cache: DecoderCache, parents, last_ids, columns):
+    def decode_step(self, cache: DecoderCache, parents, last_ids, columns,
+                    draft=()):
         """Next-token log-probabilities of B prefixes, forwarding only each
         prefix's newest position.
 
@@ -641,21 +676,41 @@ class Seq2SeqModel:
         cached self-attention keys and values are read as they are
         instead of gathered by index into a copy. Agrees with
         predict_next_from_states on the full prefix and flag matrix up
-        to rounding.
+        to rounding. Raises NonFiniteLogProbs when a row is NaN.
+
+        draft: token ids that follow last_ids[0] (B = 1). The call then
+        forwards the 1 + len(draft) consecutive positions of the one
+        prefix: row 0 is last_ids[0], row r draft[r - 1], every row under
+        columns[0]. Row r attends to the cached positions and rows 0..r,
+        so it is, to the byte, the row a one-row step would return after
+        rows 0..r-1 under the same column. Returns (1 + len(draft),
+        vocab) log-probabilities and the cache extended by every row
+        (DecoderCache.cut keeps a prefix of them); only row 0 is checked
+        for NaN, the caller checks each draft row it reads
+        (check_logprobs).
         """
         cfg = self.config
         p = self.params
         t = cache.length
-        if t >= cfg.max_len:
+        if t + len(draft) >= cfg.max_len:
             raise LengthOverflow("target length %d > max_len %d"
-                                 % (t + 1, cfg.max_len))
+                                 % (t + 1 + len(draft), cfg.max_len))
         ids = np.asarray(last_ids)
         columns = np.asarray(columns)
         ls = cache.cross[0][0].shape[2]
         if columns.shape != (ids.shape[0], ls):
             raise ShapeMismatch("flag columns %s do not match (B=%d, Ls=%d)"
                                 % (columns.shape, ids.shape[0], ls))
-        y = p["tok_emb"][ids][:, None] + p["pos_dec"][t]
+        if draft:
+            if ids.shape[0] != 1:
+                raise ShapeMismatch("a draft extends one prefix, not %d"
+                                    % ids.shape[0])
+            ids = np.concatenate([ids, draft])
+            columns = np.repeat(columns, len(ids), axis=0)
+            y = p["tok_emb"][ids][:, None] + p["pos_dec"][t:t + len(ids),
+                                                          None]
+        else:
+            y = p["tok_emb"][ids][:, None] + p["pos_dec"][t]
         onehot = nn.flag_onehot(columns[:, :, None])
         past = cache.self_kv
         if past is not None and list(parents) != list(range(len(past[0][0]))):
@@ -664,13 +719,13 @@ class Seq2SeqModel:
         for i in range(cfg.dec_layers):
             y, _, kv = self._decoder_layer(i, y, None, cache.cross[i], None,
                                            onehot,
-                                           None if past is None else past[i])
+                                           None if past is None else past[i],
+                                           bool(draft))
             self_kv.append(kv)
         lp = nn.log_softmax(self._output_logits(y)[0][:, 0])
-        if np.isnan(lp).any():
-            raise NonFiniteLogProbs("decoder log-probabilities are NaN"
-                                    " (non-finite model weights?)")
-        return lp, DecoderCache(cache.cross, tuple(self_kv), t + 1)
+        check_logprobs(lp[:len(last_ids)])
+        return lp, DecoderCache(cache.cross, tuple(self_kv),
+                                t + 1 + len(draft))
 
     # -------------------------------------------------------- persistence
     def save(self, path):

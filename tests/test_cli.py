@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from restate import datagen
 from restate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from restate.flags import SatisfierConfig, replay_flags, trace
-from restate.model import Seq2SeqModel
+from restate.model import ModelConfig, Seq2SeqModel
 from restate.similarity import HashedNgramEmbedder, SpanSimilarity
 
 
@@ -329,6 +329,51 @@ class TestTrain:
         assert n_warnings == 0
         assert not out.exists()
 
+    def test_each_epoch_logs_one_line(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.npz"
+        rc = main(["train", "--input",
+                   str(workdir / "corpus" / "train.jsonl"),
+                   "--out", str(out), "--epochs", "2", "--batch-size", "5",
+                   "--dim", "8", "--ff", "8", "--heads", "2"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        rows = [row.split("\t") for row in
+                (tmp_path / "m.npz.loss.txt").read_text().splitlines()]
+        # 12 records in batches of 5: three steps an epoch
+        assert [r[:2] for r in rows] == [["0", "3"], ["1", "6"]]
+        assert len(lines) == 2
+        for line, (epoch, step, loss) in zip(lines, rows):
+            words = line.split()
+            assert words[:6] == ["epoch", epoch, "step", step, "mean_loss",
+                                 "%.6f" % float(loss)]
+            assert words[6] == "seconds" and float(words[7]) >= 0.0
+            assert len(words) == 8
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_record_longer_than_max_len_names_record_and_option(
+            self, workdir, tmp_path, side):
+        rec = json.loads((workdir / "corpus" / "train.jsonl").read_text()
+                         .splitlines()[1])
+        n = len(datagen.model_record(datagen.instance_from_json(rec))[
+            "x_tokens"])
+        if side == "source":
+            limit = n - 1
+            message = "source length %d > --max-len %d" % (n, limit)
+        else:  # the source fits, the start symbol and target do not
+            limit = n
+            rec["target"] = " ".join(["yes"] * n)
+            message = "target length %d + 1 (start symbol) > --max-len %d" \
+                % (n, n)
+        path = tmp_path / "long.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "m.npz"
+        rc, err, _ = _run_quietly(
+            ["train", "--input", str(path), "--out", str(out), "--max-len",
+             str(limit), "--dim", "8", "--ff", "8", "--heads", "2"])
+        assert rc == EXIT_USAGE
+        assert err == "error: record %r: %s\n" % (rec["id"], message)
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def decoded(workdir, tmp_path_factory):
@@ -563,6 +608,30 @@ class TestRewrite:
         assert capsys.readouterr().err == \
             "error: --max-len must be at least 1, got %s\n" % budget
         assert not out.exists()
+
+    def test_input_longer_than_checkpoint_names_record(self, workdir,
+                                                        tmp_path):
+        corpus = workdir / "corpus" / "test.jsonl"
+        instances = datagen.read_corpus(str(corpus))
+        lengths = [len(datagen.model_record(inst)["x_tokens"])
+                   for inst in instances]
+        limit = max(lengths) - 1
+        first = next(inst.id for inst, n in zip(instances, lengths)
+                     if n > limit)
+        vocab = Seq2SeqModel.load(str(workdir / "model.npz")).vocab
+        ckpt = tmp_path / "short.npz"
+        Seq2SeqModel(ModelConfig(dim=8, heads=2, enc_layers=1, dec_layers=1,
+                                 ff=8, max_len=limit), vocab).save(str(ckpt))
+        out = tmp_path / "out.jsonl"
+        for decoder in ("greedy", "beam", "cbs"):
+            rc, err, _ = _run_quietly(
+                ["rewrite", "--input", str(corpus), "--checkpoint",
+                 str(ckpt), "--out", str(out), "--decoder", decoder])
+            assert rc == EXIT_USAGE
+            assert err == ("error: record %s: source length %d > the"
+                           " checkpoint's max_len %d\n"
+                           % (first, limit + 1, limit))
+            assert not out.exists()
 
     @pytest.mark.parametrize("decoder", ["beam", "cbs"])
     def test_width_below_one_is_usage_error(self, tmp_path, capsys,

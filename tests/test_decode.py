@@ -1,7 +1,8 @@
 """Decoder tests: greedy/beam equivalences, an exhaustive-enumeration
 oracle on hand-set logits and on a trained model, the banked search's
-containment guarantee, its constraint pointers, its early stop, and
-flag-trace consistency."""
+containment guarantee, its constraint pointers, its early stop,
+flag-trace consistency, and the drafted argmax loop against one
+decoder call per token."""
 
 import math
 from unittest import mock
@@ -12,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from restate import decode
 from restate.decode import DecodeResult, Hypothesis, _advance, run_decoder
-from restate.flags import (IndexOutOfRange, SatisfierConfig,
+from restate.flags import (FlagTracker, IndexOutOfRange, SatisfierConfig,
                            contains_contiguous, replay_flags)
-from restate.model import ModelConfig, Seq2SeqModel, TrainingConfig, train
+from restate.model import (ModelConfig, NonFiniteLogProbs, Seq2SeqModel,
+                           TrainingConfig, train)
 from restate.model.training import TrainingExample
 from restate.similarity import HashedNgramEmbedder, SpanSimilarity
 from restate.vocab import Vocabulary
@@ -95,14 +97,24 @@ class StubLM:
     def begin_decode(self, henc):
         return None
 
-    def decode_step(self, cache, parents, last_ids, columns):
+    def decode_step(self, cache, parents, last_ids, columns, draft=()):
         if cache is None:
             rows = [() for _ in last_ids]
         else:
             rows = [cache[p] + (i,) for p, i in zip(parents, last_ids)]
+        # a draft extends the one row by consecutive tokens
+        rows += [rows[0] + tuple(draft[:r + 1]) for r in range(len(draft))]
         lp = np.stack([self.predict_next_from_states(None, r, None)
                        for r in rows])
-        return lp, rows
+        return lp, StubCache(rows[-1:] if draft else rows)
+
+
+class StubCache(list):
+    """StubLM's cache: the decoded prefix of each row of the last call."""
+
+    def cut(self, length):
+        # the one row of a drafted call; position 0 holds the start symbol
+        return StubCache([self[0][:length - 1]])
 
 
 def stub_adversarial():
@@ -224,9 +236,9 @@ class TestBeam:
         calls = []
         step = stub.decode_step
 
-        def counting(cache, parents, last_ids, columns):
+        def counting(cache, parents, last_ids, columns, draft=()):
             calls.append(len(last_ids))
-            return step(cache, parents, last_ids, columns)
+            return step(cache, parents, last_ids, columns, draft)
 
         stub.decode_step = counting
         res = run_decoder("beam", stub, ["a"], [(0,)], LEX, beam_size=2,
@@ -746,15 +758,17 @@ class TestBatchedSteps:
         rows = []
         real = Seq2SeqModel.decode_step
 
-        def counting(self, cache, parents, last_ids, columns):
-            rows.append(len(last_ids))
-            return real(self, cache, parents, last_ids, columns)
+        def counting(self, cache, parents, last_ids, columns, draft=()):
+            rows.append(len(last_ids) + len(draft))
+            return real(self, cache, parents, last_ids, columns, draft)
 
         monkeypatch.setattr(Seq2SeqModel, "decode_step", counting)
         return rows
 
     def test_beam_makes_one_call_per_search_step(self, copy_model, calls):
         max_len = 10
+        # with no drafts, greedy makes one call per chosen token
+        decode.draft_table(copy_model).next.clear()
         g = run_decoder("greedy", copy_model, SENTENCES[0], [], OFF,
                         max_len=max_len)
         assert g.finished and len(calls) == len(g.tokens) + 1
@@ -765,6 +779,29 @@ class TestBatchedSteps:
         # in the beam's calls, here always as one of its own rows
         assert len(calls) <= max_len + 1
         assert max(calls) <= 4
+
+    # rows of each call of three greedy decodes of one input, from an
+    # empty draft table: the first learns each successor and the second
+    # sees it a second time in a row, so only the third drafts
+    @pytest.mark.parametrize("rows, mode, rows_per_call", [
+        ([], "off", [[1, 1, 1, 1], [1, 1, 1, 1], [4]]),
+        # "cat" satisfies the constraint, and the rows drafted after it
+        # ran under the column before it
+        ([(1,)], "lexical", [[1, 1, 1, 1], [1, 1, 1, 1], [4, 2]]),
+    ], ids=["off", "column-change"])
+    def test_repeated_input_makes_fewer_calls(self, copy_model, calls, rows,
+                                              mode, rows_per_call):
+        decode.draft_table(copy_model).next.clear()
+        counted, results = [], []
+        for _ in range(3):
+            results.append(_fields(run_decoder(
+                "greedy", copy_model, SENTENCES[0], rows,
+                SatisfierConfig(mode=mode))))
+            counted.append(list(calls))
+            calls.clear()
+        assert counted == rows_per_call
+        assert results[0] == results[1] == results[2]
+        assert results[0][0] == SENTENCES[0]
 
     def test_cbs_makes_one_call_per_search_step(self, copy_model, calls):
         max_len = 10
@@ -836,3 +873,158 @@ class TestPlumbing:
         b = run_decoder("beam", copy_model, SENTENCES[1], [(1,)], LEX,
                         beam_size=3)
         assert a.tokens == b.tokens and a.score == b.score
+
+
+# -------------------------------------------------- drafted argmax loop
+
+def _one_token_loop(model, x, rows, config, scorer, max_len, beam,
+                    alpha=0.7):
+    """The argmax loop as one one-row decode_step call per chosen token,
+    the oracle of the drafted loop: every field a result carries."""
+    vocab = model.vocab
+    max_len = max(1, min(max_len, model.config.max_len - 1))
+    tracker = FlagTracker(x, rows, config, scorer=scorer)
+    cache = model.begin_decode(model.encode(x))
+    ids, score, finished = [], 0.0, False
+
+    def step():
+        nonlocal cache
+        lp, cache = model.decode_step(cache, [0], [ids[-1] if ids
+                                                  else vocab.bos_id],
+                                      tracker.current[None])
+        lp[0, [vocab.pad_id, vocab.bos_id]] = -np.inf
+        return lp[0]
+
+    for _ in range(max_len):
+        lp = step()
+        nxt = int(np.argmax(lp))
+        score += float(lp[nxt])
+        if nxt == vocab.eos_id:
+            finished = True
+            break
+        ids.append(nxt)
+        tracker.step(vocab.tokens[nxt])
+    if beam and not finished:  # width 1 closes at budget
+        score += float(step()[vocab.eos_id])
+        finished = True
+    return ([vocab.tokens[i] for i in ids], repr(score),
+            repr(score / max(1, len(ids) + finished) ** alpha), finished,
+            tracker.matrix().tobytes(), tracker.satisfied)
+
+
+@pytest.fixture(scope="module")
+def wild_model():
+    """Untrained model far from its near-uniform init, with style
+    lexicon words: its outputs run long and flip flags at random."""
+    vocab = Vocabulary(sorted({t for s in SENTENCES for t in s}
+                              | {"i", "my", "we", "mine"}))
+    model = Seq2SeqModel(ModelConfig(dim=16, heads=2, enc_layers=2,
+                                     dec_layers=2, ff=24, max_len=12,
+                                     seed=6), vocab)
+    rng = np.random.default_rng(6)
+    for name, value in model.params.items():
+        model.params[name] = value + rng.normal(0.0, 1.0, value.shape)
+    model.params["flag.ek"][0] = 0.0
+    model.params["flag.ev"][0] = 0.0
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_drafted_loop_matches_one_call_per_token(copy_model, wild_model,
+                                                 data):
+    """Drafted greedy and width-1 beam return every field the one-token
+    loop returns, whatever the draft table holds: successors learned
+    from the right output, garbage ids (stop, pad, start, unknown, out of
+    range), cycles that run past the budget; also when a drafted
+    token's embedding is NaN."""
+    model = data.draw(st.sampled_from([copy_model, wild_model]),
+                      label="model")
+    vocab = model.vocab
+    words = vocab.tokens[5:]
+    x = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=5),
+                  label="x")
+    span = st.tuples(st.integers(0, len(x) - 1), st.integers(1, 2)).map(
+        lambda s: tuple(range(s[0], min(len(x), s[0] + s[1]))))
+    rows = data.draw(st.lists(span, max_size=2), label="rows")
+    mode = data.draw(st.sampled_from(["semantic", "lexical", "off"]),
+                     label="mode")
+    config = SatisfierConfig(mode=mode,
+                             style_enabled=data.draw(st.booleans(),
+                                                     label="style"))
+    max_len = data.draw(st.integers(1, model.config.max_len + 2),
+                        label="max_len")
+    beam = data.draw(st.booleans(), label="width-one beam")
+
+    def scorer():
+        return SpanSimilarity(HashedNgramEmbedder())
+
+    # the tables learn the right output from the clean model
+    right = _one_token_loop(model, x, rows, config, scorer(), max_len, beam)
+    table = decode.DraftTable()
+    if data.draw(st.sampled_from([True, True, False]), label="learned"):
+        for _ in range(2):
+            table.learn(vocab, vocab.encode(right[0]), right[3])
+    ids = st.integers(-2, len(vocab) + 1)
+    # wrong successors of learned contexts, then any entries at all
+    for context in data.draw(st.lists(st.sampled_from(sorted(table.next)),
+                                      max_size=3)
+                             if table.next else st.just([]),
+                             label="wrong"):
+        table.next[context] = (data.draw(ids, label="successor"), 2)
+    table.next.update(data.draw(st.dictionaries(
+        st.tuples(ids, ids), st.tuples(ids, st.integers(1, 3)),
+        max_size=12), label="garbage"))
+    tok_emb = model.params["tok_emb"].copy()
+    poisoned = data.draw(st.none() | st.sampled_from(
+        vocab.encode(right[0]) or [vocab.unk_id]), label="NaN token")
+    if poisoned is not None:
+        tok_emb[poisoned] = np.nan
+    with mock.patch.dict(model.params, {"tok_emb": tok_emb}), \
+            np.errstate(all="ignore"):
+        try:
+            want = _one_token_loop(model, x, rows, config, scorer(),
+                                   max_len, beam)
+        except NonFiniteLogProbs:
+            want = NonFiniteLogProbs
+        model.drafts = table
+        try:
+            res = run_decoder("beam" if beam else "greedy", model, x, rows,
+                              config, scorer=scorer(), beam_size=1,
+                              max_len=max_len)
+            got = (res.tokens, repr(res.score), repr(res.normalized_score),
+                   res.finished, res.flag_matrix.tobytes(),
+                   res.tracker.satisfied)
+        except NonFiniteLogProbs:
+            got = NonFiniteLogProbs
+    assert got == want
+
+
+def test_draft_table_guesses_only_repeated_emittable_successors():
+    vocab = Vocabulary(["a", "b", "c"])
+    a, b, c = vocab.encode(["a", "b", "c"])
+    table = decode.DraftTable()
+    table.learn(vocab, [a, b, c], True)
+    assert table.guess(vocab, [], 8) == []  # each seen once
+    table.learn(vocab, [a, b, c], True)
+    # the stop token ends a guess; so does the budget
+    assert table.guess(vocab, [], 8) == [a, b, c]
+    assert table.guess(vocab, [], 2) == [a, b]
+    assert table.guess(vocab, [a], 8) == [b, c]
+    table.learn(vocab, [a, c], False)  # (start, a) now followed by c once
+    assert table.guess(vocab, [], 8) == [a]
+    # a cycle drafts MAX_DRAFT tokens at most
+    for _ in range(2):
+        table.learn(vocab, [a, a, a, a], False)
+    assert table.guess(vocab, [a, a], 100) == [a] * decode.MAX_DRAFT
+
+
+def test_draft_table_is_cleared_when_full(monkeypatch):
+    monkeypatch.setattr(decode, "DRAFT_CAP", 3)
+    vocab = Vocabulary(["a", "b", "c"])
+    table = decode.DraftTable()
+    table.learn(vocab, vocab.encode(["a", "b"]), False)
+    assert len(table.next) == 2
+    table.learn(vocab, vocab.encode(["a", "b", "c", "a"]), False)
+    # the third new context cleared the full table before it went in
+    assert len(table.next) == 1

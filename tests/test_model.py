@@ -678,10 +678,107 @@ def test_cached_step_checks_columns_and_length():
         model.decode_step(cache, [0], [model.vocab.bos_id],
                           np.zeros((1, 3), dtype=int))
     bos = [model.vocab.bos_id]
-    for _ in range(model.config.max_len):
+    with pytest.raises(ShapeMismatch, match="a draft extends one prefix"):
+        model.decode_step(cache, [0, 0], bos * 2, np.zeros((2, 2), int),
+                          draft=[5])
+    for _ in range(model.config.max_len - 3):
+        _, cache = model.decode_step(cache, [0], bos, np.zeros((1, 2), int))
+    # a draft may fill the table's last positions, never pass them
+    lp, full = model.decode_step(cache, [0], bos, np.zeros((1, 2), int),
+                                 draft=[5, 6])
+    assert lp.shape == (3, len(model.vocab)) and full.length == 32
+    with pytest.raises(LengthOverflow, match="target length 33 > max_len 32"):
+        model.decode_step(cache, [0], bos, np.zeros((1, 2), int),
+                          draft=[5, 6, 7])
+    for _ in range(3):
         _, cache = model.decode_step(cache, [0], bos, np.zeros((1, 2), int))
     with pytest.raises(LengthOverflow):
         model.decode_step(cache, [0], bos, np.zeros((1, 2), int))
+
+
+def _far_model(seed, dim, heads):
+    """tiny_model moved far from its near-uniform init."""
+    model = tiny_model(seed=seed, dim=dim, heads=heads, ff=2 * dim)
+    rng = np.random.default_rng(seed)
+    for name, value in model.params.items():
+        model.params[name] = value + rng.normal(0.0, 0.5, value.shape)
+    model.params["flag.ek"][0] = 0.0
+    model.params["flag.ev"][0] = 0.0
+    return model
+
+
+# (dim, heads): the test models' shape and the CLI default
+_SHAPES = st.sampled_from([(16, 2), (64, 4)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 16), _SHAPES, st.data())
+def test_step_rows_do_not_depend_on_the_call(seed, shape, data):
+    """A row of a one-position decode_step has the same log-probability
+    and cached key/value bytes in a call of 1, 2, 3 or 5 rows, in any
+    order, as stepped alone. Beam search's greedy shadow row and the
+    drafted argmax loop rest on this."""
+    model = _far_model(seed, *shape)
+    words = st.sampled_from(_STEP_VOCAB.tokens[5:])
+    src = data.draw(st.lists(words, min_size=1, max_size=6), label="src")
+    ls = len(src)
+    column = st.lists(st.integers(0, 2), min_size=ls, max_size=ls)
+    token = st.integers(5, len(model.vocab) - 1)
+    cache = model.begin_decode(model.encode(src))
+    width = data.draw(st.integers(1, 3), label="cached rows")
+    for t in range(data.draw(st.integers(0, 3), label="cached positions")):
+        parents = [0] * width if t == 0 else list(range(width))
+        last = ([model.vocab.bos_id] * width if t == 0 else
+                data.draw(st.lists(token, min_size=width, max_size=width)))
+        _, cache = model.decode_step(
+            cache, parents, last,
+            data.draw(st.lists(column, min_size=width, max_size=width)))
+    pool = [(data.draw(st.integers(0, width - 1), label="parent"),
+             data.draw(token, label="token"), data.draw(column,
+                                                        label="column"))
+            for _ in range(5)]
+    alone = [model.decode_step(cache, [parent], [tok], [col])
+             for parent, tok, col in pool]
+    for b in (1, 2, 3, 5):
+        picks = data.draw(st.permutations(range(5)), label="order")[:b]
+        parents, last, columns = zip(*[pool[i] for i in picks])
+        lp, shared = model.decode_step(cache, list(parents), list(last),
+                                       np.array(columns))
+        for row, i in enumerate(picks):
+            lp1, one = alone[i]
+            assert lp[row].tobytes() == lp1[0].tobytes(), (b, row)
+            for kv, kv1 in zip(shared.self_kv, one.self_kv):
+                for a, a1 in zip(kv, kv1):
+                    assert a[row].tobytes() == a1[0].tobytes(), (b, row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16), _SHAPES, st.data())
+def test_drafted_rows_match_one_row_steps(seed, shape, data):
+    """Row r of a drafted call is, to the byte, the row a one-row step
+    returns after rows 0..r-1 under the same column, and the cache cut
+    back to those rows holds the one-row steps' cache bytes."""
+    model = _far_model(seed, *shape)
+    words = st.sampled_from(_STEP_VOCAB.tokens[5:])
+    src = data.draw(st.lists(words, min_size=1, max_size=6), label="src")
+    ls = len(src)
+    column = st.lists(st.integers(0, 2), min_size=ls, max_size=ls)
+    token = st.integers(4, len(model.vocab) - 1)
+    cache = model.begin_decode(model.encode(src))
+    last = model.vocab.bos_id
+    for _ in range(data.draw(st.integers(0, 4), label="cached positions")):
+        _, cache = model.decode_step(cache, [0], [last],
+                                     [data.draw(column, label="column")])
+        last = data.draw(token, label="token")
+    draft = data.draw(st.lists(token, min_size=1, max_size=8), label="draft")
+    col = data.draw(column, label="draft column")
+    lp, drafted = model.decode_step(cache, [0], [last], [col], draft)
+    assert drafted.length == cache.length + 1 + len(draft)
+    one = cache
+    for r, tok in enumerate([last] + draft):
+        lp1, one = model.decode_step(one, [0], [tok], [col])
+        assert lp[r].tobytes() == lp1[0].tobytes(), r
+        assert _kv_bytes(drafted.cut(one.length)) == _kv_bytes(one), r
 
 
 # -------------------------------------------------------------- persistence
