@@ -163,7 +163,7 @@ def _check_report(rep):
 def _filter_split(instances, split):
     if not split or split == "all":
         return instances
-    return [inst for inst in instances if inst.split == split]
+    return datagen.split_of(instances, split)
 
 
 # ---------------------------------------------------------------------------

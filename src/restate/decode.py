@@ -127,10 +127,10 @@ class DraftTable:
     Maps the last two token ids of an output (the start symbol standing
     in before the first tokens) to the id that followed them last, with
     how many times in a row it did. A guess follows only successors
-    seen at least twice in a row, emittable ones (not pad, start or
-    stop symbol), MAX_DRAFT of them at most. The table holds at most
-    DRAFT_CAP contexts and is cleared when full. No guess changes a
-    result, only the number of decoder calls.
+    seen at least twice in a row, emittable ones other than the stop
+    token (not in vocab.never_emitted), MAX_DRAFT of them at most. The
+    table holds at most DRAFT_CAP contexts and is cleared when full. No
+    guess changes a result, only the number of decoder calls.
     """
 
     def __init__(self):
@@ -154,8 +154,8 @@ class DraftTable:
         out = []
         while len(out) < min(limit, MAX_DRAFT):
             nxt, run = self.next.get((a, b), (None, 0))
-            if (run < 2 or not 0 <= nxt < len(vocab)
-                    or nxt in (vocab.pad_id, vocab.bos_id, vocab.eos_id)):
+            if (run < 2 or not 0 <= nxt < len(vocab) or nxt == vocab.eos_id
+                    or nxt in vocab.never_emitted):
                 break
             out.append(nxt)
             a, b = b, nxt
@@ -179,18 +179,17 @@ class _Decoder:
         self.cache = model.begin_decode(model.encode(list(x_tokens)))
 
     def logprobs(self, hyps, draft=()):
-        """(len(hyps), vocab) next-token log-probabilities, pad and start
-        symbol masked out. Every hypothesis has the cache's length, and
-        hyp.row indexes the rows of the previous call. A draft (one
-        hypothesis only) adds a row per drafted token, as in
+        """(len(hyps), vocab) next-token log-probabilities, the tokens of
+        vocab.never_emitted masked out. Every hypothesis has the cache's
+        length, and hyp.row indexes the rows of the previous call. A
+        draft (one hypothesis only) adds a row per drafted token, as in
         decode_step."""
         vocab = self.model.vocab
         last = [h.ids[-1] if h.ids else vocab.bos_id for h in hyps]
         columns = np.stack([h.tracker.current for h in hyps])
         lp, self.cache = self.model.decode_step(
             self.cache, [h.row for h in hyps], last, columns, draft)
-        lp[:, vocab.pad_id] = -np.inf
-        lp[:, vocab.bos_id] = -np.inf
+        lp[:, vocab.never_emitted] = -np.inf
         return lp
 
 

@@ -5,7 +5,7 @@ from .training import (Adam, NonFiniteLoss, TrainingConfig, TrainingExample,
                        assemble_batch, example_from_record, train)
 from .transformer import (CheckpointMismatch, CheckpointVersionMismatch,
                           LengthOverflow, ModelConfig, NonFiniteLogProbs,
-                          Seq2SeqModel, Workers, build_flag_matrix_batch)
+                          Seq2SeqModel, Workers)
 
 __all__ = [
     "Adam",
@@ -21,7 +21,6 @@ __all__ = [
     "TrainingExample",
     "Workers",
     "assemble_batch",
-    "build_flag_matrix_batch",
     "example_from_record",
     "train",
 ]

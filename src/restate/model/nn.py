@@ -24,8 +24,6 @@ per-example work in blocks and each reduction once over the whole.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 NEG_INF = -1e9
@@ -62,19 +60,8 @@ def layer_norm(x, g, b, eps=1e-5):
     # one pass over x - mean, summed and divided in the order of
     # numpy's x.mean and x.var, so the bytes match theirs
     n = x.shape[-1]
-    if 0 < n == x.size and x.dtype == np.float64:
-        # one row, as in every greedy decoder step: its statistics are
-        # single floats, and Python's /, + and math.sqrt are the same
-        # correctly rounded IEEE double operations as numpy's float64
-        # ones, so the scalar chain gives numpy's bytes without its
-        # per-call cost
-        d = x - np.add.reduce(x, axis=-1).item() / n
-        var = np.add.reduce(d * d, axis=-1).item() / n
-        inv = np.array(1.0 / math.sqrt(var + eps), ndmin=x.ndim)
-    else:
-        d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-        inv = 1.0 / np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True) / n
-                            + eps)
+    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True) / n + eps)
     xhat = d * inv
     return g * xhat + b, (xhat, inv, g)
 

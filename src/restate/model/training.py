@@ -44,7 +44,7 @@ import numpy as np
 from .. import flags as flags_mod
 from ..vocab import Vocabulary
 from . import nn
-from .transformer import Seq2SeqModel, Workers, build_flag_matrix_batch
+from .transformer import Seq2SeqModel, Workers
 
 
 class NonFiniteLoss(FloatingPointError):
@@ -155,7 +155,7 @@ def assemble_batch(examples, vocab: Vocabulary):
     src = np.full((b, ls), vocab.pad_id, dtype=np.int64)
     tgt_in = np.full((b, ly), vocab.pad_id, dtype=np.int64)
     tgt_out = np.full((b, ly), vocab.pad_id, dtype=np.int64)
-    ms = []
+    m_batch = None  # zero-padded (B, Ls, Lt) flags once an example has some
     for i, e in enumerate(examples):
         x = vocab.encode(list(e.x_tokens))
         y = vocab.encode(list(e.y_tokens))
@@ -164,19 +164,15 @@ def assemble_batch(examples, vocab: Vocabulary):
         tgt_in[i, 1:len(y) + 1] = y
         tgt_out[i, :len(y)] = y
         tgt_out[i, len(y)] = vocab.eos_id
-        if e.m is None:
-            ms.append(None)
-        else:
+        if e.m is not None:
             m = np.asarray(e.m)
-            if m.shape != (len(e.x_tokens), len(e.y_tokens) + 1):
+            if m.shape != (len(x), len(y) + 1):
                 raise nn.ShapeMismatch(
                     "flag matrix %s does not match (%d, %d)"
-                    % (m.shape, len(e.x_tokens), len(e.y_tokens) + 1))
-            ms.append(m)
-    if all(m is None for m in ms):
-        m_batch = None
-    else:
-        m_batch = build_flag_matrix_batch(ms, ls, ly)
+                    % (m.shape, len(x), len(y) + 1))
+            if m_batch is None:
+                m_batch = np.zeros((b, ls, ly), dtype=np.int64)
+            m_batch[i, :len(x), :len(y) + 1] = m
     return src, tgt_in, tgt_out, m_batch
 
 

@@ -25,10 +25,12 @@ Teacher forcing and inference share one decoder-layer function.
 Inference is incremental: begin_decode computes every layer's
 cross-attention keys and values once per input, and decode_step
 forwards only the newest position of each hypothesis, reusing the
-self-attention keys and values cached for its earlier positions. For
-one hypothesis it can also forward drafted positions after the newest
-one in the same call; each row attends to exactly its own prefix, and
-DecoderCache.cut drops the positions of rows the caller does not keep.
+self-attention keys and values cached for its earlier positions,
+gathered by each row's parent. For one hypothesis it can also forward
+drafted positions after the newest one in the same call; each row
+attends to exactly its own prefix, and DecoderCache.cut drops the
+positions of rows the caller does not keep. Every row agrees, up to
+rounding, with the teacher-forced logits_batch on its whole prefix.
 """
 
 from __future__ import annotations
@@ -118,18 +120,6 @@ class DecoderCache:
                                                v[:, :, :length])
                                               for k, v in self.self_kv),
                             length)
-
-
-def build_flag_matrix_batch(ms, lenc, ldec):
-    """Stack per-example flag matrices into (B, lenc, ldec), zero-padded."""
-    b = len(ms)
-    out = np.zeros((b, lenc, ldec), dtype=np.int64)
-    for i, m in enumerate(ms):
-        if m is None:
-            continue
-        m = np.asarray(m)
-        out[i, :m.shape[0], :m.shape[1]] = m
-    return out
 
 
 def _flag_onehot(m_batch, b, ls, lt):
@@ -642,8 +632,9 @@ class Seq2SeqModel:
         """Log-probabilities of the token after the decoded prefix ids.
 
         henc: (Ls, dim) from encode(); m: (Ls, len(prefix) + 1) flag
-        columns, or None for the vanilla path. Runs the whole prefix, so
-        it is the uncached reference for decode_step.
+        columns, or None for the vanilla path. Runs the whole prefix
+        uncached. No decoder calls it: the model.step layer of
+        bench/tracing.py still names it.
         """
         henc = np.asarray(henc)[None]
         tgt_in = np.asarray([[self.vocab.bos_id] + list(prefix_ids)])
@@ -671,12 +662,10 @@ class Seq2SeqModel:
         by the decoder input last_ids[r] (the start symbol first) under
         its current flag column columns[r], shape (Ls,). Returns (B, vocab)
         log-probabilities and the cache extended by these rows, in the
-        given order; cache itself is left as it was. When parents keeps
-        every cached row in place (greedy's [0] on every step), the
-        cached self-attention keys and values are read as they are
-        instead of gathered by index into a copy. Agrees with
-        predict_next_from_states on the full prefix and flag matrix up
-        to rounding. Raises NonFiniteLogProbs when a row is NaN.
+        given order; cache itself is left as it was. Agrees up to
+        rounding with the teacher-forced logits_batch on the input, the
+        full prefix and its flag matrix. Raises NonFiniteLogProbs when a
+        row is NaN.
 
         draft: token ids that follow last_ids[0] (B = 1). The call then
         forwards the 1 + len(draft) consecutive positions of the one
@@ -713,7 +702,7 @@ class Seq2SeqModel:
             y = p["tok_emb"][ids][:, None] + p["pos_dec"][t]
         onehot = nn.flag_onehot(columns[:, :, None])
         past = cache.self_kv
-        if past is not None and list(parents) != list(range(len(past[0][0]))):
+        if past is not None:
             past = tuple((k[parents], v[parents]) for k, v in past)
         self_kv = []
         for i in range(cfg.dec_layers):

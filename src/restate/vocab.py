@@ -39,6 +39,8 @@ class Vocabulary:
         self.eos_id = self.index[EOS]
         self.sep_id = self.index[SEP]
         self.unk_id = self.index[UNK]
+        # no decoder emits a special token but the stop token
+        self.never_emitted = [self.index[t] for t in SPECIALS if t != EOS]
 
     def __len__(self) -> int:
         return len(self.tokens)

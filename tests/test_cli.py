@@ -425,8 +425,8 @@ class TestRewrite:
             tracker = replay_flags(mr["x_tokens"],
                                    [tuple(r) for r in mr["constraint_rows"]],
                                    row["output_tokens"], config, scorer=scorer)
-            assert (open(row["flag_trace_path"]).read()
-                    == trace(tracker, fmt="tsv"))
+            with open(row["flag_trace_path"]) as fh:
+                assert fh.read() == trace(tracker, fmt="tsv")
 
     def test_rerun_is_byte_identical(self, workdir, decoded, tmp_path,
                                      capsys):

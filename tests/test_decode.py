@@ -19,7 +19,8 @@ from restate.model import (ModelConfig, NonFiniteLogProbs, Seq2SeqModel,
                            TrainingConfig, train)
 from restate.model.training import TrainingExample
 from restate.similarity import HashedNgramEmbedder, SpanSimilarity
-from restate.vocab import Vocabulary
+from restate.vocab import SPECIALS, Vocabulary
+from test_model import teacher_forced_logprobs
 
 OFF = SatisfierConfig(mode="off")
 LEX = SatisfierConfig(mode="lexical")
@@ -50,14 +51,13 @@ def exhaustive_best(model, x_tokens, max_len, alpha):
     """Enumerate every token sequence up to max_len, close each with the
     stop token, rank exactly like the beam (normalized, then ids)."""
     vocab = model.vocab
-    henc = model.encode(list(x_tokens))
-    banned = {vocab.pad_id, vocab.bos_id, vocab.eos_id}
+    banned = {*vocab.never_emitted, vocab.eos_id}
     ext = [i for i in range(len(vocab)) if i not in banned]
     out = []
 
     def rec(prefix, score):
         m = np.zeros((len(x_tokens), len(prefix) + 1), dtype=int)
-        lp = model.predict_next_from_states(henc, list(prefix), m)
+        lp = teacher_forced_logprobs(model, x_tokens, prefix, m)
         total = score + float(lp[vocab.eos_id])
         norm = total / max(1, len(prefix) + 1) ** alpha
         out.append((norm, tuple(prefix), total))
@@ -84,7 +84,7 @@ class StubLM:
     def encode(self, x_tokens):
         return np.zeros((len(x_tokens), 1))
 
-    def predict_next_from_states(self, henc, prefix_ids, m):
+    def next_logprobs(self, prefix_ids):
         toks = tuple(self.vocab.tokens[i] for i in prefix_ids)
         probs = self.table.get(toks, self.default)
         lp = np.full(len(self.vocab), self.floor)
@@ -92,6 +92,10 @@ class StubLM:
             tid = self.vocab.index[tok] if tok != "<eos>" else self.vocab.eos_id
             lp[tid] = math.log(p)
         return lp
+
+    def logits_batch(self, src, tgt_in, m_batch):
+        # teacher forcing of one example, read only at its last position
+        return self.next_logprobs(tgt_in[0, 1:].tolist())[None, None]
 
     # the decoder interface: the cache is each row's decoded prefix
     def begin_decode(self, henc):
@@ -104,8 +108,7 @@ class StubLM:
             rows = [cache[p] + (i,) for p, i in zip(parents, last_ids)]
         # a draft extends the one row by consecutive tokens
         rows += [rows[0] + tuple(draft[:r + 1]) for r in range(len(draft))]
-        lp = np.stack([self.predict_next_from_states(None, r, None)
-                       for r in rows])
+        lp = np.stack([self.next_logprobs(r) for r in rows])
         return lp, StubCache(rows[-1:] if draft else rows)
 
 
@@ -892,7 +895,7 @@ def _one_token_loop(model, x, rows, config, scorer, max_len, beam,
         lp, cache = model.decode_step(cache, [0], [ids[-1] if ids
                                                   else vocab.bos_id],
                                       tracker.current[None])
-        lp[0, [vocab.pad_id, vocab.bos_id]] = -np.inf
+        lp[0, vocab.never_emitted] = -np.inf
         return lp[0]
 
     for _ in range(max_len):
@@ -927,6 +930,19 @@ def wild_model():
     model.params["flag.ek"][0] = 0.0
     model.params["flag.ev"][0] = 0.0
     return model
+
+
+@pytest.mark.parametrize("name", ["greedy", "beam", "cbs"])
+@pytest.mark.parametrize("x", [["the", "cat", "sat"], ["mine", "on", "mat"],
+                               ["dog"]])
+def test_no_decoder_emits_a_special_token(wild_model, name, x):
+    """Of the special tokens only the stop token is emitted, and it ends
+    the output instead of joining it: the wild model's argmax is <unk>
+    at most steps."""
+    for rows in ([], [(0,)]):
+        res = run_decoder(name, wild_model, x, rows, LEX, beam_size=3,
+                          max_len=10)
+        assert not set(res.tokens) & set(SPECIALS), res.tokens
 
 
 @settings(max_examples=150, deadline=None)

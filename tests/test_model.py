@@ -15,8 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from restate.model import (Adam, CheckpointVersionMismatch, LengthOverflow,
                            ModelConfig, NonFiniteLoss, Seq2SeqModel,
                            ShapeMismatch, TrainingConfig, TrainingExample,
-                           Workers, assemble_batch, build_flag_matrix_batch,
-                           train)
+                           Workers, assemble_batch, train)
 from restate.model import nn, training
 from restate.vocab import Vocabulary
 
@@ -42,6 +41,17 @@ def tiny_batch(vocab):
         ["on", "the", "mat", "sat"], ["cat", "sat"],
         np.array([[0, 0, 0], [1, 1, 1], [1, 2, 2], [0, 0, 0]]))
     return assemble_batch([ex1, ex2], vocab)
+
+
+def teacher_forced_logprobs(model, x_tokens, prefix_ids, m):
+    """Log-probabilities of the token after prefix_ids, from the
+    teacher-forced logits_batch over the whole prefix: the uncached
+    reference for decode_step. m: (len(x_tokens), len(prefix_ids) + 1)
+    flag columns, or None for the vanilla path."""
+    src = np.asarray([model.vocab.encode(list(x_tokens))])
+    tgt_in = np.asarray([[model.vocab.bos_id] + list(prefix_ids)])
+    m_batch = None if m is None else np.asarray(m)[None]
+    return nn.log_softmax(model.logits_batch(src, tgt_in, m_batch)[0, -1])
 
 
 # ---------------------------------------------------------------- hand trace
@@ -151,13 +161,13 @@ class TestVanillaEquivalence:
 
     def test_single_flag_cell_perturbs_prediction(self):
         model = tiny_model()
-        henc = model.encode(["the", "cat", "sat"])
+        x = ["the", "cat", "sat"]
         m0 = np.zeros((3, 2), dtype=int)
         m1 = m0.copy()
         m1[1, 1] = 1
         prefix = model.vocab.encode(["the"])
-        a = model.predict_next_from_states(henc, prefix, m0)
-        b = model.predict_next_from_states(henc, prefix, m1)
+        a = teacher_forced_logprobs(model, x, prefix, m0)
+        b = teacher_forced_logprobs(model, x, prefix, m1)
         assert np.max(np.abs(a - b)) > 1e-12
 
     def test_flag_row_zero_never_trains(self):
@@ -496,12 +506,16 @@ class TestBatchAssembly:
         with pytest.raises(ShapeMismatch):
             assemble_batch([ex], vocab)
 
-    def test_build_flag_matrix_batch_pads_with_zeros(self):
-        out = build_flag_matrix_batch([np.ones((2, 2), dtype=int), None],
-                                      3, 4)
-        assert out.shape == (2, 3, 4)
-        assert out[0].sum() == 4
-        assert out[1].sum() == 0
+    def test_flag_batch_pads_with_zeros(self):
+        vocab = Vocabulary(["a", "b", "c"])
+        flagged = TrainingExample(["a", "b"], ["c"], np.ones((2, 2), int))
+        plain = TrainingExample(["a", "b", "c"], ["a", "b", "c"], None)
+        for batch, row in (([flagged, plain], 0), ([plain, flagged], 1)):
+            mb = assemble_batch(batch, vocab)[3]
+            assert mb.shape == (2, 3, 4) and mb.dtype == np.int64
+            assert np.all(mb[row, :2, :2] == 1) and mb[row].sum() == 4
+            assert mb[1 - row].sum() == 0
+        assert assemble_batch([plain, plain], vocab)[3] is None
 
     def test_model_rejects_wrong_flag_batch(self):
         model = tiny_model()
@@ -600,8 +614,10 @@ def _step_plans(draw):
         parents = draw(st.lists(st.integers(0, width - 1), min_size=1,
                                 max_size=4), label="parents")
         width = len(parents)
+        # any id but pad, which no decoder feeds and teacher forcing
+        # reads as padding
         steps.append([(parent,
-                       draw(st.integers(0, len(_STEP_VOCAB) - 1),
+                       draw(st.integers(1, len(_STEP_VOCAB) - 1),
                             label="token"),
                        draw(column, label="column")) for parent in parents])
     return seed, src, steps
@@ -609,8 +625,8 @@ def _step_plans(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_step_plans())
-# every parent list the identity over the cached rows, so no call gathers
-# the cache: one row as in greedy decoding, and three rows
+# every parent list the identity over the cached rows: one row as in
+# greedy decoding, and three rows
 @example((5, ["the", "cat", "sat"],
           [[(0, 0, [0, 1, 2])], [(0, 6, [1, 1, 2])], [(0, 7, [1, 2, 0])],
            [(0, 9, [2, 2, 0])]]))
@@ -619,11 +635,12 @@ def _step_plans(draw):
            [(0, 5, [1, 1]), (1, 8, [0, 2]), (2, 6, [2, 2])],
            [(0, 7, [1, 2]), (1, 7, [0, 0]), (2, 9, [2, 1])]]))
 def test_cached_step_matches_full_prefix(plan):
-    """Each row of a batched cached step equals the uncached prediction on
-    that row's whole prefix and flag matrix, whatever rows the parents
-    pick, in any order and with repeats. Branching an older cache with
-    other tokens leaves every cache's bytes, and stepping it again gives
-    the same bytes, so no step writes into arrays another cache holds."""
+    """Each row of a batched cached step equals the teacher-forced
+    prediction on that row's whole prefix and flag matrix, whatever rows
+    the parents pick, in any order and with repeats. Branching an older
+    cache with other tokens leaves every cache's bytes, and stepping it
+    again gives the same bytes, so no step writes into arrays another
+    cache holds."""
     seed, src, steps = plan
     model = tiny_model(seed=seed)
     rng = np.random.default_rng(seed)
@@ -631,8 +648,7 @@ def test_cached_step_matches_full_prefix(plan):
         model.params[name] = value + rng.normal(0.0, 0.5, value.shape)
     model.params["flag.ek"][0] = 0.0
     model.params["flag.ev"][0] = 0.0
-    henc = model.encode(src)
-    cache = model.begin_decode(henc)
+    cache = model.begin_decode(model.encode(src))
     rows = [([], [])]  # (prefix ids, flag columns) per row of the last call
     calls = []
     for t, step in enumerate(steps):
@@ -650,8 +666,8 @@ def test_cached_step_matches_full_prefix(plan):
         calls.append((cache, args, lp, newer, _kv_bytes(newer)))
         assert lp.shape == (len(new), len(model.vocab))
         for row, (prefix, history) in enumerate(new):
-            ref = model.predict_next_from_states(henc, prefix,
-                                                 np.stack(history, axis=1))
+            ref = teacher_forced_logprobs(model, src, prefix,
+                                          np.stack(history, axis=1))
             np.testing.assert_allclose(lp[row], ref, rtol=0.0, atol=1e-9)
         rows, cache = new, newer
     # branch every cache with other tokens: a step that wrote into arrays

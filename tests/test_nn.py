@@ -95,7 +95,7 @@ def test_flagged_attention_matches_planned_einsum(b, h, lq, lk, dh, padded,
 @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=2),
        dim=st.integers(1, 70), offset=st.floats(-1e3, 1e3),
        spread=st.floats(1e-6, 1e3), seed=st.integers(0, 2 ** 32 - 1))
-# one row, as in a greedy decoder step: layer_norm's scalar statistics
+# one row, as in a decoder step over one hypothesis
 @example(shape=[1], dim=64, offset=3.0, spread=0.5, seed=7)
 @example(shape=[1, 1], dim=17, offset=-250.0, spread=1e-3, seed=11)
 def test_layer_norm_matches_mean_var_formula(shape, dim, offset, spread,
