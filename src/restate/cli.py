@@ -5,7 +5,7 @@ inspect-flags. Every run that writes files also drops a resolved-config
 snapshot next to them, so any artifact can be regenerated from its
 snapshot alone. Exit codes: 0 success, 2 validation problem (bad
 arguments, malformed or misaligned inputs), 3 runtime failure (I/O,
-checkpoint mismatch, training divergence).
+checkpoint mismatch, training divergence, out of memory).
 
 Environment overrides: RESTATE_SEED, RESTATE_MODE, RESTATE_THRESHOLD_A,
 RESTATE_THRESHOLD_B, RESTATE_STYLE, RESTATE_STYLE_TRIGGER,
@@ -507,7 +507,7 @@ def main(argv=None):
         return args.func(args)
     # before the ValueError clause: a bad checkpoint is a ValueError too
     except (OSError, CheckpointMismatch, NonFiniteLoss,
-            FloatingPointError) as exc:
+            FloatingPointError, MemoryError) as exc:
         _error(exc)
         return EXIT_RUNTIME
     except ValueError as exc:

@@ -9,16 +9,17 @@ Each step runs on every core it may, byte for byte. loss_and_grads
 splits the padded batch into contiguous blocks of two examples or more,
 at most one per worker thread, and runs the per-example work (forward,
 loss gradient, backward chain of input gradients) of each block on its
-own thread, with the batch's padded lengths. Every cross-example
-reduction (weight products, bias and layer-norm sums, flag-table
-contractions, positional sums, embedding scatters, the loss sum) runs
-once over the blocks concatenated in batch order and adds into the
-gradients in program order. So the trained bytes do not depend on the
-worker count. worker_count() gives one worker per CPU this process may
-use, divided by BLAS's own thread count, which OpenBLAS takes from its
-environment variables and otherwise sets to one thread per CPU. So an
-unpinned BLAS gets one worker: on 2 cores, two workers above two BLAS
-threads made training slower.
+own thread, with the batch's padded lengths. Once every block has
+finished, each cross-example reduction (weight products, bias and
+layer-norm sums, flag-table contractions, positional sums, embedding
+scatters, the loss sum) runs once in the calling thread, over the
+blocks concatenated in batch order, and adds into the gradients in
+program order. So the trained bytes do not depend on the worker count.
+worker_count() gives one worker per CPU this process may use, divided
+by BLAS's own thread count, which OpenBLAS takes from its environment
+variables and otherwise sets to one thread per CPU. So an unpinned
+BLAS gets one worker: on 2 cores, two workers above two BLAS threads
+made training slower.
 
 Heap policy: train pins glibc malloc's mmap threshold at 32 MiB and its
 trim threshold at 64 MiB. A step's attention maps, logits and flag
@@ -216,48 +217,50 @@ def train(model: Seq2SeqModel, examples, config: TrainingConfig,
           log=None) -> list[tuple[int, int, float]]:
     """Run the full loop; returns [(epoch, step, loss), ...] log rows.
     Every step runs on worker_count() workers, whose threads end with
-    the call."""
-    with Workers(worker_count()) as workers:
-        return _train(model, examples, config, log, workers)
-
-
-def _train(model, examples, config, log, workers):
+    the call. The epoch line given to log also holds the mean pre-clip
+    global gradient norm of the epoch's steps and the worker count."""
+    n = len(examples)
+    if n == 0:
+        raise ValueError("no training examples")
     _keep_freed_heap()
     opt = Adam(model.params, config)
     rng = np.random.default_rng(config.seed)
     rows = []
-    n = len(examples)
-    if n == 0:
-        raise ValueError("no training examples")
     step = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        nb = 0
-        for start in range(0, n, config.batch_size):
-            batch = [examples[j] for j in order[start:start + config.batch_size]]
-            src, tgt_in, tgt_out, m_batch = assemble_batch(batch, model.vocab)
-            loss, grads = model.loss_and_grads(src, tgt_in, tgt_out, m_batch,
-                                               workers)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss("loss became %r at epoch %d step %d"
-                                    % (loss, epoch, step))
-            gn = nn.global_norm(grads.values())
-            if gn > CLIP_NORM:
-                scale = CLIP_NORM / gn
-                for k in grads:
-                    grads[k] *= scale
-            opt.step(model.params, grads)
-            step += 1
-            epoch_loss += loss
-            nb += 1
-            if config.log_every and step % config.log_every == 0:
-                rows.append((epoch, step, loss))
+    with Workers(worker_count()) as workers:
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss = epoch_gn = 0.0
+            nb = 0
+            for start in range(0, n, config.batch_size):
+                batch = [examples[j]
+                         for j in order[start:start + config.batch_size]]
+                src, tgt_in, tgt_out, m_batch = assemble_batch(batch,
+                                                               model.vocab)
+                loss, grads = model.loss_and_grads(src, tgt_in, tgt_out,
+                                                   m_batch, workers)
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss("loss became %r at epoch %d step %d"
+                                        % (loss, epoch, step))
+                gn = nn.global_norm(grads.values())
+                if gn > CLIP_NORM:
+                    scale = CLIP_NORM / gn
+                    for k in grads:
+                        grads[k] *= scale
+                opt.step(model.params, grads)
+                step += 1
+                epoch_loss += loss
+                epoch_gn += gn
+                nb += 1
+                if config.log_every and step % config.log_every == 0:
+                    rows.append((epoch, step, loss))
+                    if log:
+                        log("epoch %d step %d loss %.6f" % (epoch, step, loss))
+            if not config.log_every:
+                mean = epoch_loss / nb
+                rows.append((epoch, step, mean))
                 if log:
-                    log("epoch %d step %d loss %.6f" % (epoch, step, loss))
-        if not config.log_every:
-            rows.append((epoch, step, epoch_loss / max(nb, 1)))
-            if log:
-                log("epoch %d step %d mean_loss %.6f"
-                    % (epoch, step, epoch_loss / max(nb, 1)))
+                    log("epoch %d step %d mean_loss %.6f grad_norm %.6f"
+                        " workers %d" % (epoch, step, mean, epoch_gn / nb,
+                                         workers.n))
     return rows

@@ -17,9 +17,10 @@ Training splits loss_and_grads in two. The per-example work (the
 forward, the loss gradient and the backward chain of input gradients)
 runs on contiguous blocks of the padded batch, one per worker thread;
 the backward functions hand every cross-example reduction of a
-parameter gradient to a reduce callback instead of computing it, and
-each reduction runs once over the blocks concatenated in batch order.
-The gradients are the same bytes for any number of workers.
+parameter gradient to a reduce callback instead of computing it. Once
+every block has finished, each reduction runs once in the calling
+thread, over the blocks' operands concatenated in batch order. The
+gradients are the same bytes for any number of workers.
 
 Teacher forcing and inference share one decoder-layer function.
 Inference is incremental: begin_decode computes every layer's
@@ -37,9 +38,7 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
-import itertools
 import json
-import threading
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -188,54 +187,6 @@ def _cat(blocks):
     """An operand over the whole batch: its blocks concatenated in batch
     order (np.concatenate keeps their memory order), or the one block."""
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
-class _Reductions:
-    """The cross-example reductions of one batch of k blocks.
-
-    Each block hands in its operands of every reduction in program
-    order, through its own reduce(kind, parameter, *operands). The block
-    that hands in the last operands of a reduction computes its value
-    from every block's operands concatenated in batch order and drops
-    them, so no block waits and operands live only until the slowest
-    block reaches them. add_into then adds the values into the
-    gradients in program order.
-    """
-
-    def __init__(self, k):
-        self._k = k
-        self._lock = threading.Lock()
-        self._slots = []  # [kind, name, operands per block, missing, value]
-
-    def block(self, i):
-        """The reduce of block i."""
-        order = itertools.count()
-
-        def reduce(kind, name, *operands):
-            j = next(order)
-            with self._lock:
-                if j == len(self._slots):
-                    self._slots.append([kind, name, [None] * self._k,
-                                        self._k, None])
-                slot = self._slots[j]
-                slot[2][i] = operands
-                slot[3] -= 1
-                last = slot[3] == 0
-            if last:
-                blocks, slot[2] = slot[2], None
-                slot[4] = _REDUCE[kind](*map(_cat, zip(*blocks)))
-
-        return reduce
-
-    def add_into(self, grads):
-        for kind, name, _, _, value in self._slots:
-            g = grads[name]
-            if kind == "embed":
-                np.add.at(g, *value)
-            elif kind == "position":
-                g[:len(value)] += value
-            else:
-                g += value.reshape(g.shape)
 
 
 def _layer_norm_bwd(ln, cache, dy, reduce):
@@ -541,21 +492,6 @@ class Seq2SeqModel:
                               tgt_in.shape[1])
         return self._forward(src, tgt_in, onehot)[0]
 
-    def _block_loss_and_grads(self, src, tgt_in, tgt_out, onehot, mask, n,
-                              reduce):
-        """The per-example work on one block of the batch: the forward,
-        the loss gradient and the backward chain of input gradients, the
-        reductions' operands handed to reduce. Returns the block's masked
-        per-position losses."""
-        logits, (ecache, dcache, henc) = self._forward(src, tgt_in, onehot)
-        nll, dlogits = nn.cross_entropy_terms(logits, tgt_out, mask, n)
-        # the backward pops each layer's cache once it is done with it,
-        # so that a layer's arrays outlive it only as reduction operands
-        del logits
-        dhenc = self._decode_bwd(dcache, dlogits, henc, reduce)
-        self._encode_bwd(ecache, dhenc, reduce)
-        return nll
-
     def loss_and_grads(self, src, tgt_in, tgt_out, m_batch, workers=None):
         """Mean masked cross-entropy of a padded batch and its gradient
         for every parameter.
@@ -564,17 +500,18 @@ class Seq2SeqModel:
         and the backward chain of input gradients) runs on contiguous
         blocks of the batch, one per worker and two examples or more
         each (workers: a Workers; None runs the batch as one block in the
-        calling thread). Every block
-        keeps the batch's padded lengths and numpy runs one product per
-        batch element, so an example's arithmetic does not depend on its
-        block. Each cross-example reduction runs once over the whole
-        batch: the loss mask's count before the blocks; the weight
-        products, bias and layer-norm sums, the flag tables'
-        contractions, the positional sums and the embedding scatters on
-        the blocks' operands concatenated in batch order, as soon as the
-        last block hands them in (_Reductions), adding into the gradients
-        in program order; the loss sum after the blocks. So the result is
-        the same bytes for any number of workers.
+        calling thread). Every block keeps the batch's padded lengths and
+        numpy runs one product per batch element, so an example's
+        arithmetic does not depend on its block. The backward functions
+        hand each cross-example reduction's operands to the block's
+        reduce, which keeps them in program order. Each reduction then
+        runs once over the whole batch, after every block has finished,
+        in the calling thread: the weight products, bias and layer-norm
+        sums, the flag tables' contractions, the positional sums and the
+        embedding scatters on the blocks' operands concatenated in batch
+        order, each added into the gradients in program order. The loss
+        mask's count is taken before the blocks and the loss sum after
+        them. So the result is the same bytes for any number of workers.
         """
         workers = workers or _SERIAL
         src, tgt_in, tgt_out = map(np.asarray, (src, tgt_in, tgt_out))
@@ -588,18 +525,38 @@ class Seq2SeqModel:
         # those in another layout and rounds differently
         k = max(1, min(workers.n, b // 2))
         cuts = [b * i // k for i in range(k + 1)]
-        reductions = _Reductions(k)
+        handed = [[] for _ in range(k)]  # (kind, name, operands) per block
 
         def block(i):
             s = slice(cuts[i], cuts[i + 1])
-            return self._block_loss_and_grads(
-                src[s], tgt_in[s], tgt_out[s],
-                None if onehot is None else onehot[s], mask[s], n,
-                reductions.block(i))
+
+            def reduce(kind, name, *operands):
+                handed[i].append((kind, name, operands))
+
+            logits, (ecache, dcache, henc) = self._forward(
+                src[s], tgt_in[s], None if onehot is None else onehot[s])
+            nll, dlogits = nn.cross_entropy_terms(logits, tgt_out[s],
+                                                  mask[s], n)
+            # the backward pops each layer's cache once it is done with it,
+            # so that a layer's arrays outlive it only as reduction operands
+            del logits
+            dhenc = self._decode_bwd(dcache, dlogits, henc, reduce)
+            self._encode_bwd(ecache, dhenc, reduce)
+            return nll
 
         loss = float(_cat(workers.map(block, range(k))).sum() / n)
         grads = self.zero_grads()
-        reductions.add_into(grads)
+        for each in zip(*handed):  # one reduction: every block's hand-in
+            kind, name, _ = each[0]
+            operands = zip(*(ops for _, _, ops in each))
+            value = _REDUCE[kind](*map(_cat, operands))
+            g = grads[name]
+            if kind == "embed":
+                np.add.at(g, *value)
+            elif kind == "position":
+                g[:len(value)] += value
+            else:
+                g += value.reshape(g.shape)
         # row 0 of the flag tables is pinned at zero
         grads["flag.ek"][0] = 0.0
         grads["flag.ev"][0] = 0.0

@@ -37,7 +37,6 @@ class Vocabulary:
         self.pad_id = self.index[PAD]
         self.bos_id = self.index[BOS]
         self.eos_id = self.index[EOS]
-        self.sep_id = self.index[SEP]
         self.unk_id = self.index[UNK]
         # no decoder emits a special token but the stop token
         self.never_emitted = [self.index[t] for t in SPECIALS if t != EOS]

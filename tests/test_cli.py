@@ -346,8 +346,27 @@ class TestTrain:
             words = line.split()
             assert words[:6] == ["epoch", epoch, "step", step, "mean_loss",
                                  "%.6f" % float(loss)]
-            assert words[6] == "seconds" and float(words[7]) >= 0.0
-            assert len(words) == 8
+            assert words[6] == "grad_norm" and float(words[7]) > 0.0
+            assert words[8] == "workers" and int(words[9]) >= 1
+            assert words[10] == "seconds" and float(words[11]) >= 0.0
+            assert len(words) == 12
+
+    def test_model_too_large_to_allocate_is_runtime_error(
+            self, workdir, tmp_path, capsys):
+        lines = (workdir / "corpus" / "train.jsonl").read_text().splitlines()
+        small = tmp_path / "four.jsonl"
+        small.write_text("\n".join(lines[:4]) + "\n")
+        out = tmp_path / "m.npz"
+        # a positional table of 10**16 rows of 8 floats (568 PiB) is
+        # larger than any x86-64 or arm64 user address space, so the
+        # allocation fails at once and is never granted
+        rc = main(["train", "--input", str(small), "--out", str(out),
+                   "--epochs", "1", "--dim", "8", "--ff", "8", "--heads",
+                   "2", "--max-len", str(10 ** 16)])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("side", ["source", "target"])
     def test_record_longer_than_max_len_names_record_and_option(
@@ -485,7 +504,7 @@ class TestRewrite:
         "missing", "misshapen", "version", "no-vocab", "vocab-not-strings",
         "config-unknown-key", "config-missing-key", "meta-not-utf8",
         "meta-not-json", "not-npz", "vocab-swapped", "float32",
-        "config-heads", "config-no-layers"])
+        "config-heads", "config-no-layers", "config-too-large"])
     def test_bad_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys,
                                              fault):
         with np.load(workdir / "model.npz") as data:
@@ -521,6 +540,11 @@ class TestRewrite:
             meta["config"]["heads"] = 4
         elif fault == "config-no-layers":
             meta["config"]["enc_layers"] = 0
+        elif fault == "config-too-large":
+            # the model is built before the digest is checked: 10**16
+            # positions of 32 floats (2.2 EiB) are larger than any x86-64
+            # or arm64 user address space, so the allocation fails at once
+            meta["config"]["max_len"] = 10 ** 16
         if raw is None:
             raw = json.dumps(meta).encode()
         arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
