@@ -39,6 +39,7 @@ from __future__ import annotations
 import contextvars
 import hashlib
 import json
+import tokenize
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -197,66 +198,60 @@ def _layer_norm_bwd(ln, cache, dy, reduce):
     return nn.layer_norm_bwd(cache, dy)
 
 
+def _param_specs(config, vocab_size):
+    """(name, shape, fill) of every parameter, in the order the RNG
+    draws them and np.savez, Adam and the digest walk them. fill is None
+    for an N(0, 0.02^2) draw, 1.0 for a layer-norm gain and 0.0 for a
+    bias or shift."""
+    d, ff = config.dim, config.ff
+
+    def ln(*names):
+        for name in names:
+            yield name + ".g", (d,), 1.0
+            yield name + ".b", (d,), 0.0
+
+    def layer(pre, attns, lns):
+        for nm in ("wq", "wk", "wv", "wo"):
+            for att in attns:
+                yield "%s.%s.%s" % (pre, att, nm), (d, d), None
+        yield from ln(*(pre + "." + name for name in lns))
+        yield pre + ".ff.w1", (d, ff), None
+        yield pre + ".ff.b1", (ff,), 0.0
+        yield pre + ".ff.w2", (ff, d), None
+        yield pre + ".ff.b2", (d,), 0.0
+
+    yield "tok_emb", (vocab_size, d), None
+    yield "pos_enc", (config.max_len, d), None
+    yield "pos_dec", (config.max_len, d), None
+    for i in range(config.enc_layers):
+        yield from layer("enc%d" % i, ("attn",), ("ln1", "ln2"))
+    yield from ln("enc.lnf")
+    for i in range(config.dec_layers):
+        yield from layer("dec%d" % i, ("self", "cross"), ("ln1", "ln2", "ln3"))
+    yield from ln("dec.lnf")
+    yield "flag.ek", (3, d), None
+    yield "flag.ev", (3, d), None
+    yield "out.w", (d, vocab_size), None
+    yield "out.b", (vocab_size,), 0.0
+
+
 class Seq2SeqModel:
     """Transformer rewriter; owns its vocabulary and parameters."""
 
-    def __init__(self, config: ModelConfig, vocab: Vocabulary):
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, *,
+                 params=None):
+        """Drawn from config.seed, or built on params (from the loader)."""
         self.config = config
         self.vocab = vocab
-        self.params: dict[str, np.ndarray] = {}
-        self._init_params()
-
-    # ------------------------------------------------------------- params
-    def _init_params(self):
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        p = self.params
-
-        def w(name, *shape):
-            p[name] = rng.normal(0.0, 0.02, size=shape)
-
-        def ln(name):
-            p[name + ".g"] = np.ones(cfg.dim)
-            p[name + ".b"] = np.zeros(cfg.dim)
-
-        vsz = len(self.vocab)
-        w("tok_emb", vsz, cfg.dim)
-        w("pos_enc", cfg.max_len, cfg.dim)
-        w("pos_dec", cfg.max_len, cfg.dim)
-        for i in range(cfg.enc_layers):
-            pre = "enc%d" % i
-            for nm in ("wq", "wk", "wv", "wo"):
-                w("%s.attn.%s" % (pre, nm), cfg.dim, cfg.dim)
-            ln(pre + ".ln1")
-            ln(pre + ".ln2")
-            w(pre + ".ff.w1", cfg.dim, cfg.ff)
-            p[pre + ".ff.b1"] = np.zeros(cfg.ff)
-            w(pre + ".ff.w2", cfg.ff, cfg.dim)
-            p[pre + ".ff.b2"] = np.zeros(cfg.dim)
-        ln("enc.lnf")
-        for i in range(cfg.dec_layers):
-            pre = "dec%d" % i
-            for nm in ("wq", "wk", "wv", "wo"):
-                w("%s.self.%s" % (pre, nm), cfg.dim, cfg.dim)
-                w("%s.cross.%s" % (pre, nm), cfg.dim, cfg.dim)
-            ln(pre + ".ln1")
-            ln(pre + ".ln2")
-            ln(pre + ".ln3")
-            w(pre + ".ff.w1", cfg.dim, cfg.ff)
-            p[pre + ".ff.b1"] = np.zeros(cfg.ff)
-            w(pre + ".ff.w2", cfg.ff, cfg.dim)
-            p[pre + ".ff.b2"] = np.zeros(cfg.dim)
-        ln("dec.lnf")
-        # flag tables: row 0 is structurally zero and never trained
-        w("flag.ek", 3, cfg.dim)
-        w("flag.ev", 3, cfg.dim)
-        p["flag.ek"][0] = 0.0
-        p["flag.ev"][0] = 0.0
-        w("out.w", cfg.dim, vsz)
-        p["out.b"] = np.zeros(vsz)
-
-    def zero_grads(self):
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+        if params is None:
+            rng = np.random.default_rng(config.seed)
+            params = {name: rng.normal(0.0, 0.02, size=shape)
+                      if fill is None else np.full(shape, fill)
+                      for name, shape, fill in _param_specs(config,
+                                                            len(vocab))}
+            # flag tables: row 0 is structurally zero and never trained
+            params["flag.ek"][0] = params["flag.ev"][0] = 0.0
+        self.params: dict[str, np.ndarray] = params
 
     def _flag_tables(self):
         """The flag tables E_k, E_v split across heads, each (3, H, Dh)."""
@@ -545,7 +540,7 @@ class Seq2SeqModel:
             return nll
 
         loss = float(_cat(workers.map(block, range(k))).sum() / n)
-        grads = self.zero_grads()
+        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         for each in zip(*handed):  # one reduction: every block's hand-in
             kind, name, _ = each[0]
             operands = zip(*(ops for _, _, ops in each))
@@ -702,25 +697,30 @@ class Seq2SeqModel:
 
     @classmethod
     def _from_archive(cls, data) -> "Seq2SeqModel":
+        # names, shapes and dtypes are checked against the table of the
+        # checkpoint's own config, then the digest, before any model is
+        # built: a config too large for the host is refused unallocated
         config, tokens, digest = _checkpoint_meta(data)
         try:
-            model = cls(ModelConfig(**config), Vocabulary(tokens))
-        except (ValueError, ArithmeticError) as exc:
+            cfg, vocab = ModelConfig(**config), Vocabulary(tokens)
+        except ValueError as exc:
             raise CheckpointMismatch("checkpoint config %s: %s"
                                      % (config, exc)) from exc
         names = set(data.files) - {"__meta__"}
-        if names != set(model.params):
+        need = {name: shape
+                for name, shape, _ in _param_specs(cfg, len(vocab))}
+        if names != set(need):
             raise CheckpointMismatch(
                 "checkpoint tensors do not fit its config: missing %s,"
-                " unexpected %s" % (sorted(set(model.params) - names),
-                                    sorted(names - set(model.params))))
+                " unexpected %s" % (sorted(set(need) - names),
+                                    sorted(names - set(need))))
         saved = {}
-        for k, init in model.params.items():
+        for k, shape in need.items():
             saved[k] = _read_member(data, k)
-            if saved[k].shape != init.shape:
+            if saved[k].shape != shape:
                 raise CheckpointMismatch(
                     "checkpoint tensor %s has shape %s, its config and"
-                    " vocabulary need %s" % (k, saved[k].shape, init.shape))
+                    " vocabulary need %s" % (k, saved[k].shape, shape))
             if saved[k].dtype.kind != "f":
                 raise CheckpointMismatch(
                     "checkpoint tensor %s has dtype %s, not a floating-point"
@@ -730,9 +730,8 @@ class Seq2SeqModel:
         if digest != _checkpoint_digest(config, tokens, saved):
             raise CheckpointMismatch("checkpoint digest does not match its"
                                      " config, vocabulary and tensors")
-        for k, arr in saved.items():
-            model.params[k] = arr.astype(np.float64)
-        return model
+        return cls(cfg, vocab, params={k: arr.astype(np.float64)
+                                       for k, arr in saved.items()})
 
 
 def _read_member(data, name):
@@ -740,7 +739,8 @@ def _read_member(data, name):
     its bytes are damaged."""
     try:
         return data[name]
-    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error,
+            tokenize.TokenError) as exc:  # TokenError: an unclosed header
         raise CheckpointMismatch("checkpoint tensor %s is unreadable: %s"
                                  % (name, exc)) from exc
 

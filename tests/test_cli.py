@@ -13,11 +13,13 @@ import os
 import subprocess
 import sys
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import restate
 from restate import datagen
 from restate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from restate.flags import SatisfierConfig, replay_flags, trace
@@ -504,7 +506,8 @@ class TestRewrite:
         "missing", "misshapen", "version", "no-vocab", "vocab-not-strings",
         "config-unknown-key", "config-missing-key", "meta-not-utf8",
         "meta-not-json", "not-npz", "vocab-swapped", "float32",
-        "config-heads", "config-no-layers", "config-too-large"])
+        "config-heads", "config-no-layers", "config-too-large",
+        "header-unclosed"])
     def test_bad_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys,
                                              fault):
         with np.load(workdir / "model.npz") as data:
@@ -541,9 +544,9 @@ class TestRewrite:
         elif fault == "config-no-layers":
             meta["config"]["enc_layers"] = 0
         elif fault == "config-too-large":
-            # the model is built before the digest is checked: 10**16
-            # positions of 32 floats (2.2 EiB) are larger than any x86-64
-            # or arm64 user address space, so the allocation fails at once
+            # 10**16 positions of 32 floats (2.2 EiB): the tensors' shapes
+            # are checked against the config before any model is built, so
+            # the first positional table is refused, never allocated
             meta["config"]["max_len"] = 10 ** 16
         if raw is None:
             raw = json.dumps(meta).encode()
@@ -553,6 +556,15 @@ class TestRewrite:
             ckpt.write_text("not a checkpoint\n")
         else:
             np.savez(ckpt, **arrays)
+        if fault == "header-unclosed":
+            # out.w's .npy header dict loses its closing brace; zipfile
+            # writes the damaged member with a valid CRC
+            with zipfile.ZipFile(ckpt) as zf:
+                members = {n: zf.read(n) for n in zf.namelist()}
+            members["out.w.npy"] = members["out.w.npy"].replace(b"}", b" ", 1)
+            with zipfile.ZipFile(ckpt, "w") as zf:
+                for n, raw in members.items():
+                    zf.writestr(n, raw)
         rc = main(["rewrite", "--input",
                    str(workdir / "corpus" / "test.jsonl"),
                    "--checkpoint", str(ckpt), "--out",
@@ -564,6 +576,48 @@ class TestRewrite:
             assert "digest" in err
         if fault == "config-no-layers":
             assert "enc_layers must be at least 1" in err
+        if fault == "config-too-large":
+            assert "pos_enc" in err
+        if fault == "header-unclosed":
+            assert "out.w is unreadable" in err
+
+    def test_config_too_large_for_the_host_is_refused_unallocated(
+            self, recipe_checkpoint, workdir, tmp_path):
+        # a recipe-shape archive whose config asks for 10**7 positions at
+        # dim 64, two 4.77 GiB positional tables; the child alone runs
+        # under a 1 GiB address-space limit, so building the model first
+        # would fail to allocate instead of naming the misfit tensor
+        resource = pytest.importorskip("resource")
+        with np.load(recipe_checkpoint) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        assert meta["config"]["dim"] == 64
+        meta["config"]["max_len"] = 10 ** 7
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        ckpt = tmp_path / "huge.npz"
+        np.savez(ckpt, **arrays)
+        limit = 1 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (limit, resource.getrlimit(
+                                   resource.RLIMIT_AS)[1]))
+
+        # one BLAS thread, so the child's own start-up fits the limit
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [os.path.dirname(os.path.dirname(restate.__file__))]
+                       + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "restate.cli", "rewrite", "--input",
+             str(workdir / "corpus" / "test.jsonl"), "--checkpoint",
+             str(ckpt), "--out", str(tmp_path / "out.jsonl")],
+            env=env, preexec_fn=cap_address_space, capture_output=True,
+            text=True)
+        assert proc.returncode == EXIT_RUNTIME, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "pos_enc" in proc.stderr
 
     @pytest.mark.parametrize("rid", ["../escaped", "absolute"])
     def test_trace_id_outside_trace_dir_is_usage_error(self, workdir,

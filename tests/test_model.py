@@ -813,6 +813,23 @@ class TestCheckpointing:
         assert np.array_equal(loaded.logits_batch(src, tgt_in, mb),
                               model.logits_batch(src, tgt_in, mb))
 
+    def test_load_draws_nothing_and_keeps_the_order(self, tmp_path,
+                                                    monkeypatch):
+        # the loader builds the model from the saved arrays alone
+        model = tiny_model(enc_layers=1, dec_layers=3)
+        path = os.path.join(tmp_path, "model.npz")
+        model.save(path)
+
+        def no_rng(*args):
+            raise AssertionError("load drew from the RNG")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = Seq2SeqModel.load(path)
+        assert list(loaded.params) == list(model.params)
+        for k, v in model.params.items():
+            assert loaded.params[k].dtype == np.float64
+            assert loaded.params[k].tobytes() == v.tobytes()
+
     def test_version_mismatch_rejected(self, tmp_path):
         import json
         model = tiny_model()
