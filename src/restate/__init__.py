@@ -12,8 +12,7 @@ from .treebank import (Constraint, InputLayout, ParseTree, concat_pqa,
                        constraint_token_rows, extract_constraints,
                        parse_bracketed, serialize)
 from .similarity import HashedNgramEmbedder, SpanSimilarity, cosine
-from .flags import (FlagTracker, SatisfierConfig, candidate_spans,
-                    replay_flags, trace)
+from .flags import FlagTracker, SatisfierConfig, replay_flags, trace
 from .vocab import Vocabulary, tokenize
 from .model import (ModelConfig, Seq2SeqModel, TrainingConfig,
                     TrainingExample, example_from_record, train)
@@ -27,8 +26,7 @@ __all__ = [
     "Constraint", "InputLayout", "ParseTree", "concat_pqa",
     "constraint_token_rows", "extract_constraints", "parse_bracketed",
     "serialize", "HashedNgramEmbedder", "SpanSimilarity", "cosine",
-    "FlagTracker",
-    "SatisfierConfig", "candidate_spans", "replay_flags", "trace",
+    "FlagTracker", "SatisfierConfig", "replay_flags", "trace",
     "Vocabulary", "tokenize", "ModelConfig", "Seq2SeqModel",
     "TrainingConfig", "TrainingExample", "example_from_record", "train",
     "DecodeResult", "run_decoder", "PQAInstance", "build_corpus", "generate",

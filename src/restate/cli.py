@@ -31,8 +31,8 @@ from .evaluation import build_report, text_table
 from .flags import SatisfierConfig, replay_flags
 from .flags import trace as flag_trace
 from .model import (CheckpointMismatch, LengthOverflow, ModelConfig,
-                    NonFiniteLoss, Seq2SeqModel, TrainingConfig,
-                    TrainingExample, example_from_record, train)
+                    Seq2SeqModel, TrainingConfig, TrainingExample,
+                    example_from_record, train)
 from .similarity import HashedNgramEmbedder, SpanSimilarity
 from .vocab import Vocabulary, tokenize
 
@@ -232,7 +232,8 @@ def cmd_train(args):
     train_cfg = TrainingConfig(lr=args.lr, batch_size=args.batch_size,
                                epochs=args.epochs, seed=args.seed)
     instances = datagen.read_corpus(args.input)
-    model_records = [datagen.model_record(inst)
+    records = {id(inst): datagen.model_record(inst) for inst in instances}
+    model_records = [records[id(inst)]
                      for inst in _filter_split(instances, args.split)]
     if not model_records:
         raise ValueError("no records in split %r" % args.split)
@@ -252,11 +253,8 @@ def cmd_train(args):
                                     args.max_len))
     # the vocabulary covers the whole file, not just the training split,
     # so later rewriting of held-out records never meets an unknown token
-    pool_lists = []
-    for mr in map(datagen.model_record, instances):
-        pool_lists.append(mr["x_tokens"])
-        pool_lists.append(mr["target_tokens"])
-    vocab = Vocabulary.build(pool_lists)
+    vocab = Vocabulary.build(toks for mr in records.values()
+                             for toks in (mr["x_tokens"], mr["target_tokens"]))
     config = _satisfier(args)
     scorer = _scorer_for(config)
     examples = []
@@ -418,9 +416,8 @@ def build_parser():
     p = sub.add_parser("datagen", help="generate a synthetic corpus")
     p.add_argument("--out", required=True, help="output directory")
     _add_seed_arg(p)
-    p.add_argument("--train-size", type=int, default=1000)
-    p.add_argument("--dev-size", type=int, default=100)
-    p.add_argument("--test-size", type=int, default=400)
+    for name, size in zip(datagen.SPLIT_NAMES, datagen.DEFAULT_SPLIT_SIZES):
+        p.add_argument("--%s-size" % name, type=int, default=size)
     p.add_argument("--mix", default="",
                    help="category shares, e.g. explanation=0.4,condition=0.6")
     p.add_argument("--first-person-rate", type=_rate, default=0.3,
@@ -506,8 +503,8 @@ def main(argv=None):
     try:
         return args.func(args)
     # before the ValueError clause: a bad checkpoint is a ValueError too
-    except (OSError, CheckpointMismatch, NonFiniteLoss,
-            FloatingPointError, MemoryError) as exc:
+    except (OSError, CheckpointMismatch, FloatingPointError,
+            MemoryError) as exc:
         _error(exc)
         return EXIT_RUNTIME
     except ValueError as exc:

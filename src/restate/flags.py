@@ -64,19 +64,6 @@ class SatisfierConfig:
         return SECOND_PERSON
 
 
-def candidate_spans(t: int, clen: int) -> set[tuple[int, int]]:
-    """Window of output spans checked at step t for a constraint of clen tokens.
-
-    Every span ends at the newest token (position t) and is at most clen
-    tokens long: intervals [k, t) for max(0, t - clen) <= k < t.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if clen < 1:
-        raise ValueError("clen must be >= 1")
-    return {(k, t) for k in range(max(0, t - clen), t)}
-
-
 def contains_contiguous(prefix, tokens) -> bool:
     """True if tokens appear verbatim and contiguously inside prefix."""
     k = len(tokens)
@@ -184,12 +171,12 @@ class FlagTracker:
         Lexical: the constraint occurs verbatim. Every earlier prefix
         was checked, so a new match must end at the newest token.
         Semantic: the best windowed similarity sim_now (see
-        candidate_spans) exceeds threshold_a and jumped by more than
+        SpanSimilarity) exceeds threshold_a and jumped by more than
         threshold_b since the previous step.
         """
         out = self.output_tokens
         if self.config.mode == "lexical":
-            return contains_contiguous(out[-len(tokens):], tokens)
+            return tuple(out[-len(tokens):]) == tokens
         sim_now = float(self.scorer.score("c%d" % cid, tokens, out))
         jump = sim_now - self.sim_prev[cid]
         self.sim_prev[cid] = sim_now

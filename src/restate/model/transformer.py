@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
+import itertools
 import json
 import tokenize
 import zipfile
@@ -707,8 +708,14 @@ class Seq2SeqModel:
             raise CheckpointMismatch("checkpoint config %s: %s"
                                      % (config, exc)) from exc
         names = set(data.files) - {"__meta__"}
-        need = {name: shape
-                for name, shape, _ in _param_specs(cfg, len(vocab))}
+        # a table longer than the archive can never match it, so the
+        # walk stops one entry past the archive's tensor count
+        need = {name: shape for name, shape, _ in itertools.islice(
+            _param_specs(cfg, len(vocab)), len(names) + 1)}
+        if len(need) > len(names):
+            raise CheckpointMismatch(
+                "checkpoint config needs more than the %d tensors it holds:"
+                " missing %s" % (len(names), sorted(set(need) - names)))
         if names != set(need):
             raise CheckpointMismatch(
                 "checkpoint tensors do not fit its config: missing %s,"

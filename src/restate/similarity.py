@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flags import candidate_spans
-
 
 class EmptyInput(ValueError):
     """Raised when an embedder receives an empty token sequence."""
@@ -102,14 +100,15 @@ class HashedNgramEmbedder:
 class SpanSimilarity:
     """Scores a constraint against a decoded prefix.
 
-    The score at step t is the maximum cosine between the constraint's
-    embedding and the embedding of any candidate span (suffixes of the
-    prefix no longer than the constraint). The constraint id plays no
-    part, so one scorer instance can safely serve many inputs whose
-    constraint ids collide.
+    The score of a prefix of t tokens is the maximum cosine between the
+    constraint's embedding and the embedding of any span in its window:
+    the suffixes prefix[k:t] for max(0, t - len(constraint)) <= k < t,
+    each ending at the newest token and no longer than the constraint.
+    The constraint id plays no part, so one scorer instance can safely
+    serve many inputs whose constraint ids collide.
 
-    candidate_spans looks back no further than the constraint's length,
-    so a score depends only on the constraint's tokens and the last
+    The window looks back no further than the constraint's length, so a
+    score depends only on the constraint's tokens and the last
     len(constraint) prefix tokens: score is memoized on that pair. One
     embedding cache, keyed by token tuple, serves constraint and span
     vectors alike; it keeps each vector with its norm and whether it is
@@ -152,8 +151,8 @@ class SpanSimilarity:
         if best is None:
             cvec, cnorm, _ = self._embed(key[0])
             best = 0.0
-            for k, l in sorted(candidate_spans(t, clen)):
-                vec, norm, nonzero = self._embed(tuple(prefix_tokens[k:l]))
+            for k in range(max(0, t - clen), t):  # longest span first
+                vec, norm, nonzero = self._embed(tuple(prefix_tokens[k:]))
                 if not nonzero:
                     continue
                 # cosine(vec, cvec), check for check and operation for

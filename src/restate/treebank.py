@@ -9,7 +9,7 @@ of the concatenated question/answer/context input sequence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .vocab import SEP
 
@@ -49,10 +49,10 @@ class ParseTree:
     Leaves are preterminals: a POS label plus exactly one token.
     ``start``/``end`` index the node's yield in the sentence token list.
 
-    ``==``, ``hash()`` and ``repr()`` mean what the dataclass-generated
-    methods mean, but walk the tree with an explicit stack, so a tree
-    nested deeper than the interpreter's recursion limit, which
-    parse_bracketed accepts, can still be compared, hashed and printed.
+    Trees compare and hash by identity. ``repr()`` means what the
+    dataclass-generated method means, but walks the tree with an
+    explicit stack, so a tree nested deeper than the interpreter's
+    recursion limit, which parse_bracketed accepts, can still be printed.
     """
 
     label: str
@@ -60,38 +60,6 @@ class ParseTree:
     token: str | None = None
     start: int = 0
     end: int = 0
-
-    def _scalars(self):
-        return self.label, self.token, self.start, self.end
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if (a.__class__ is not b.__class__
-                    or a._scalars() != b._scalars()
-                    or len(a.children) != len(b.children)):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
-
-    def __hash__(self):
-        # post-order: a node is hashed once all its children are
-        hashes = {}
-        stack = [(self, False)]
-        while stack:
-            node, ready = stack.pop()
-            if ready:
-                hashes[id(node)] = hash((node._scalars(), tuple(
-                    hashes[id(kid)] for kid in node.children)))
-            elif id(node) not in hashes:
-                stack.append((node, True))
-                stack.extend((kid, False) for kid in node.children)
-        return hashes[id(self)]
 
     def __repr__(self):
         out = []
@@ -298,25 +266,19 @@ def extract_constraints(question_tree: ParseTree,
 
 @dataclass(frozen=True)
 class InputLayout:
-    """Offsets of the question/answer/context segments inside the
+    """Offsets of the question and answer segments inside the
     concatenated input token sequence [q, sep, a, sep, c]."""
 
     question: tuple[int, int]  # (offset, length)
     answer: tuple[int, int]
-    context: tuple[int, int]
-    length: int = field(default=0)
 
 
 def concat_pqa(q_tokens: list[str], a_tokens: list[str],
                c_tokens: list[str]) -> tuple[list[str], InputLayout]:
     """Concatenate question, answer and context with SEP tokens."""
     x = list(q_tokens) + [SEP] + list(a_tokens) + [SEP] + list(c_tokens)
-    a_off = len(q_tokens) + 1
-    c_off = a_off + len(a_tokens) + 1
     layout = InputLayout(question=(0, len(q_tokens)),
-                         answer=(a_off, len(a_tokens)),
-                         context=(c_off, len(c_tokens)),
-                         length=len(x))
+                         answer=(len(q_tokens) + 1, len(a_tokens)))
     return x, layout
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from restate.flags import (FIRST_PERSON, FlagTracker, IndexOutOfRange,
-                           SatisfierConfig, candidate_spans,
-                           contains_contiguous, replay_flags, trace)
+                           SatisfierConfig, contains_contiguous, replay_flags,
+                           trace)
 from restate.similarity import HashedNgramEmbedder, SpanSimilarity
 
 SCREEN_X = ["The", "screen", "has", "full", "touchscreen", "function"]
@@ -108,23 +108,6 @@ def test_config_validation():
         SatisfierConfig(mode="fuzzy")
     with pytest.raises(ValueError):
         SatisfierConfig(style_trigger="third_person")
-
-
-# --------------------------------------------------------------- candidates
-
-def test_candidate_spans_examples():
-    assert candidate_spans(7, 4) == {(3, 7), (4, 7), (5, 7), (6, 7)}
-    assert candidate_spans(1, 4) == {(0, 1)}
-    assert candidate_spans(5, 1) == {(4, 5)}
-
-
-@given(st.integers(1, 40), st.integers(1, 12))
-def test_candidate_spans_properties(t, clen):
-    spans = candidate_spans(t, clen)
-    assert all(l == t for _, l in spans)
-    assert all(1 <= l - k <= clen for k, l in spans)
-    assert max(l - k for k, l in spans) == min(t, clen)
-    assert len(spans) == min(t, clen)
 
 
 # ----------------------------------------------------------------- semantic

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from restate.model import (Adam, CheckpointVersionMismatch, LengthOverflow,
+from restate.model import (Adam, CheckpointMismatch,
+                           CheckpointVersionMismatch, LengthOverflow,
                            ModelConfig, NonFiniteLoss, Seq2SeqModel,
                            ShapeMismatch, TrainingConfig, TrainingExample,
                            Workers, assemble_batch, train)
@@ -851,3 +852,21 @@ class TestCheckpointing:
         with pytest.raises(CheckpointVersionMismatch):
             Seq2SeqModel.load(path)
 
+    def test_layer_count_past_the_archive_is_refused_briefly(self, tmp_path):
+        # a config asking for far more layers than the archive holds is
+        # refused by naming the first tensors its table wants past the
+        # archive's count, not by listing every missing layer
+        model = tiny_model(dim=8, ff=16, enc_layers=1, dec_layers=1)
+        path = os.path.join(tmp_path, "model.npz")
+        model.save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["config"]["enc_layers"] = 10_000
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointMismatch) as info:
+            Seq2SeqModel.load(path)
+        assert len(str(info.value)) < 64 * 1024
+        assert "enc1.attn.wq" in str(info.value)

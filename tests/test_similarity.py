@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restate import similarity
-from restate.flags import SatisfierConfig, candidate_spans, replay_flags
+from restate.flags import SatisfierConfig, replay_flags
 from restate.similarity import (DimensionMismatch, EmptyInput,
                                 HashedNgramEmbedder, SpanSimilarity,
                                 ZeroVector, cosine)
@@ -141,6 +141,41 @@ class RecordingSimilarity(SpanSimilarity):
 WORDS = ["a", "camera", "has", "it", "the", "timer", "Dell", "xps", "13"]
 
 
+class LookupRecordingSimilarity(SpanSimilarity):
+    """SpanSimilarity recording every token tuple it looks up, memo hits
+    included."""
+
+    def __init__(self, embedder):
+        super().__init__(embedder)
+        self.looked_up = []
+
+    def _embed(self, tokens):
+        self.looked_up.append(tokens)
+        return super()._embed(tokens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix=st.lists(st.sampled_from(WORDS), min_size=1, max_size=12),
+       constraint=st.lists(st.sampled_from(WORDS), min_size=1, max_size=6),
+       before=st.lists(st.sampled_from(WORDS), max_size=6))
+def test_score_reads_only_its_window(prefix, constraint, before):
+    sim = LookupRecordingSimilarity(HashedNgramEmbedder())
+    score = sim.score("c0", constraint, prefix)
+    assert sim.looked_up[0] == tuple(constraint)
+    spans = sim.looked_up[1:]
+    # one span per length 1..min(t, len(constraint)), longest first,
+    # each ending at the newest token
+    assert [len(s) for s in spans] == list(
+        range(min(len(prefix), len(constraint)), 0, -1))
+    assert all(s == tuple(prefix[len(prefix) - len(s):]) for s in spans)
+    # once the window is full, the tokens before it do not change the score
+    if len(prefix) >= len(constraint):
+        window = prefix[len(prefix) - len(constraint):]
+        fresh = SpanSimilarity(HashedNgramEmbedder())
+        assert (repr(fresh.score("c0", constraint, before + window))
+                == repr(score))
+
+
 @settings(max_examples=60, deadline=None)
 @given(stream=st.lists(st.sampled_from(WORDS), min_size=1, max_size=10),
        constraints=st.lists(st.lists(st.sampled_from(WORDS), min_size=1,
@@ -176,8 +211,8 @@ def test_embed_runs_once_per_distinct_tuple():
     wanted = set()
     for tokens, prefix in sim.asked:
         wanted.add(tokens)
-        wanted.update(prefix[k:l]
-                      for k, l in candidate_spans(len(prefix), len(tokens)))
+        t = len(prefix)
+        wanted.update(prefix[k:] for k in range(max(0, t - len(tokens)), t))
     assert sorted(embedder.calls) == sorted(wanted)
     assert (len(sim.asked), len(embedder.calls)) == (41, 28)
     # a second replay on the same scorer is served by the memos alone
@@ -191,13 +226,15 @@ def test_embed_runs_once_per_distinct_tuple():
 
 
 def oracle_score(constraint, prefix):
-    """The maximum cosine over candidate spans, zero-vector spans skipped."""
+    """The maximum cosine over the suffixes of prefix no longer than the
+    constraint, longest first, zero-vector spans skipped."""
     if not prefix:
         return 0.0
     cvec = np.array(ref_embed(constraint))
     best = 0.0
-    for k, l in sorted(candidate_spans(len(prefix), len(constraint))):
-        vec = np.array(ref_embed(prefix[k:l]))
+    t = len(prefix)
+    for k in range(max(0, t - len(constraint)), t):
+        vec = np.array(ref_embed(prefix[k:]))
         if vec.any():
             best = max(best, cosine(vec, cvec))
     return best
