@@ -31,8 +31,8 @@ from .evaluation import build_report, text_table
 from .flags import SatisfierConfig, replay_flags
 from .flags import trace as flag_trace
 from .model import (CheckpointMismatch, LengthOverflow, ModelConfig,
-                    Seq2SeqModel, TrainingConfig, TrainingExample,
-                    example_from_record, train)
+                    Seq2SeqModel, TrainingConfig, example_from_record,
+                    train)
 from .similarity import HashedNgramEmbedder, SpanSimilarity
 from .vocab import Vocabulary, tokenize
 
@@ -257,13 +257,9 @@ def cmd_train(args):
                              for toks in (mr["x_tokens"], mr["target_tokens"]))
     config = _satisfier(args)
     scorer = _scorer_for(config)
-    examples = []
-    for rec in model_records:
-        if config.mode == "off":
-            examples.append(TrainingExample(rec["x_tokens"],
-                                            rec["target_tokens"], None))
-        else:
-            examples.append(example_from_record(rec, config, scorer))
+    # in mode off every replayed matrix is all zeros
+    examples = [example_from_record(rec, config, scorer)
+                for rec in model_records]
     model = Seq2SeqModel(model_cfg, vocab)
     log_rows = train(model, examples, train_cfg, log=_EpochLog())
     model.save(args.out)
@@ -321,13 +317,10 @@ def cmd_rewrite(args):
     for inst, mr in zip(instances, records):
         trace_path = _trace_path(trace_dir, inst.id) if trace_dir else None
         try:
-            # non-finite weights end in NaN log-probabilities, reported
-            # once below, not in numpy warnings on the way there
-            with np.errstate(all="ignore"):
-                result = run_decoder(args.decoder, model, mr["x_tokens"],
-                                     mr["constraint_rows"], config,
-                                     scorer=scorer, beam_size=args.beam,
-                                     alpha=args.alpha, max_len=args.max_len)
+            result = run_decoder(args.decoder, model, mr["x_tokens"],
+                                 mr["constraint_rows"], config,
+                                 scorer=scorer, beam_size=args.beam,
+                                 alpha=args.alpha, max_len=args.max_len)
         except FloatingPointError as exc:
             raise type(exc)("record %s: %s" % (inst.id, exc)) from exc
         for warning in result.warnings:
@@ -501,7 +494,11 @@ def main(argv=None):
     except SystemExit as exc:  # argparse already printed its message
         return 0 if exc.code is None else int(exc.code)
     try:
-        return args.func(args)
+        # non-finite weights or losses end in one error line below, not
+        # in numpy warnings on the way there (training's worker threads
+        # run in a copy of this context)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     # before the ValueError clause: a bad checkpoint is a ValueError too
     except (OSError, CheckpointMismatch, FloatingPointError,
             MemoryError) as exc:

@@ -123,7 +123,8 @@ class TrainingExample:
     m has len(x_tokens) rows and len(y_tokens) + 1 columns: the leading
     initialization column plus one column per emitted token. Decoder
     position t consumes column t, so the position that predicts EOS
-    reads the state reached after the final real token.
+    reads the state reached after the final real token. m None stands
+    for the all-zero matrix.
     """
 
     x_tokens: list
@@ -147,8 +148,9 @@ def assemble_batch(examples, vocab: Vocabulary):
     """Pad a list of TrainingExamples into training tensors.
 
     Returns (src, tgt_in, tgt_out, m_batch). tgt_in = BOS + y (padded),
-    tgt_out = y + EOS (padded); m_batch column t holds the flag state
-    consumed at decoder position t.
+    tgt_out = y + EOS (padded); m_batch, zero-padded (B, Ls, Lt) int64,
+    column t holds the flag state consumed at decoder position t. An
+    example whose m is None gets all-zero flags, the mode-off matrix.
     """
     b = len(examples)
     ls = max(len(e.x_tokens) for e in examples)
@@ -156,7 +158,7 @@ def assemble_batch(examples, vocab: Vocabulary):
     src = np.full((b, ls), vocab.pad_id, dtype=np.int64)
     tgt_in = np.full((b, ly), vocab.pad_id, dtype=np.int64)
     tgt_out = np.full((b, ly), vocab.pad_id, dtype=np.int64)
-    m_batch = None  # zero-padded (B, Ls, Lt) flags once an example has some
+    m_batch = np.zeros((b, ls, ly), dtype=np.int64)
     for i, e in enumerate(examples):
         x = vocab.encode(list(e.x_tokens))
         y = vocab.encode(list(e.y_tokens))
@@ -171,8 +173,6 @@ def assemble_batch(examples, vocab: Vocabulary):
                 raise nn.ShapeMismatch(
                     "flag matrix %s does not match (%d, %d)"
                     % (m.shape, len(x), len(y) + 1))
-            if m_batch is None:
-                m_batch = np.zeros((b, ls, ly), dtype=np.int64)
             m_batch[i, :len(x), :len(y) + 1] = m
     return src, tgt_in, tgt_out, m_batch
 

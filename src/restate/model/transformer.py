@@ -6,7 +6,9 @@ embeddings E_k, E_v (3 rows, one per flag value) in every layer; the
 tables are shared across layers and split across heads in contiguous
 slices. Row 0 (the "not part of any constraint" flag) is pinned to
 zero so unflagged positions get exactly standard attention and an
-all-zero flag matrix reduces the model to its vanilla twin.
+all-zero flag matrix reduces the model to its vanilla twin. Mode off is
+that matrix: every cross-attention, with flags or without (None), runs
+the one flagged attention, whose flag terms are then exact zeros.
 
 Only the flag-aware cross-attention differs from a standard pre-LN
 Transformer: the encoder layers and the decoder's self-attention and
@@ -124,10 +126,10 @@ class DecoderCache:
 
 
 def _flag_onehot(m_batch, b, ls, lt):
-    """One-hot of a (B, Ls, Lt) flag batch, or None for the vanilla path
-    when m_batch is None; raises ShapeMismatch for any other shape."""
+    """One-hot of a (B, Ls, Lt) flag batch; None is the all-zero batch
+    (mode off). Raises ShapeMismatch for any other shape."""
     if m_batch is None:
-        return None
+        m_batch = np.zeros((b, ls, lt), dtype=np.int64)
     m_batch = np.asarray(m_batch)
     if m_batch.shape != (b, ls, lt):
         raise ShapeMismatch(
@@ -393,11 +395,8 @@ class Seq2SeqModel:
         h, cln = nn.layer_norm(y, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
         q = nn.split_heads(h @ p[pre + ".cross.wq"], self.config.heads)
         k, v = cross_kv
-        if onehot is None:
-            ctx, catt = nn.attention(q, k, v, cross_mask)
-        else:
-            ctx, catt = nn.flagged_attention(q, k, v, onehot,
-                                             *self._flag_tables(), cross_mask)
+        ctx, catt = nn.flagged_attention(q, k, v, onehot,
+                                         *self._flag_tables(), cross_mask)
         mo = nn.merge_heads(ctx)
         y = y + mo @ p[pre + ".cross.wo"]
         y, cff = self._feed_forward(pre + ".ln3", pre + ".ff", y)
@@ -409,8 +408,8 @@ class Seq2SeqModel:
         return hdec @ p["out.w"] + p["out.b"], hdec, clnf
 
     def _decode_ids(self, tgt_in, tgt_real, henc, src_real, onehot):
-        """tgt_in: (B, Lt) ids. onehot: (B, Lt, Ls, 3) or None for the
-        vanilla cross-attention path."""
+        """tgt_in: (B, Lt) ids. onehot: (B, Lt, Ls, 3), all flag 0 in
+        mode off."""
         cfg = self.config
         p = self.params
         b, lt = tgt_in.shape
@@ -426,14 +425,13 @@ class Seq2SeqModel:
                                                cross_mask, onehot)
             layer_caches.append(lcache)
         logits, hdec, clnf = self._output_logits(y)
-        cache = (tgt_in, layer_caches, clnf, hdec, onehot is not None)
-        return logits, cache
+        return logits, (tgt_in, layer_caches, clnf, hdec)
 
     def _decode_bwd(self, cache, dlogits, henc, reduce):
         """Returns dhenc accumulated over all decoder layers."""
         cfg = self.config
         p = self.params
-        tgt_in, layer_caches, clnf, hdec, flagged = cache
+        tgt_in, layer_caches, clnf, hdec = cache
         reduce("matmul", "out.w", hdec, dlogits)
         reduce("sum", "out.b", dlogits)
         dy = _layer_norm_bwd("dec.lnf", clnf,
@@ -448,12 +446,9 @@ class Seq2SeqModel:
             reduce("matmul", pre + ".cross.wo", mo, dy)
             dctx = nn.split_heads(nn.linear_bwd(p[pre + ".cross.wo"], dy),
                                   cfg.heads)
-            if flagged:
-                dq, dk, dv, dtf = nn.flagged_attention_bwd(catt, dctx)
-                reduce("flag", "flag.ek", dtf, catt[0])  # catt[0]: q
-                reduce("flag", "flag.ev", catt[7], dctx)  # amass
-            else:
-                dq, dk, dv = nn.attention_bwd(catt, dctx)
+            dq, dk, dv, dtf = nn.flagged_attention_bwd(catt, dctx)
+            reduce("flag", "flag.ek", dtf, catt[0])  # catt[0]: q
+            reduce("flag", "flag.ev", catt[7], dctx)  # amass
             dq = nn.merge_heads(dq)
             reduce("matmul", pre + ".cross.wq", h, dq)
             dh = nn.linear_bwd(p[pre + ".cross.wq"], dq)
@@ -480,8 +475,8 @@ class Seq2SeqModel:
         return logits, (ecache, dcache, henc)
 
     def logits_batch(self, src, tgt_in, m_batch):
-        """Teacher-forced logits. m_batch: (B, Ls, Lt) int flags or None;
-        pad ids in src and tgt_in mark padding."""
+        """Teacher-forced logits. m_batch: (B, Ls, Lt) int flags, or None
+        for all-zero flags; pad ids in src and tgt_in mark padding."""
         src = np.asarray(src)
         tgt_in = np.asarray(tgt_in)
         onehot = _flag_onehot(m_batch, src.shape[0], src.shape[1],
@@ -490,7 +485,7 @@ class Seq2SeqModel:
 
     def loss_and_grads(self, src, tgt_in, tgt_out, m_batch, workers=None):
         """Mean masked cross-entropy of a padded batch and its gradient
-        for every parameter.
+        for every parameter; m_batch as in logits_batch.
 
         Two phases. The per-example work (the forward, the loss gradient
         and the backward chain of input gradients) runs on contiguous
@@ -530,7 +525,7 @@ class Seq2SeqModel:
                 handed[i].append((kind, name, operands))
 
             logits, (ecache, dcache, henc) = self._forward(
-                src[s], tgt_in[s], None if onehot is None else onehot[s])
+                src[s], tgt_in[s], onehot[s])
             nll, dlogits = nn.cross_entropy_terms(logits, tgt_out[s],
                                                   mask[s], n)
             # the backward pops each layer's cache once it is done with it,
@@ -569,9 +564,9 @@ class Seq2SeqModel:
         """Teacher-forced next-token distributions for one example.
 
         m must have one column per decoder position: len(y_prefix) + 1
-        (the leading column is the initialization state). Returns
-        (len(y_prefix) + 1, vocab) probabilities; row t conditions on
-        y_prefix[:t].
+        (the leading column is the initialization state), or be None for
+        all-zero flags. Returns (len(y_prefix) + 1, vocab) probabilities;
+        row t conditions on y_prefix[:t].
         """
         src = np.asarray([self.vocab.encode(list(x_tokens))])
         tgt_in = np.asarray([[self.vocab.bos_id]
@@ -585,7 +580,7 @@ class Seq2SeqModel:
         """Log-probabilities of the token after the decoded prefix ids.
 
         henc: (Ls, dim) from encode(); m: (Ls, len(prefix) + 1) flag
-        columns, or None for the vanilla path. Runs the whole prefix
+        columns, or None for all-zero flags. Runs the whole prefix
         uncached. No decoder calls it: the model.step layer of
         bench/tracing.py still names it.
         """

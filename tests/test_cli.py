@@ -7,6 +7,7 @@ runnable as a script.
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -23,7 +24,7 @@ import restate
 from restate import datagen
 from restate.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from restate.flags import SatisfierConfig, replay_flags, trace
-from restate.model import ModelConfig, Seq2SeqModel
+from restate.model import ModelConfig, Seq2SeqModel, training
 from restate.similarity import HashedNgramEmbedder, SpanSimilarity
 
 
@@ -248,6 +249,15 @@ class TestExtractConstraints:
         assert "record %r: constraint 0 does not match" % rec["id"] in err
 
 
+# SHA-256 of the mode-off round trip of TestTrain: the checkpoint, its
+# loss file and the greedy and beam rewrites. Frozen from the
+# implementation whose teacher forcing ran plain cross-attention on a
+# batch without flags, with numpy 2.4's bundled OpenBLAS on x86-64
+# (another BLAS or CPU kernel may round differently)
+MODE_OFF_SHA256 = (
+    "429ad941cef25ad21731b165f28c81ff661d697898c5ec13cab5af5fdfaffef9")
+
+
 class TestTrain:
     def test_artifacts_exist(self, workdir):
         assert (workdir / "model.npz").exists()
@@ -270,7 +280,11 @@ class TestTrain:
         capsys.readouterr()
         assert out.read_bytes() == (workdir / "model.npz").read_bytes()
 
-    def test_mode_off_trains_without_flags(self, workdir, tmp_path, capsys):
+    def test_mode_off_trains_without_flags(self, workdir, tmp_path, capsys,
+                                           monkeypatch):
+        # two workers, so the one-worker bytes the digest was frozen from
+        # must also come out of two blocks
+        monkeypatch.setattr(training, "worker_count", lambda: 2)
         out = tmp_path / "plain.npz"
         rc = main(["train", "--input",
                    str(workdir / "corpus" / "train.jsonl"),
@@ -278,8 +292,31 @@ class TestTrain:
                    "--dim", "32", "--ff", "64", "--heads", "2",
                    "--mode", "off"])
         assert rc == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes())
+        digest.update((tmp_path / "plain.npz.loss.txt").read_bytes())
+        for decoder in ("greedy", "beam"):
+            rewritten = tmp_path / (decoder + ".jsonl")
+            rc = main(["rewrite", "--input",
+                       str(workdir / "corpus" / "test.jsonl"),
+                       "--checkpoint", str(out), "--out", str(rewritten),
+                       "--mode", "off", "--decoder", decoder])
+            assert rc == EXIT_OK
+            digest.update(rewritten.read_bytes())
         capsys.readouterr()
-        assert out.exists()
+        assert digest.hexdigest() == MODE_OFF_SHA256
+
+    def test_diverging_loss_is_one_line(self, workdir, tmp_path):
+        out = tmp_path / "m.npz"
+        # the first step's update overflows the weights, so the second
+        # step's loss is NaN
+        rc, err, n_warnings = _run_quietly(
+            ["train", "--input", str(workdir / "corpus" / "train.jsonl"),
+             "--out", str(out), "--lr", "1e200", "--batch-size", "4",
+             "--dim", "8", "--ff", "8", "--heads", "2"])
+        assert rc == EXIT_RUNTIME
+        assert err == "error: loss became nan at epoch 0 step 1\n"
+        assert n_warnings == 0
+        assert not out.exists()
 
     def test_empty_split_is_usage_error(self, workdir, capsys):
         rc = main(["train", "--input",

@@ -48,7 +48,7 @@ def teacher_forced_logprobs(model, x_tokens, prefix_ids, m):
     """Log-probabilities of the token after prefix_ids, from the
     teacher-forced logits_batch over the whole prefix: the uncached
     reference for decode_step. m: (len(x_tokens), len(prefix_ids) + 1)
-    flag columns, or None for the vanilla path."""
+    flag columns, or None for all-zero flags."""
     src = np.asarray([model.vocab.encode(list(x_tokens))])
     tgt_in = np.asarray([[model.vocab.bos_id] + list(prefix_ids)])
     m_batch = None if m is None else np.asarray(m)[None]
@@ -125,6 +125,26 @@ class TestHandComputedFlagAttention:
 # ------------------------------------------------------- vanilla equivalence
 
 class TestVanillaEquivalence:
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_zero_onehot_attention_is_plain_attention(self, padded):
+        # with every key at flag 0, the flag terms are exact zeros, so
+        # flagged attention and its backward are plain attention's bytes
+        rng = np.random.default_rng(5)
+        q, dctx = rng.normal(size=(2, 2, 2, 3, 4))  # (B, H, Lq, Dh)
+        k, v = rng.normal(size=(2, 2, 2, 4, 4))  # (B, H, Lk, Dh)
+        ek3, ev3 = rng.normal(size=(2, 3, 2, 4))
+        ek3[0] = ev3[0] = 0.0
+        onehot = nn.flag_onehot(np.zeros((2, 4, 3), dtype=int))
+        mask = (nn.padding_mask(np.array([[True] * 4, [True, True, False,
+                                                       False]]))
+                if padded else None)
+        ctx, cache = nn.flagged_attention(q, k, v, onehot, ek3, ev3, mask)
+        ref, ref_cache = nn.attention(q, k, v, mask)
+        assert ctx.tobytes() == ref.tobytes()
+        for got, want in zip(nn.flagged_attention_bwd(cache, dctx),
+                             nn.attention_bwd(ref_cache, dctx)):
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_flags_bitwise_equal_to_vanilla_path(self):
         model = tiny_model()
         src, tgt_in, tgt_out, mb = tiny_batch(model.vocab)
@@ -516,7 +536,9 @@ class TestBatchAssembly:
             assert mb.shape == (2, 3, 4) and mb.dtype == np.int64
             assert np.all(mb[row, :2, :2] == 1) and mb[row].sum() == 4
             assert mb[1 - row].sum() == 0
-        assert assemble_batch([plain, plain], vocab)[3] is None
+        mb = assemble_batch([plain, plain], vocab)[3]
+        assert mb.shape == (2, 3, 4) and mb.dtype == np.int64
+        assert not mb.any()
 
     def test_model_rejects_wrong_flag_batch(self):
         model = tiny_model()
