@@ -117,9 +117,10 @@ _ADJECTIVES = frozenset({"wireless", "side"})
 _PLURALS = frozenset({"presets", "pockets", "maps"})
 
 
-# Every step reads its bracket strings through this memo: a corpus parses
+# make_instance reads its bracket strings through this memo: a corpus parses
 # each distinct string once (about 1,200 of them at (300, 100, 2000)), and
-# ParseTree is frozen, so instances may share a tree.
+# ParseTree is frozen, so instances may share a tree. generate() clears the
+# memo when it ends, so the trees live only as long as one generate() call.
 _parse = functools.lru_cache(maxsize=4096)(parse_bracketed)
 
 
@@ -193,64 +194,45 @@ _TAIL_INSTEAD = " (ADVP (RB instead))"
 
 
 def _question(family, qstyle, product, feature, verb, thing, prep):
-    """Build (parse, declared constraint texts) for the question."""
+    """The question's parse; extract_constraints reads its gold
+    constraints off it."""
     name, kind = product
     if family == "have":
         subject = {"name": _np_product(name, kind),
                    "this": _np_this(kind),
                    "it": _NP_IT}[qstyle]
-        parse = "(SBARQ (VBZ does) %s (VP (VB have) %s) (. ?))" % (
+        return "(SBARQ (VBZ does) %s (VP (VB have) %s) (. ?))" % (
             subject, _np_phrase(feature))
-        return parse, [("VP", "have " + feature)]
     obj = _np_this(kind) if qstyle == "this" else _NP_IT
-    parse = ("(SBARQ (MD can) %s (VP (VB %s) %s (PP (IN %s) %s))"
-             " (. ?))") % (_NP_YOU, verb, _np_phrase(thing), prep, obj)
-    core = "%s %s %s" % (verb, thing, prep)
-    if qstyle == "this":
-        return parse, [("VP", "%s this %s" % (core, kind)),
-                       ("PP", "%s this %s" % (prep, kind))]
-    return parse, [("VP", core + " it")]
+    return ("(SBARQ (MD can) %s (VP (VB %s) %s (PP (IN %s) %s))"
+            " (. ?))") % (_NP_YOU, verb, _np_phrase(thing), prep, obj)
 
 
 def _answer(family, category, polarity, feature, feature2, verb, verb2,
             thing, thing2, prep, variant, first_person):
-    """Build (parse, declared constraint texts) for the answer; with
-    first_person, each sentence's subject is "mine" or "i"."""
+    """The answer's parse, from which extract_constraints reads its gold
+    constraints; with first_person, each sentence's subject is "mine"
+    or "i"."""
     lead = _LEAD_YES if polarity == "yes" else _LEAD_NO
     if family == "have":
         first_vp = _vp_have(feature, polarity)
-        first_text = ("has " + feature if polarity == "yes"
-                      else "does not have " + feature)
         subject = _NP_MINE if first_person else _NP_IT
-        second_map = {
-            "complement": (_LEAD_ALSO, _vp_have(feature2, polarity), "",
-                           "has " + feature2 if polarity == "yes"
-                           else "does not have " + feature2),
-            "alternative": (_LEAD_BUT, _vp_have(feature2, "yes"),
-                            _TAIL_INSTEAD, "has " + feature2),
-        }
+        second_vp = {"complement": _vp_have(feature2, polarity),
+                     "alternative": _vp_have(feature2, "yes")}
     else:
         first_vp = _vp_can(verb, thing, prep, polarity)
-        first_text = "%s %s %s it" % (verb, thing, prep)
         subject = _NP_I if first_person else _NP_YOU
-        second_map = {
-            "complement": (_LEAD_ALSO, _vp_can(verb2, thing2, prep, polarity),
-                           "", "%s %s %s it" % (verb2, thing2, prep)),
-            "alternative": (_LEAD_BUT, _vp_can(verb, thing2, prep, "yes"),
-                            _TAIL_INSTEAD, "%s %s %s it" % (verb, thing2, prep)),
-        }
+        second_vp = {"complement": _vp_can(verb2, thing2, prep, polarity),
+                     "alternative": _vp_can(verb, thing2, prep, "yes")}
     if category == "explanation":
-        return _sentence(lead, subject, first_vp), [("VP", first_text)]
+        return _sentence(lead, subject, first_vp)
     if category == "condition":
-        tail = " " + _cond_sbar(variant, polarity)
-        cond_text = ("is the %s model" % variant if polarity == "yes"
-                     else "is not the %s model" % variant)
-        return (_sentence(lead, subject, first_vp, tail),
-                [("VP", first_text), ("VP", cond_text)])
-    lead2, vp2, tail2, text2 = second_map[category]
-    parse = "(S %s %s)" % (_sentence(lead, subject, first_vp),
-                           _sentence(lead2, subject, vp2, tail2))
-    return parse, [("VP", first_text), ("VP", text2)]
+        return _sentence(lead, subject, first_vp,
+                         " " + _cond_sbar(variant, polarity))
+    lead2, tail2 = ((_LEAD_ALSO, "") if category == "complement"
+                    else (_LEAD_BUT, _TAIL_INSTEAD))
+    return "(S %s %s)" % (_sentence(lead, subject, first_vp),
+                          _sentence(lead2, subject, second_vp[category], tail2))
 
 
 def _target(family, category, polarity, product, feature, feature2,
@@ -293,22 +275,13 @@ def make_instance(iid, category, polarity, domain, product, family, qstyle,
     if category not in CATEGORIES:
         raise InvalidMix("unknown category %r" % category)
     prep = DOMAINS[domain]["prep"]
-    q_parse, q_decl = _question(family, qstyle, product, feature, verb,
-                                thing, prep)
-    a_parse, a_decl = _answer(family, category, polarity, feature, feature2,
-                              verb, verb2, thing, thing2, prep, variant,
-                              first_person)
+    q_parse = _question(family, qstyle, product, feature, verb, thing, prep)
+    a_parse = _answer(family, category, polarity, feature, feature2, verb,
+                      verb2, thing, thing2, prep, variant, first_person)
     target = _target(family, category, polarity, product, feature, feature2,
                      verb, verb2, thing, thing2, prep, variant)
     q_tree = _parse(q_parse)
     a_tree = _parse(a_parse)
-    constraints = tuple(extract_constraints(q_tree, a_tree))
-    declared = ([("question",) + d for d in q_decl]
-                + [("answer",) + d for d in a_decl])
-    got = [(c.source, c.label, c.text) for c in constraints]
-    if got != declared:
-        raise AssertionError("template constraints drifted: %r vs %r"
-                             % (got, declared))
     return PQAInstance(
         id=iid,
         question=" ".join(q_tree.leaves()),
@@ -319,7 +292,7 @@ def make_instance(iid, category, polarity, domain, product, family, qstyle,
         target=target,
         question_parse=q_parse,
         answer_parse=a_parse,
-        constraints=constraints,
+        constraints=tuple(extract_constraints(q_tree, a_tree)),
         domain=domain,
     )
 
@@ -387,15 +360,18 @@ def generate(seed, n, category_mix=None, first_person_rate=0.0):
     rng = random.Random(seed)
     rng.shuffle(slots)
     style_rng = random.Random("%s:style" % seed)
-    return [_sample_instance("pqa-%05d" % i, cat, rng,
-                             style_rng.random() < first_person_rate)
-            for i, cat in enumerate(slots)]
+    try:
+        return [_sample_instance("pqa-%05d" % i, cat, rng,
+                                 style_rng.random() < first_person_rate)
+                for i, cat in enumerate(slots)]
+    finally:
+        _parse.cache_clear()
 
 
 def gold_constraints(instance):
     """Re-extract the constraint list from the instance's stored parses."""
-    return extract_constraints(_parse(instance.question_parse),
-                               _parse(instance.answer_parse))
+    return extract_constraints(parse_bracketed(instance.question_parse),
+                               parse_bracketed(instance.answer_parse))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +386,8 @@ def build_corpus(seed, split_sizes=DEFAULT_SPLIT_SIZES, category_mix=None,
     if min(split_sizes) < 0:
         raise InvalidMix("split sizes must not be negative, got %s"
                          % list(split_sizes))
-    try:
-        instances = generate(seed, sum(split_sizes), category_mix,
-                             first_person_rate)
-    finally:
-        # the parsed trees live only as long as the corpus build
-        _parse.cache_clear()
+    instances = generate(seed, sum(split_sizes), category_mix,
+                         first_person_rate)
     names = [name for name, size in zip(SPLIT_NAMES, split_sizes)
              for _ in range(size)]
     return [replace(inst, split=name) for inst, name in zip(instances, names)]

@@ -180,7 +180,6 @@ _SERIAL = Workers(1)
 _REDUCE = {
     "matmul": nn.linear_dw,
     "sum": nn.row_sum,
-    "gain": lambda dy, xhat: nn.row_sum(dy * xhat),
     "flag": nn.flag_table_grad,
     "position": lambda dy: dy.sum(axis=0),
     "embed": lambda ids, dy: (ids, dy),  # scattered by np.add.at
@@ -196,7 +195,7 @@ def _cat(blocks):
 def _layer_norm_bwd(ln, cache, dy, reduce):
     """Gradient into layer norm ln's input; hands the reductions of its
     gain and shift to reduce."""
-    reduce("gain", ln + ".g", dy, cache[0])  # cache[0]: xhat
+    reduce("sum", ln + ".g", dy * cache[0])  # cache[0]: xhat
     reduce("sum", ln + ".b", dy)
     return nn.layer_norm_bwd(cache, dy)
 

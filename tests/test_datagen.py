@@ -1,6 +1,7 @@
 """Corpus generator: quotas, determinism, template constraints, style variants."""
 
 import hashlib
+import inspect
 import json
 from collections import Counter
 from dataclasses import asdict
@@ -133,6 +134,11 @@ ELEC = ("samsung galaxy a20", "phone")
 
 
 class TestDeclaredConstraints:
+    """The templates write only parses. These exact constraint lists and
+    test_recipe_corpus_is_pinned's digest, over a corpus that draws every
+    template shape (test_build_corpus_draws_every_template_shape), are
+    what check the constraints extracted from them."""
+
     def test_have_explanation_pronoun_subject(self):
         inst = dg.make_instance(
             "t1", "explanation", "yes", "electronics", ELEC, "have", "it",
@@ -320,3 +326,34 @@ def test_build_corpus_leaves_no_parsed_trees_behind():
     with pytest.raises(ValueError):
         dg.build_corpus(0, (5, 1, 1), first_person_rate=2.0)
     assert dg._parse.cache_info().currsize == 0
+    (inst,) = dg.generate(3, 1)
+    assert dg._parse.cache_info().currsize == 0
+    dg.gold_constraints(inst)
+    assert dg._parse.cache_info().currsize == 0
+
+
+def test_build_corpus_draws_every_template_shape(monkeypatch):
+    # the recipe corpus that test_recipe_corpus_is_pinned hashes draws
+    # every shape the sampler can, so its digest covers every template
+    shapes = set()
+    make_instance = dg.make_instance
+    signature = inspect.signature(make_instance)
+
+    def recording(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        shapes.add(tuple(call.arguments[k] for k in (
+            "family", "qstyle", "category", "polarity", "first_person")))
+        return make_instance(*args, **kwargs)
+
+    monkeypatch.setattr(dg, "make_instance", recording)
+    dg.build_corpus(0, (300, 100, 400))
+    qstyles = {"have": ("name", "this", "it"), "verb": ("this", "it")}
+    expected = {(family, qstyle, category, polarity, first_person)
+                for family, styles in qstyles.items() for qstyle in styles
+                for category in dg.CATEGORIES
+                for polarity in ("yes", "no")
+                if category != "alternative" or polarity == "no"
+                for first_person in (False, True)}
+    assert len(expected) == 70
+    assert shapes == expected
