@@ -117,13 +117,6 @@ _ADJECTIVES = frozenset({"wireless", "side"})
 _PLURALS = frozenset({"presets", "pockets", "maps"})
 
 
-# make_instance reads its bracket strings through this memo: a corpus parses
-# each distinct string once (about 1,200 of them at (300, 100, 2000)), and
-# ParseTree is frozen, so instances may share a tree. generate() clears the
-# memo when it ends, so the trees live only as long as one generate() call.
-_parse = functools.lru_cache(maxsize=4096)(parse_bracketed)
-
-
 # ---------------------------------------------------------------------------
 # parse-fragment builders
 
@@ -270,8 +263,12 @@ def _target(family, category, polarity, product, feature, feature2,
 
 def make_instance(iid, category, polarity, domain, product, family, qstyle,
                   feature, feature2, verb, verb2, thing, thing2, variant,
-                  first_person=False):
-    """Deterministic instance kernel; generate() samples the arguments."""
+                  first_person=False, parse=parse_bracketed):
+    """Deterministic instance kernel; generate() samples the arguments.
+
+    parse reads the two bracket strings: parse_bracketed, so that no
+    tree outlives the call, or the memo generate() keeps for its own
+    call."""
     if category not in CATEGORIES:
         raise InvalidMix("unknown category %r" % category)
     prep = DOMAINS[domain]["prep"]
@@ -280,8 +277,8 @@ def make_instance(iid, category, polarity, domain, product, family, qstyle,
                       verb2, thing, thing2, prep, variant, first_person)
     target = _target(family, category, polarity, product, feature, feature2,
                      verb, verb2, thing, thing2, prep, variant)
-    q_tree = _parse(q_parse)
-    a_tree = _parse(a_parse)
+    q_tree = parse(q_parse)
+    a_tree = parse(a_parse)
     return PQAInstance(
         id=iid,
         question=" ".join(q_tree.leaves()),
@@ -297,7 +294,7 @@ def make_instance(iid, category, polarity, domain, product, family, qstyle,
     )
 
 
-def _sample_instance(iid, category, rng, first_person):
+def _sample_instance(iid, category, rng, first_person, parse):
     domain = rng.choice(sorted(DOMAINS))
     inv = DOMAINS[domain]
     product = rng.choice(inv["products"])
@@ -312,7 +309,7 @@ def _sample_instance(iid, category, rng, first_person):
     variant = rng.choice(inv["variants"])
     return make_instance(iid, category, polarity, domain, product, family,
                          qstyle, feature, feature2, verb, verb2, thing, thing2,
-                         variant, first_person)
+                         variant, first_person, parse)
 
 
 def _quotas(mix, n):
@@ -360,12 +357,13 @@ def generate(seed, n, category_mix=None, first_person_rate=0.0):
     rng = random.Random(seed)
     rng.shuffle(slots)
     style_rng = random.Random("%s:style" % seed)
-    try:
-        return [_sample_instance("pqa-%05d" % i, cat, rng,
-                                 style_rng.random() < first_person_rate)
-                for i, cat in enumerate(slots)]
-    finally:
-        _parse.cache_clear()
+    # each distinct bracket string is parsed once per call (about 1,200 of
+    # them at (300, 100, 2000)); ParseTree is frozen, so instances may share
+    # a tree, and the memo goes when the call returns
+    parse = functools.lru_cache(maxsize=None)(parse_bracketed)
+    return [_sample_instance("pqa-%05d" % i, cat, rng,
+                             style_rng.random() < first_person_rate, parse)
+            for i, cat in enumerate(slots)]
 
 
 def gold_constraints(instance):

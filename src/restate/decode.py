@@ -177,6 +177,7 @@ class _Decoder:
     def __init__(self, model, x_tokens):
         self.model = model
         self.cache = model.begin_decode(model.encode(list(x_tokens)))
+        self.never_emitted = np.asarray(model.vocab.never_emitted)
 
     def logprobs(self, hyps, draft=()):
         """(len(hyps), vocab) next-token log-probabilities, the tokens of
@@ -189,7 +190,7 @@ class _Decoder:
         columns = np.stack([h.tracker.current for h in hyps])
         lp, self.cache = self.model.decode_step(
             self.cache, [h.row for h in hyps], last, columns, draft)
-        lp[:, vocab.never_emitted] = -np.inf
+        lp[:, self.never_emitted] = -np.inf
         return lp
 
 
@@ -244,20 +245,18 @@ def _greedy_hyp(model, decoder, tracker, max_len):
         # a row at the budget's last position is the last one computed
         length = len(hyp.ids)  # positions cached
         draft = drafts.guess(vocab, hyp.ids, max_len - 1 - length)
-        column = tracker.current.copy()
         for r, lp in enumerate(decoder.logprobs([hyp], draft)):
             if r:
                 check_logprobs(lp)
-            nxt = int(np.argmax(lp))
+            nxt = int(lp.argmax())
             hyp.score += float(lp[nxt])
             if nxt == vocab.eos_id:
                 hyp.finished = True
                 break
             hyp.ids.append(nxt)
-            tracker.step(vocab.tokens[nxt])
+            changed = tracker.step(vocab.tokens[nxt])
             # the next row holds the guessed token under this column
-            if (r == len(draft) or draft[r] != nxt
-                    or not np.array_equal(tracker.current, column)):
+            if r == len(draft) or draft[r] != nxt or changed:
                 break
         if r < len(draft):
             decoder.cache = decoder.cache.cut(length + r + 1)

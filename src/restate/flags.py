@@ -150,20 +150,31 @@ class FlagTracker:
         self.output_tokens: list[str] = []
         self.history: list[np.ndarray] = [self.current.copy()]
 
-    def step(self, token: str) -> None:
+    def step(self, token: str) -> bool:
         """Advance one output token: flip newly satisfied constraints to
         2, drop style positions to 1 on a trigger token, then snapshot
-        the column. Both flips are permanent."""
+        the column. Both flips are permanent.
+
+        Returns whether the column changed: a constraint that owns cells
+        was newly satisfied, or the style positions dropped for the
+        first time. A satisfied constraint that owns no cells changes
+        nothing."""
         self.output_tokens.append(token)
+        changed = False
         if self.config.mode != "off":
             for cid, tokens in enumerate(self.constraint_tokens):
                 if not self.satisfied[cid] and self._met(cid, tokens):
                     self.satisfied[cid] = True
-                    self.current[list(self.owned[cid])] = 2
+                    if self.owned[cid]:
+                        self.current[list(self.owned[cid])] = 2
+                        changed = True
         if (self.style_positions
+                and self.current[self.style_positions[0]] == 2
                 and token.lower() in self.config.trigger_lexicon()):
             self.current[list(self.style_positions)] = 1
+            changed = True
         self.history.append(self.current.copy())
+        return changed
 
     def _met(self, cid: int, tokens) -> bool:
         """Does the newest token satisfy unsatisfied constraint cid?

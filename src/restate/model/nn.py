@@ -24,6 +24,8 @@ per-example work in blocks and each reduction once over the whole.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 NEG_INF = -1e9
@@ -76,15 +78,17 @@ def layer_norm_bwd(cache, dy):
     return inv * (dxhat - m1 - xhat * m2)
 
 
+# softmax and log_softmax call the ufunc reductions that ndarray.max and
+# ndarray.sum wrap, with the same arguments, so the bytes are theirs
 def softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
+    z = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def log_softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=axis, keepdims=True))
 
 
 def split_heads(x, heads):
@@ -101,14 +105,43 @@ def merge_heads(x):
 
 def attention(q, k, v, mask=None):
     """Scaled dot-product attention. q,k,v: (B,H,L,Dh)."""
-    dh = q.shape[-1]
-    scale = np.sqrt(dh)
+    scale = math.sqrt(q.shape[-1])
     logits = q @ k.swapaxes(-1, -2) / scale
     if mask is not None:
         logits = logits + mask
     alpha = softmax(logits)
     ctx = alpha @ v
     return ctx, (q, k, v, alpha, scale)
+
+
+def chained_attention(q, k, v):
+    """Attention of R consecutive positions of one prefix, one per row:
+    q (R,H,1,Dh); k, v (1,H,Lk,Dh); row r attends to the first
+    Lk - R + 1 + r keys alone. Returns (R,H,1,Dh).
+
+    Each row's two products and its sum run at exactly its own key
+    count, on the operands attention would get for that row alone.
+    The scale, max, subtract, exp and divide run once, elementwise or
+    along a row, over the rows' logits padded with -inf to (R,H,1,Lk):
+    a padded key adds nothing to the max and gets weight exp(-inf) = 0,
+    outside the row's sum and product. So row r is, to the byte,
+    attention(q[r:r+1], k[:, :, :n+r], v[:, :, :n+r]), n = Lk - R + 1.
+    """
+    rows, h = q.shape[:2]
+    lk = k.shape[2]
+    n = lk - rows + 1  # keys of row 0
+    kt = k.swapaxes(-1, -2)
+    logits = np.full((rows, h, 1, lk), -np.inf)
+    for r in range(rows):
+        logits[r:r + 1, :, :, :n + r] = q[r:r + 1] @ kt[..., :n + r]
+    logits /= math.sqrt(q.shape[-1])
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    total = np.empty((rows, h, 1, 1))
+    for r in range(rows):
+        total[r] = np.add.reduce(e[r, :, :, :n + r], axis=-1, keepdims=True)
+    alpha = e / total
+    return np.concatenate([alpha[r:r + 1, :, :, :n + r] @ v[:, :, :n + r]
+                           for r in range(rows)])
 
 
 def attention_bwd(cache, dctx):
@@ -161,7 +194,7 @@ def flagged_attention(q, k, v, onehot, ek3, ev3, mask=None):
     if onehot.shape != (b, lq, lk, 3):
         raise ShapeMismatch("flag tensor %s does not match (%d,%d,%d,3)"
                             % (onehot.shape, b, lq, lk))
-    scale = np.sqrt(dh)
+    scale = math.sqrt(dh)
     base = q @ k.swapaxes(-1, -2)
     # tf[b,h,j,f] = q_j . ek[f]; gathered per key via the one-hot
     tf = np.einsum("bhjd,fhd->bhjf", q, ek3)

@@ -32,8 +32,12 @@ self-attention keys and values cached for its earlier positions,
 gathered by each row's parent. For one hypothesis it can also forward
 drafted positions after the newest one in the same call; each row
 attends to exactly its own prefix, and DecoderCache.cut drops the
-positions of rows the caller does not keep. Every row agrees, up to
-rounding, with the teacher-forced logits_batch on its whole prefix.
+positions of rows the caller does not keep. The drafted rows share one
+softmax pass over their self-attention logits padded with -inf
+(nn.chained_attention), while each row's products and sum keep its own
+key count, so each row is the bytes of a one-row step. Every row
+agrees, up to rounding, with the teacher-forced logits_batch on its
+whole prefix.
 """
 
 from __future__ import annotations
@@ -273,7 +277,12 @@ class Seq2SeqModel:
         prefix, one per row, and past has one row. Row r attends to past
         and rows 0..r, over those keys alone, laid out contiguously as
         a one-row step lays them out; the (k, v) returned have one row
-        of Lp + B positions and the backward cache is None."""
+        of Lp + B positions and the backward cache is None. The rows
+        share one softmax pass over their logits padded with -inf to
+        Lp + B keys (nn.chained_attention); each row's two products and
+        its sum run at exactly its own key count, and a padded key
+        changes no max and gets weight 0, so each row keeps the bytes
+        of a one-row step."""
         p = self.params
         heads = self.config.heads
         h, cln = nn.layer_norm(x, p[ln + ".g"], p[ln + ".b"])
@@ -288,11 +297,7 @@ class Seq2SeqModel:
         if chain:
             # without past, k and v are still transposed views
             k, v = np.ascontiguousarray(k), np.ascontiguousarray(v)
-            n = k.shape[2] - len(x) + 1  # keys of row 0
-            ctx = np.concatenate([
-                nn.attention(q[r:r + 1], k[:, :, :n + r], v[:, :, :n + r])[0]
-                for r in range(len(x))])
-            catt = None
+            ctx, catt = nn.chained_attention(q, k, v), None
         else:
             ctx, catt = nn.attention(q, k, v, mask)
         mo = nn.merge_heads(ctx)
@@ -338,14 +343,15 @@ class Seq2SeqModel:
 
     # ------------------------------------------------------------ encoder
     def _encode_ids(self, src, src_real):
-        """src: (B, Ls) ids; src_real: (B, Ls) bool. Returns henc + cache."""
+        """src: (B, Ls) ids; src_real: (B, Ls) bool, or None when src
+        holds no padding. Returns henc + cache."""
         cfg = self.config
         p = self.params
         b, ls = src.shape
         if ls > cfg.max_len:
             raise LengthOverflow("source length %d > max_len %d" % (ls, cfg.max_len))
         x = p["tok_emb"][src] + p["pos_enc"][:ls]
-        mask = nn.padding_mask(src_real)
+        mask = None if src_real is None else nn.padding_mask(src_real)
         layer_caches = []
         for i in range(cfg.enc_layers):
             pre = "enc%d" % i
@@ -353,11 +359,12 @@ class Seq2SeqModel:
             x, cff = self._feed_forward(pre + ".ln2", pre + ".ff", x)
             layer_caches.append((cattn, cff))
         henc, clnf = nn.layer_norm(x, p["enc.lnf.g"], p["enc.lnf.b"])
-        return henc, (src, layer_caches, clnf)
+        # a list: the backward pops the final norm's cache once used
+        return henc, [src, layer_caches, clnf]
 
     def _encode_bwd(self, cache, dhenc, reduce):
-        src, layer_caches, clnf = cache
-        dx = _layer_norm_bwd("enc.lnf", clnf, dhenc, reduce)
+        src, layer_caches = cache[:2]
+        dx = _layer_norm_bwd("enc.lnf", cache.pop(), dhenc, reduce)
         for i in reversed(range(self.config.enc_layers)):
             pre = "enc%d" % i
             cattn, cff = layer_caches.pop()
@@ -365,6 +372,7 @@ class Seq2SeqModel:
                                         reduce)
             dx = self._self_attn_bwd(pre + ".ln1", pre + ".attn", cattn, dx,
                                      reduce)
+            del cattn, cff
         reduce("embed", "tok_emb", src, dx)
         reduce("position", "pos_enc", dx)
 
@@ -424,16 +432,17 @@ class Seq2SeqModel:
                                                cross_mask, onehot)
             layer_caches.append(lcache)
         logits, hdec, clnf = self._output_logits(y)
-        return logits, (tgt_in, layer_caches, clnf, hdec)
+        # a list: the backward pops the final norm's cache once used
+        return logits, [tgt_in, layer_caches, hdec, clnf]
 
     def _decode_bwd(self, cache, dlogits, henc, reduce):
         """Returns dhenc accumulated over all decoder layers."""
         cfg = self.config
         p = self.params
-        tgt_in, layer_caches, clnf, hdec = cache
+        tgt_in, layer_caches, hdec = cache[:3]
         reduce("matmul", "out.w", hdec, dlogits)
         reduce("sum", "out.b", dlogits)
-        dy = _layer_norm_bwd("dec.lnf", clnf,
+        dy = _layer_norm_bwd("dec.lnf", cache.pop(),
                              nn.linear_bwd(p["out.w"], dlogits), reduce)
         dhenc = np.zeros_like(henc)
         for i in reversed(range(cfg.dec_layers)):
@@ -458,6 +467,7 @@ class Seq2SeqModel:
             dy = dy + _layer_norm_bwd(pre + ".ln2", cln, dh, reduce)
             dy = self._self_attn_bwd(pre + ".ln1", pre + ".self", cself, dy,
                                      reduce)
+            del cself, h, cln, catt, mo, cff
         reduce("embed", "tok_emb", tgt_in, dy)
         reduce("position", "pos_dec", dy)
         return dhenc
@@ -527,8 +537,9 @@ class Seq2SeqModel:
                 src[s], tgt_in[s], onehot[s])
             nll, dlogits = nn.cross_entropy_terms(logits, tgt_out[s],
                                                   mask[s], n)
-            # the backward pops each layer's cache once it is done with it,
-            # so that a layer's arrays outlive it only as reduction operands
+            # the backward pops each layer's cache, the final layer norms'
+            # included, and drops it once it is done with it, so that a
+            # layer's arrays outlive it only as reduction operands
             del logits
             dhenc = self._decode_bwd(dcache, dlogits, henc, reduce)
             self._encode_bwd(ecache, dhenc, reduce)
@@ -553,10 +564,13 @@ class Seq2SeqModel:
         return loss, grads
 
     def encode(self, x_tokens) -> np.ndarray:
-        """Encoder states for one token sequence, shape (len, dim)."""
+        """Encoder states for one token sequence, shape (len, dim).
+
+        The sequence has no padding, so no mask is added: an all-zero
+        mask would only turn -0.0 logits into +0.0, and both subtract
+        and exponentiate to the same bytes in the softmax."""
         ids = np.asarray([self.vocab.encode(list(x_tokens))])
-        real = np.ones_like(ids, dtype=bool)
-        henc, _ = self._encode_ids(ids, real)
+        henc, _ = self._encode_ids(ids, None)
         return henc[0]
 
     def forward(self, x_tokens, y_prefix, m) -> np.ndarray:

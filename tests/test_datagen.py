@@ -1,15 +1,17 @@
 """Corpus generator: quotas, determinism, template constraints, style variants."""
 
+import gc
 import hashlib
 import inspect
 import json
+import weakref
 from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
 from restate import datagen as dg
-from restate.treebank import parse_bracketed
+from restate.treebank import ParseTree, parse_bracketed
 from restate.vocab import tokenize
 
 FIRST_PERSON = {"i", "me", "my", "mine", "we", "us", "our", "ours"}
@@ -320,16 +322,39 @@ class TestSerialization:
                                "constraints", "domain", "split"]
 
 
-def test_build_corpus_leaves_no_parsed_trees_behind():
-    dg.build_corpus(0, (5, 1, 1))
-    assert dg._parse.cache_info().currsize == 0
+@pytest.fixture
+def parsed_trees(monkeypatch):
+    """Weak references to every ParseTree node built while the test
+    runs; live() returns those still alive after a collection."""
+    refs = []
+    init = ParseTree.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(ParseTree, "__init__", recording)
+
+    def live():
+        assert refs, "no tree was parsed"
+        gc.collect()
+        return [r for r in refs if r() is not None]
+
+    return live
+
+
+def test_build_corpus_leaves_no_parsed_trees_behind(parsed_trees):
+    insts = dg.build_corpus(0, (5, 1, 1))
     with pytest.raises(ValueError):
         dg.build_corpus(0, (5, 1, 1), first_person_rate=2.0)
-    assert dg._parse.cache_info().currsize == 0
     (inst,) = dg.generate(3, 1)
-    assert dg._parse.cache_info().currsize == 0
     dg.gold_constraints(inst)
-    assert dg._parse.cache_info().currsize == 0
+    assert len(insts) == 7 and parsed_trees() == []
+
+
+def test_make_instance_leaves_no_parsed_trees_behind(parsed_trees):
+    inst = dg.make_instance("t1", *TestFirstPersonVariants.ARGS)
+    assert inst.constraints and parsed_trees() == []
 
 
 def test_build_corpus_draws_every_template_shape(monkeypatch):

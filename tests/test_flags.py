@@ -340,6 +340,29 @@ def test_overlapping_constraints_share_cells_by_ownership():
     assert tracker.matrix()[:, -1].tolist() == [2, 2, 2, 2]
 
 
+def test_step_reports_no_change_for_a_constraint_owning_no_cells():
+    cfg = SatisfierConfig(mode="lexical")
+    # the second constraint's cells belong to the first, which stays unmet
+    tracker = FlagTracker(["install", "app", "on", "phone"],
+                          [(0, 1, 2, 3), (2, 3)], cfg)
+    assert [tracker.step(tok) for tok in ["on", "phone"]] == [False, False]
+    assert tracker.satisfied == [False, True]
+    assert tracker.step("install") is False
+    assert tracker.matrix()[:, -1].tolist() == [1, 1, 1, 1]
+
+
+@given(_forked_streams(), st.sampled_from(["semantic", "lexical", "off"]))
+def test_step_reports_whether_the_column_changed(case, mode):
+    x, rows, shared, tail, _, _, style = case
+    cfg = SatisfierConfig(mode=mode, style_enabled=style)
+    tracker = FlagTracker(x, rows, cfg,
+                          scorer=SpanSimilarity(HashedNgramEmbedder()))
+    for tok in shared + tail:
+        before = tracker.column()
+        changed = tracker.step(tok)
+        assert changed is (not np.array_equal(tracker.current, before))
+
+
 def _full_prefix_matrix(x, rows, stream, config):
     """Lexical flags by the whole-prefix rule: after t tokens a
     constraint cell is 2 once its earliest-listed constraint occurs

@@ -820,6 +820,19 @@ def test_drafted_rows_match_one_row_steps(seed, shape, data):
         assert _kv_bytes(drafted.cut(one.length)) == _kv_bytes(one), r
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16), _SHAPES,
+       st.lists(st.sampled_from(_STEP_VOCAB.tokens[4:]), min_size=1,
+                max_size=12))
+def test_encode_without_a_mask_matches_the_all_true_mask(seed, shape, src):
+    """encode adds no padding mask; with an all-true mask, whose zeros
+    only turn -0.0 logits into +0.0, the states are the same bytes."""
+    model = _far_model(seed, *shape)
+    ids = np.asarray([model.vocab.encode(src)])
+    masked, _ = model._encode_ids(ids, np.ones_like(ids, dtype=bool))
+    assert model.encode(src).tobytes() == masked[0].tobytes()
+
+
 # -------------------------------------------------------------- persistence
 
 class TestCheckpointing:

@@ -1,8 +1,10 @@
-"""Byte-exactness of the attention and layer-norm building blocks.
+"""Byte-exactness of the attention, softmax and layer-norm building blocks.
 
-flag_select and flag_mass replace np.einsum(..., optimize=True), and
-layer_norm computes x - mean once; all three must reproduce the bytes of
-the formulas they replace, so trained parameters and decodes do not move.
+flag_select and flag_mass replace np.einsum(..., optimize=True),
+layer_norm computes x - mean once, softmax and log_softmax call the ufunc
+reductions directly, and chained_attention runs one softmax pass over
+rows of different key counts; each must reproduce the bytes of the
+formulas it replaces, so trained parameters and decodes do not move.
 """
 
 import numpy as np
@@ -111,3 +113,42 @@ def test_layer_norm_matches_mean_var_formula(shape, dim, offset, spread,
     assert same_bytes(y, g * xhat + b)
     assert same_bytes(got_xhat, xhat) and same_bytes(got_inv, inv)
     assert got_g is g
+
+
+# entries that stress the reductions: signed zeros, -inf (a masked or
+# padded key), and magnitudes whose exp over- or underflows
+_ENTRIES = st.one_of(
+    st.floats(-50, 50), st.sampled_from([0.0, -0.0, -np.inf, 1e300, -1e300,
+                                         700.0, -745.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       data=st.data())
+def test_softmax_matches_method_formulas(shape, data):
+    size = int(np.prod(shape))
+    x = np.array(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size),
+                           label="entries")).reshape(shape)
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        z = x - x.max(axis=axis, keepdims=True)
+        e = np.exp(z)
+        want = e / e.sum(axis=axis, keepdims=True)
+        want_log = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+        got, got_log = nn.softmax(x, axis), nn.log_softmax(x, axis)
+    assert same_bytes(got, want) and same_bytes(got_log, want_log)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 9), h=SIZES, n=st.integers(1, 20),
+       dh=st.sampled_from([1, 2, 8, 16]), seed=st.integers(0, 2 ** 32 - 1))
+def test_chained_rows_match_attention_on_their_own_keys(rows, h, n, dh,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((rows, h, 1, dh)) * rng.choice([0.1, 1.0, 30.0])
+    k, v = (rng.standard_normal((1, h, n + rows - 1, dh)) for _ in range(2))
+    got = nn.chained_attention(q, k, v)
+    assert got.shape == (rows, h, 1, dh)
+    for r in range(rows):
+        want = nn.attention(q[r:r + 1], k[:, :, :n + r], v[:, :, :n + r])[0]
+        assert same_bytes(got[r:r + 1], want), r
