@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .treebank import (Constraint, InputLayout, ParseTree, concat_pqa,
                        constraint_token_rows, extract_constraints,
                        parse_bracketed, serialize)
-from .similarity import HashedNgramEmbedder, SpanSimilarity, cosine
+from .similarity import HashedNgramEmbedder, SpanSimilarity
 from .flags import FlagTracker, SatisfierConfig, replay_flags, trace
 from .vocab import Vocabulary, tokenize
 from .model import (ModelConfig, Seq2SeqModel, TrainingConfig,
@@ -25,9 +25,9 @@ from .evaluation import (EvalReport, bleu, build_report, corpus_rouge_l,
 __all__ = [
     "Constraint", "InputLayout", "ParseTree", "concat_pqa",
     "constraint_token_rows", "extract_constraints", "parse_bracketed",
-    "serialize", "HashedNgramEmbedder", "SpanSimilarity", "cosine",
-    "FlagTracker", "SatisfierConfig", "replay_flags", "trace",
-    "Vocabulary", "tokenize", "ModelConfig", "Seq2SeqModel",
+    "serialize", "HashedNgramEmbedder", "SpanSimilarity", "FlagTracker",
+    "SatisfierConfig", "replay_flags", "trace", "Vocabulary", "tokenize",
+    "ModelConfig", "Seq2SeqModel",
     "TrainingConfig", "TrainingExample", "example_from_record", "train",
     "DecodeResult", "run_decoder", "PQAInstance", "build_corpus", "generate",
     "gold_constraints", "model_record", "read_corpus", "write_corpus",

@@ -231,6 +231,9 @@ def cmd_train(args):
                             max_len=args.max_len, seed=args.seed)
     train_cfg = TrainingConfig(lr=args.lr, batch_size=args.batch_size,
                                epochs=args.epochs, seed=args.seed)
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # fail now, not at the save after training
+        raise FileNotFoundError("output directory %r does not exist" % out_dir)
     instances = datagen.read_corpus(args.input)
     records = {id(inst): datagen.model_record(inst) for inst in instances}
     model_records = [records[id(inst)]

@@ -686,9 +686,11 @@ class Seq2SeqModel:
             "digest": _checkpoint_digest(asdict(self.config),
                                          self.vocab.tokens, self.params),
         }
-        np.savez(path, __meta__=np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
-            **self.params)
+        # through an open file: given a path, np.savez appends ".npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(
+                json.dumps(meta, sort_keys=True).encode("utf-8"),
+                dtype=np.uint8), **self.params)
 
     @classmethod
     def load(cls, path) -> "Seq2SeqModel":

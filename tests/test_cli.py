@@ -432,6 +432,35 @@ class TestTrain:
         assert err == "error: record %r: %s\n" % (rec["id"], message)
         assert not out.exists()
 
+    def test_checkpoint_lands_at_the_given_path(self, workdir, tmp_path):
+        # no ".npz" suffix is added, and rewrite reads the same path
+        out = tmp_path / "m3"
+        rc, _, _ = _run_quietly(
+            ["train", "--input", str(workdir / "corpus" / "train.jsonl"),
+             "--out", str(out), "--epochs", "1", "--seed", "3",
+             "--dim", "32", "--ff", "64", "--heads", "2"])
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m3", "m3.config.json", "m3.loss.txt"]
+        assert out.read_bytes() == (workdir / "model.npz").read_bytes()
+        rc, err, _ = _run_quietly(
+            ["rewrite", "--input", str(workdir / "corpus" / "test.jsonl"),
+             "--checkpoint", str(out), "--out", str(tmp_path / "r.jsonl")])
+        assert (rc, err) == (EXIT_OK, "")
+
+    def test_missing_output_directory_fails_before_training(
+            self, workdir, tmp_path):
+        out_dir = tmp_path / "missing"
+        rc, err, _ = _run_quietly(
+            ["train", "--input", str(workdir / "corpus" / "train.jsonl"),
+             "--out", str(out_dir / "m.npz"), "--epochs", "1",
+             "--dim", "8", "--ff", "8", "--heads", "2"])
+        assert rc == EXIT_RUNTIME
+        # no epoch line before it: the run stops before reading the corpus
+        assert err == "error: output directory %r does not exist\n" \
+            % str(out_dir)
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def decoded(workdir, tmp_path_factory):
